@@ -70,6 +70,8 @@ let work_sum t d e =
 
 let total_work t = t.prefix.(n t)
 
+let prefix_sums t = t.prefix
+
 let works t = Array.copy t.works
 let deltas t = Array.copy t.deltas
 

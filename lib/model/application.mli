@@ -52,6 +52,13 @@ val work_sum : t -> int -> int -> float
 val total_work : t -> float
 (** [work_sum t 1 n]. *)
 
+val prefix_sums : t -> float array
+(** The prefix-sum table behind {!work_sum}: index [k] holds
+    [Σ_{i=1..k} w_i], index [0] holds [0.], so
+    [work_sum t d e = (prefix_sums t).(e) -. (prefix_sums t).(d - 1)].
+    The table itself, not a copy, so that {!Cost}'s lattice sweeps can
+    read it without allocating: callers must not mutate it. *)
+
 val works : t -> float array
 val deltas : t -> float array
 (** Fresh copies of the underlying arrays. *)

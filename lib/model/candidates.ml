@@ -84,19 +84,15 @@ let floor candidates value =
    array is O(n² · |speeds|) and unbuildable; but with uniform deltas
    every cycle-time is a weakly monotone image of the interval work sum
    W(d,e) — monotone in e, anti-monotone in d — so min/max/floor/ceiling
-   over the implicit (d, e, u) lattice are answerable in O(n · |speeds|)
-   with two-pointer sweeps, evaluating the engine's own Cost.cycle
-   expression at every comparison (never an algebraically rearranged
-   form, which could disagree by one ulp). *)
+   over the implicit (d, e, config) lattice are answerable in
+   O(n · |configs|) by the two-pointer sweeps of Cost.lattice_*, which
+   evaluate the engine's own cycle expression at every comparison
+   (never an algebraically rearranged form, which could disagree by one
+   ulp). *)
 module Set = struct
   type t =
     | Materialised of float array
-    | Lattice of {
-        cost : Cost.t;
-        configs : Cost.config array;
-        min_elt : float;
-        max_elt : float;
-      }
+    | Lattice of { cost : Cost.t; min_elt : float; max_elt : float }
 
   let default_max_materialised = 1 lsl 22
 
@@ -109,30 +105,16 @@ module Set = struct
     done;
     !ok
 
-  let lattice cost configs =
-    let n = Application.n (Cost.application cost) in
-    (* W(d,e) >= W(k,k) for any k in [d,e] and the cycle is a monotone
-       image of W at fixed config (uniform deltas make both boundary
-       terms interval-independent), so the global minimum is a
-       single-stage cycle; the maximum is the whole chain — both
-       attained, hence exact set members. *)
-    let min_elt = ref infinity and max_elt = ref neg_infinity in
-    Array.iter
-      (fun c ->
-        for d = 1 to n do
-          min_elt := Float.min !min_elt (Cost.config_cycle cost ~d ~e:d c)
-        done;
-        max_elt := Float.max !max_elt (Cost.config_cycle cost ~d:1 ~e:n c))
-      configs;
-    Lattice { cost; configs; min_elt = !min_elt; max_elt = !max_elt }
-
   let of_engine ?(max_materialised = default_max_materialised) cost =
     let app = Cost.application cost in
     let n = Application.n app in
     let configs = Cost.candidate_configs cost in
     let triples = n * (n + 1) / 2 * Array.length configs in
     if triples <= max_materialised then Materialised (periods cost)
-    else if uniform_delta app then lattice cost configs
+    else if uniform_delta app then begin
+      let min_elt, max_elt = Cost.lattice_bounds cost in
+      Lattice { cost; min_elt; max_elt }
+    end
     else
       (* Non-uniform deltas break the monotone-in-W argument; fall back
          to materialising even above the cap (documented in DESIGN.md
@@ -153,67 +135,15 @@ module Set = struct
       if c = 0 then None else Some a.(c - 1)
     | Lattice l -> Some l.max_elt
 
-  (* Largest candidate <= v. Per configuration, the largest feasible
-     interval end for a fixed start d is non-decreasing in d (growing d
-     only shrinks W), so one forward-only e pointer serves all n starts:
-     O(n) cycle evaluations per configuration. *)
-  let floor_lattice cost configs v =
-    let n = Application.n (Cost.application cost) in
-    let best = ref None in
-    Array.iter
-      (fun cf ->
-        let e = ref 0 in
-        for d = 1 to n do
-          if !e < d - 1 then e := d - 1;
-          while !e < n && Cost.config_cycle cost ~d ~e:(!e + 1) cf <= v do
-            incr e
-          done;
-          if !e >= d then begin
-            (* Row maximum <= v: cycles grow with e, so the last feasible
-               end holds the row's largest value under v. *)
-            let c = Cost.config_cycle cost ~d ~e:!e cf in
-            match !best with
-            | Some b when b >= c -> ()
-            | _ -> best := Some c
-          end
-        done)
-      configs;
-    !best
-
-  (* Smallest candidate >= v: the mirror sweep. The first end whose
-     cycle reaches v is non-decreasing in d, and once a start has no
-     such end no later start does (cycles only shrink with d). *)
-  let ceiling_lattice cost configs v =
-    let n = Application.n (Cost.application cost) in
-    let best = ref None in
-    Array.iter
-      (fun cf ->
-        let e = ref 1 in
-        try
-          for d = 1 to n do
-            if !e < d then e := d;
-            while !e <= n && Cost.config_cycle cost ~d ~e:!e cf < v do
-              incr e
-            done;
-            if !e > n then raise Exit;
-            let c = Cost.config_cycle cost ~d ~e:!e cf in
-            match !best with
-            | Some b when b <= c -> ()
-            | _ -> best := Some c
-          done
-        with Exit -> ())
-      configs;
-    !best
-
   let floor t v =
     match t with
     | Materialised a -> floor a v
-    | Lattice l -> floor_lattice l.cost l.configs v
+    | Lattice l -> Cost.lattice_floor l.cost v
 
   let ceiling t v =
     match t with
     | Materialised a -> ceiling a v
-    | Lattice l -> ceiling_lattice l.cost l.configs v
+    | Lattice l -> Cost.lattice_ceiling l.cost v
 
   let mem t v =
     match t with

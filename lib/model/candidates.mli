@@ -57,12 +57,15 @@ val floor : float array -> float -> float option
     cap, applications with {e uniform} deltas switch to a lazy lattice
     view: cycle-times are weakly monotone in the interval work sum at
     fixed configuration, so minimum, maximum, floor and ceiling are
-    answered by O(n · |configs|) two-pointer sweeps over the implicit
-    [(d, e, config)] lattice, each comparison evaluating the engine's
-    own {!Cost.config_cycle} expression. Every answer is an attained set
-    element, bit-identical to the value the materialised array would
-    hold — {!Threshold.search_set} builds an exact web-scale binary
-    search on top of exactly these four queries. *)
+    answered by the O(n · |configs|) allocation-free two-pointer sweeps
+    of {!Cost.lattice_bounds}, {!Cost.lattice_floor} and
+    {!Cost.lattice_ceiling} over the implicit [(d, e, config)] lattice,
+    each comparison evaluating the engine's own {!Cost.config_cycle}
+    float. Every answer is an attained set element, bit-identical to
+    the value the materialised array would hold — {!Threshold.search_set}
+    builds an exact web-scale binary search on top of exactly these
+    queries, at one floor sweep per probing round plus a floor and a
+    ceiling per run of empty rounds. *)
 module Set : sig
   type t
 
@@ -82,8 +85,8 @@ module Set : sig
   val is_lazy : t -> bool
 
   val min_elt : t -> float option
-  (** Smallest element; [None] only for an empty {!of_array}.
-      O(n·|configs|) lazy, O(1) materialised. *)
+  (** Smallest element; [None] only for an empty {!of_array}. O(1): a
+      lazy set finds both extremes once, when {!of_engine} builds it. *)
 
   val max_elt : t -> float option
 
@@ -91,10 +94,12 @@ module Set : sig
   (** Exact membership. *)
 
   val floor : t -> float -> float option
-  (** Largest element [<= v]. *)
+  (** Largest element [<= v]. O(log count) materialised, one
+      {!Cost.lattice_floor} sweep lazy. *)
 
   val ceiling : t -> float -> float option
-  (** Smallest element [>= v]. *)
+  (** Smallest element [>= v]. O(log count) materialised, one
+      {!Cost.lattice_ceiling} sweep lazy. *)
 
   val force : t -> float array
   (** The materialised sorted array (enumerates a lazy set — test and

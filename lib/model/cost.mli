@@ -154,6 +154,29 @@ val config_cycle : t -> d:int -> e:int -> config -> float
     {!cycle_time}. Comm-homogeneous configs route through the memoised
     {!cycle} table (bit-identical). *)
 
+(** {2 Uniform-delta lattice sweeps}
+
+    The kernel behind {!Candidates.Set}'s lazy sets (DESIGN.md §11):
+    queries over the implicit set of every {!config_cycle} value, over
+    all intervals and {!candidate_configs}, without materialising it.
+    They require an application whose message sizes [δ_0 … δ_n] are all
+    equal — the caller checks; on other applications the answers are
+    meaningless. Each is O(n · |configs|) two-pointer sweeps that
+    allocate nothing but the result, and each comparison evaluates the
+    exact float {!config_cycle} returns, so every answer is an element
+    of {!Candidates.periods}, bit for bit. *)
+
+val lattice_bounds : t -> float * float
+(** The smallest and the largest candidate. *)
+
+val lattice_floor : t -> float -> float option
+(** The largest candidate [<= v], or [None] when [v] is below them
+    all. *)
+
+val lattice_ceiling : t -> float -> float option
+(** The smallest candidate [>= v], or [None] when [v] is above them
+    all. *)
+
 (** {2 Plain interval mappings (equations (1) and (2))}
 
     All functions raise [Invalid_argument] when the mapping does not

@@ -77,7 +77,11 @@ let search ?probe_counter ~candidates ~probe () =
    patterns: non-negative finite doubles order identically to their
    [Int64.bits_of_float] images, so halving the bit bracket and snapping
    each midpoint down onto the set with [Set.floor] finds the smallest
-   feasible candidate in at most 64 rounds — no ε, no materialisation. *)
+   feasible candidate with no ε and no materialisation. Most rounds of
+   that bisection find no candidate at all; a run of them is skipped
+   with one [Set.ceiling] (below), so the search costs one floor sweep
+   per probing round plus a floor and a ceiling per run of empty
+   rounds. *)
 let search_set ?probe_counter ~set ~probe () =
   if not (Candidates.Set.is_lazy set) then
     search ?probe_counter ~candidates:(Candidates.Set.force set) ~probe ()
@@ -107,19 +111,36 @@ let search_set ?probe_counter ~set ~probe () =
           | Some payload -> finish (min_elt, payload)
           | None ->
             let bits = Int64.bits_of_float and value = Int64.float_of_bits in
+            let midpoint lo hi = Int64.add lo (Int64.div (Int64.sub hi lo) 2L) in
             (* Invariant: every candidate <= value !lo is infeasible
                (the probe is monotone); value !hi is a feasible
                candidate whose payload is in !best. *)
             let lo = ref (bits min_elt) and hi = ref (bits max_elt) in
             let best = ref (max_elt, top) in
             while Int64.sub !hi !lo > 1L do
-              let mid = Int64.add !lo (Int64.div (Int64.sub !hi !lo) 2L) in
+              let mid = midpoint !lo !hi in
               match Candidates.Set.floor set (value mid) with
               | None -> assert false (* min_elt <= value !lo < value mid *)
               | Some c ->
-                if Int64.compare (bits c) !lo <= 0 then
-                  (* No candidate in (value !lo, value mid]. *)
-                  lo := mid
+                if Int64.compare (bits c) !lo <= 0 then begin
+                  (* No candidate in (value !lo, value mid]. The
+                     smallest candidate above value !lo lies above
+                     value mid, and every later round whose midpoint
+                     stays below it is empty as well: replay those
+                     rounds' [lo := mid] as integer steps. The first
+                     probing round then sees the very bracket a
+                     round-by-round loop would have reached. *)
+                  match Candidates.Set.ceiling set (Float.succ (value !lo)) with
+                  | None -> assert false (* value !hi is one *)
+                  | Some next ->
+                    lo := mid;
+                    while
+                      Int64.sub !hi !lo > 1L
+                      && Int64.compare (midpoint !lo !hi) (bits next) < 0
+                    do
+                      lo := midpoint !lo !hi
+                    done
+                end
                 else (
                   match run c with
                   | Some payload ->

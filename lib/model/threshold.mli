@@ -55,10 +55,15 @@ val search_set :
     historical path at paper sizes). Lazy lattice sets run an exact
     binary search over IEEE-754 bit patterns — non-negative finite
     doubles order identically to their [Int64.bits_of_float] images —
-    snapping each midpoint onto the set with {!Candidates.Set.floor}:
-    at most ~64 rounds of one O(n·|speeds|) floor plus at most one
-    probe, returning the exact smallest feasible candidate with no ε.
-    Lazy probes are counted in [model.threshold.lattice_probes]. *)
+    snapping each midpoint onto the set with {!Candidates.Set.floor},
+    and returns the exact smallest feasible candidate with no ε. Most
+    rounds of that bisection hold no candidate; a run of such empty
+    rounds is skipped with one {!Candidates.Set.ceiling}, which leaves
+    the probe sequence exactly as a round-by-round loop would issue it.
+    The cost is one O(n·|configs|) floor sweep and one probe per
+    probing round, plus one floor and one ceiling sweep per run of
+    empty rounds. Lazy probes are counted in
+    [model.threshold.lattice_probes]. *)
 
 val boundary :
   ?probe_counter:Obs.Counter.t ->

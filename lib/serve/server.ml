@@ -33,12 +33,19 @@ let accept_loop protocol ~max_body sock stop_flag =
     | [], _, _ -> ()
     | _ :: _, _, _ -> (
       match Unix.accept sock with
-      | client, _addr -> serve_connection protocol ~max_body client
+      | client, _addr -> (
+        (* Whatever one connection raises (a peer that resets mid-body
+           fails the read with ECONNRESET) ends that connection only;
+           serve_connection has already closed its socket. *)
+        try serve_connection protocol ~max_body client with _ -> ())
       | exception Unix.Unix_error _ -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
 let start ?(port = 0) ?(max_body = 1024 * 1024) protocol =
+  (* A write to a peer that has hung up must fail with EPIPE, which
+     Http.write_response handles, rather than kill the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (match
      Unix.setsockopt sock Unix.SO_REUSEADDR true;

@@ -22,7 +22,10 @@ val start : ?port:int -> ?max_body:int -> Protocol.t -> t
     it back with {!port}), start the accept thread, return immediately.
     [max_body] is passed to {!Http.read_request} (default 1 MiB).
     Raises [Unix.Unix_error] when the bind fails (port taken,
-    privileged port). *)
+    privileged port). Sets the process to ignore SIGPIPE, so a client
+    that hangs up before its answer costs a failed write, not the
+    process; any exception one connection raises ends that connection
+    only. *)
 
 val port : t -> int
 (** The bound port (the actual one when started with [port = 0]). *)

@@ -782,6 +782,49 @@ let test_server_concurrent_clients () =
           Alcotest.(check int) (Printf.sprintf "client %d got 200" i) 200 status)
         results)
 
+(* A client that promises a body, sends less of it and then resets the
+   connection (SO_LINGER 0 turns close into an RST) fails the daemon's
+   read with ECONNRESET. That must end this one connection only: the
+   next /solve is answered, within a deadline so that a dead accept
+   thread fails the test instead of hanging it. *)
+let test_server_reset_client () =
+  with_server (fun port ->
+      let connect () =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        fd
+      in
+      let body = small_solve_body () in
+      let reset = connect () in
+      let head =
+        Printf.sprintf
+          "POST /solve HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: %d\r\n\r\n"
+          (String.length body + 100)
+      in
+      let text = head ^ body in
+      ignore (Unix.write_substring reset text 0 (String.length text));
+      Unix.setsockopt_optint reset Unix.SO_LINGER (Some 0);
+      Unix.close reset;
+      let fd = connect () in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
+          let text =
+            Printf.sprintf
+              "POST /solve HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: %d\r\n\r\n%s"
+              (String.length body) body
+          in
+          ignore (Unix.write_substring fd text 0 (String.length text));
+          let buf = Bytes.create 1024 in
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | got ->
+            let reply = Bytes.sub_string buf 0 got in
+            Alcotest.(check bool) "the next /solve gets a 200" true
+              (String.length reply >= 12 && String.sub reply 0 12 = "HTTP/1.1 200")
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Alcotest.fail "no answer within 2 s after a client reset"))
+
 let test_server_stop_restart () =
   let protocol = Protocol.create () in
   let server = Server.start ~port:0 protocol in
@@ -873,6 +916,8 @@ let () =
           Alcotest.test_case "oversized body" `Quick test_server_oversized_body;
           Alcotest.test_case "concurrent clients" `Quick
             test_server_concurrent_clients;
+          Alcotest.test_case "client reset mid-body" `Quick
+            test_server_reset_client;
           Alcotest.test_case "stop and restart" `Quick test_server_stop_restart;
           Alcotest.test_case "byte-identical over HTTP" `Quick
             test_server_byte_identity;

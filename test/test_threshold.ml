@@ -183,12 +183,34 @@ let prop_lazy_set_extrema =
       && Candidates.Set.max_elt set = Some cands.(last)
       && Candidates.Set.force set == cands)
 
+(* Realistic sizes too: n <= 300 stages, up to 8 distinct speeds. *)
+let gen_uniform_large =
+  QCheck2.Gen.map
+    (Helpers.random_uniform_delta_instance ~n_max:300 ~p_max:8)
+    gen_seed
+
+(* Every candidate of an array of at most 512 entries; larger arrays at
+   an even stride that keeps both ends. Each one ulp either side as
+   well, and values below the minimum and above the maximum. *)
+let queried cands =
+  let count = Array.length cands in
+  let stride = max 1 (count / 512) in
+  let sampled =
+    List.init ((count + stride - 1) / stride) (fun i -> cands.(i * stride))
+  in
+  let around c = [ Float.pred c; c; Float.succ c ] in
+  List.concat_map around (cands.(count - 1) :: sampled)
+  @ [ -1.; 0.; Float.max_float; infinity; neg_infinity ]
+
 let prop_lazy_floor_ceiling_mem =
-  (* Queried at a random off-grid value plus every candidate itself, the
-     lattice sweeps must return the very floats the array searches
-     return (same membership, same sort order). *)
+  (* Queried at a random off-grid value plus the candidates and their
+     neighbours, the lattice sweeps must return the very floats the
+     array searches return (same membership, same sort order). *)
   Helpers.qtest ~count:200 "lazy floor/ceiling/mem = array searches"
-    QCheck2.Gen.(pair gen_uniform (float_range 0. 400.))
+    QCheck2.Gen.(
+      pair
+        (frequency [ (3, gen_uniform); (1, gen_uniform_large) ])
+        (float_range 0. 400.))
     (fun (inst, v) ->
       let set, cands = lazy_and_materialised inst in
       List.for_all
@@ -196,7 +218,7 @@ let prop_lazy_floor_ceiling_mem =
           Candidates.Set.floor set q = Candidates.floor cands q
           && Candidates.Set.ceiling set q = Candidates.ceiling cands q
           && Candidates.Set.mem set q = Candidates.mem cands q)
-        (v :: Array.to_list cands))
+        (v :: queried cands))
 
 let prop_search_set_matches_search =
   Helpers.qtest ~count:200 "search_set on the lattice = search on the array"
@@ -224,6 +246,109 @@ let prop_boundary_set_matches_boundary =
       | None, Seq.Nil -> true
       | Some t, Seq.Cons (smallest, _) -> t = smallest
       | _ -> false)
+
+(* The lazy search as it stood before empty bisection rounds were
+   skipped: one [Set.floor] per round. [search_set] must issue exactly
+   this probe sequence. *)
+let reference_search_set ~set ~probe =
+  let probed = ref [] in
+  let run v =
+    probed := v :: !probed;
+    probe v
+  in
+  let result =
+    match (Candidates.Set.min_elt set, Candidates.Set.max_elt set) with
+    | None, _ | _, None -> None
+    | Some min_elt, Some max_elt -> (
+      match run max_elt with
+      | None -> None
+      | Some top -> (
+        if min_elt = max_elt then Some (max_elt, top)
+        else
+          match run min_elt with
+          | Some payload -> Some (min_elt, payload)
+          | None ->
+            let bits = Int64.bits_of_float and value = Int64.float_of_bits in
+            let lo = ref (bits min_elt) and hi = ref (bits max_elt) in
+            let best = ref (max_elt, top) in
+            while Int64.sub !hi !lo > 1L do
+              let mid = Int64.add !lo (Int64.div (Int64.sub !hi !lo) 2L) in
+              match Candidates.Set.floor set (value mid) with
+              | None -> assert false
+              | Some c ->
+                if Int64.compare (bits c) !lo <= 0 then lo := mid
+                else (
+                  match run c with
+                  | Some payload ->
+                    best := (c, payload);
+                    hi := bits c
+                  | None -> lo := bits c)
+            done;
+            Some !best))
+  in
+  (result, List.rev !probed)
+
+let gen_uniform_search =
+  QCheck2.Gen.(
+    pair
+      (oneof
+         [
+           map (Helpers.random_uniform_delta_instance ~n_max:300 ~p_max:8) gen_seed;
+           map (Helpers.random_uniform_delta_het_instance ~n_max:300 ~p_max:4) gen_seed;
+         ])
+      (float_range (-0.05) 1.1))
+
+let prop_search_set_probes_unchanged =
+  Helpers.qtest ~count:100 "search_set skips only empty rounds"
+    gen_uniform_search (fun (inst, frac) ->
+      let cost = Cost.get inst.Instance.app inst.Instance.platform in
+      let set = Candidates.Set.of_engine ~max_materialised:0 cost in
+      let lo = Option.get (Candidates.Set.min_elt set) in
+      let hi = Option.get (Candidates.Set.max_elt set) in
+      (* A monotone probe whose payload names the call that produced it. *)
+      let cutoff = lo +. (frac *. (hi -. lo)) in
+      let probe_log ~probed =
+        let calls = ref 0 in
+        fun t ->
+          incr calls;
+          probed := t :: !probed;
+          if t >= cutoff then Some (t, !calls) else None
+      in
+      let reference, reference_probes =
+        reference_search_set ~set ~probe:(probe_log ~probed:(ref []))
+      in
+      let probed = ref [] in
+      let found = Threshold.search_set ~set ~probe:(probe_log ~probed) () in
+      Candidates.Set.is_lazy set
+      && List.rev !probed = reference_probes
+      &&
+      match (found, reference) with
+      | None, None -> true
+      | Some f, Some (threshold, payload) ->
+        f.Threshold.threshold = threshold
+        && f.Threshold.payload = payload
+        && f.Threshold.probes = List.length reference_probes
+      | _ -> false)
+
+(* The sweeps allocate nothing but their answer: one floor and one
+   ceiling over a 20 000-stage lattice stay within a few dozen words. A
+   sweep that boxes its floats allocates megabytes. *)
+let test_lazy_sweeps_allocation () =
+  let inst = Pipeline_experiments.Scaling.instance ~seed:2007 ~n:20_000 ~p:400 in
+  let cost = Cost.make inst.Instance.app inst.Instance.platform in
+  let set = Candidates.Set.of_engine cost in
+  Alcotest.(check bool) "past the cap, the set is lazy" true
+    (Candidates.Set.is_lazy set);
+  let v = 2. *. Option.get (Candidates.Set.min_elt set) in
+  let before = Gc.minor_words () in
+  let floor = Candidates.Set.floor set v in
+  let ceiling = Candidates.Set.ceiling set v in
+  let words = Gc.minor_words () -. before in
+  if words > 32. then
+    Alcotest.failf "one floor and one ceiling allocated %.0f words" words;
+  match (floor, ceiling) with
+  | Some f, Some c -> Alcotest.(check bool) "floor <= v <= ceiling" true (f <= v && v <= c)
+  | _ -> Alcotest.fail "the lattice brackets a value inside its range"
 
 (* ------------------------------------------------------------------ *)
 (* Fully-het candidate sets: soundness of the config family            *)
@@ -437,6 +562,9 @@ let () =
           prop_lazy_floor_ceiling_mem;
           prop_search_set_matches_search;
           prop_boundary_set_matches_boundary;
+          prop_search_set_probes_unchanged;
+          Alcotest.test_case "sweeps allocate nothing" `Quick
+            test_lazy_sweeps_allocation;
         ] );
       ( "het-candidates",
         [
