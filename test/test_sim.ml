@@ -543,6 +543,70 @@ let test_workload_sim_slowdown_composes () =
   (* speed 4 -> 1: cycle = 1 + 20 + 1. *)
   Helpers.check_float "composed" 22. stats.W.steady_period
 
+(* The crash-free kernel, pinned bit-for-bit: every statistic of a
+   fixed grid (random instances x {saturated, periodic, Poisson, trace}
+   x noise off/on x no slowdown/one slowdown) rendered as hex floats,
+   latencies as a digest, and compared with test/golden-sim/workload.txt.
+   On a mismatch the full rendering is left in workload.txt.actual next
+   to the test binary's working directory. *)
+let render_workload_grid () =
+  let datasets = 40 in
+  let trace = Array.init datasets (fun t -> (2.5 *. float_of_int t) +. float_of_int (t mod 3)) in
+  let arrivals =
+    [
+      ("saturated", W.Saturated);
+      ("periodic", W.Periodic 3.);
+      ("poisson", W.Poisson 0.4);
+      ("trace", W.Trace trace);
+    ]
+  in
+  let noises = [ ("exact", W.No_noise); ("noisy", W.Uniform_factor 0.3) ] in
+  let buf = Buffer.create 16384 in
+  for seed = 0 to 7 do
+    let inst = Helpers.random_instance ~n_max:8 ~p_max:5 seed in
+    let mapping = random_mapping (Rng.create (seed + 77)) inst in
+    let base = { W.default_config with W.datasets; seed = 1000 + seed } in
+    let slowdowns =
+      [
+        ("steady", []);
+        ("slowed", [ { W.at = 15.; proc = Mapping.proc mapping 0; factor = 0.5 } ]);
+      ]
+    in
+    List.iter
+      (fun (a, arrival) ->
+        List.iter
+          (fun (nz, noise) ->
+            List.iter
+              (fun (sl, slowdowns) ->
+                let s =
+                  W.run
+                    ~config:{ base with W.arrival; noise; slowdowns }
+                    inst mapping
+                in
+                let digest =
+                  Digest.to_hex
+                    (Digest.string
+                       (String.concat "," (List.map (Printf.sprintf "%h") s.W.latencies)))
+                in
+                Printf.bprintf buf "%d %s %s %s: %d %h %h %h %h %h %h %h %s\n" seed a nz
+                  sl s.W.completed s.W.makespan s.W.steady_period s.W.throughput
+                  s.W.latency_mean s.W.latency_p95 s.W.latency_max s.W.sojourn_max digest)
+              slowdowns)
+          noises)
+      arrivals
+  done;
+  Buffer.contents buf
+
+let test_workload_sim_golden () =
+  let actual = render_workload_grid () in
+  let expected = In_channel.with_open_bin "golden-sim/workload.txt" In_channel.input_all in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "workload.txt.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+    Alcotest.failf "crash-free statistics moved; full rendering in %s"
+      (Filename.concat (Sys.getcwd ()) "workload.txt.actual")
+  end
+
 let test_workload_sim_slowdown_rejected () =
   let inst = Helpers.small_instance () in
   let mapping = Mapping.single ~n:4 ~proc:0 in
@@ -838,6 +902,7 @@ let () =
             test_workload_sim_slowdown_composes;
           Alcotest.test_case "slowdown rejected" `Quick
             test_workload_sim_slowdown_rejected;
+          Alcotest.test_case "golden crash-free grid" `Quick test_workload_sim_golden;
         ] );
       ( "fault-sim",
         [
