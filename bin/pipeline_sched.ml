@@ -872,7 +872,7 @@ let crash_conv =
       try
         Ok
           {
-            Pipeline_sim.Fault_sim.at = float_of_string at;
+            Pipeline_sim.Workload_sim.at = float_of_string at;
             proc = int_of_string proc;
             recover_at = None;
           }
@@ -881,14 +881,14 @@ let crash_conv =
       try
         Ok
           {
-            Pipeline_sim.Fault_sim.at = float_of_string at;
+            Pipeline_sim.Workload_sim.at = float_of_string at;
             proc = int_of_string proc;
             recover_at = Some (float_of_string recover);
           }
       with _ -> fail ())
     | _ -> fail ()
   in
-  let print fmt (c : Pipeline_sim.Fault_sim.crash) =
+  let print fmt (c : Pipeline_sim.Workload_sim.crash) =
     match c.recover_at with
     | None -> Format.fprintf fmt "%g:%d" c.at c.proc
     | Some r -> Format.fprintf fmt "%g:%d:%g" c.at c.proc r
@@ -972,74 +972,50 @@ let simulate_cmd =
             Pipeline_stream.Churn.slowdowns events ))
     in
     let crashes = crashes @ trace_crashes in
+    let module W = Pipeline_sim.Workload_sim in
+    Format.printf "mapping: %a@." Solution.pp sol;
+    let stats =
+      W.run
+        ~config:
+          {
+            W.default_config with
+            datasets;
+            noise = (if noise = 0. then W.No_noise else W.Uniform_factor noise);
+            slowdowns = trace_slowdowns;
+            crashes;
+            retry = { W.max_retries = retries; backoff };
+            seed;
+          }
+        inst sol.Solution.mapping
+    in
     if crashes <> [] || trace_slowdowns <> [] then begin
       (* Fault injection: the analytic gantt/trace describe the crash-free
          schedule, so only the measured statistics are reported here. *)
-      Format.printf "mapping: %a@." Solution.pp sol;
-      let module F = Pipeline_sim.Fault_sim in
-      let stats =
-        F.run
-          ~config:
-            {
-              F.base =
-                {
-                  Pipeline_sim.Workload_sim.default_config with
-                  Pipeline_sim.Workload_sim.datasets;
-                  noise =
-                    (if noise = 0. then Pipeline_sim.Workload_sim.No_noise
-                     else Pipeline_sim.Workload_sim.Uniform_factor noise);
-                  slowdowns = trace_slowdowns;
-                  seed;
-                };
-              crashes;
-              retry = { F.max_retries = retries; backoff };
-            }
-          inst sol.Solution.mapping
-      in
-      let w = stats.F.workload in
       Format.printf
         "faults: %d offered, %d completed (survival %.3f), %d killed \
          in-flight, %d dropped, %d retries@."
-        stats.F.offered w.Pipeline_sim.Workload_sim.completed (F.survival stats)
-        stats.F.killed stats.F.dropped stats.F.retries;
-      if w.Pipeline_sim.Workload_sim.completed > 0 then
+        stats.W.offered stats.W.completed (W.survival stats) stats.W.killed
+        stats.W.dropped stats.W.retries;
+      if stats.W.completed > 0 then
         Format.printf
           "steady period %.3f (analytic %.3f); latency mean %.2f p95 %.2f \
            max %.2f@."
-          w.Pipeline_sim.Workload_sim.steady_period sol.Solution.period
-          w.Pipeline_sim.Workload_sim.latency_mean
-          w.Pipeline_sim.Workload_sim.latency_p95
-          w.Pipeline_sim.Workload_sim.latency_max
+          stats.W.steady_period sol.Solution.period stats.W.latency_mean
+          stats.W.latency_p95 stats.W.latency_max
     end
     else begin
-      Format.printf "mapping: %a@." Solution.pp sol;
       let trace = Pipeline_sim.Runner.run inst sol.Solution.mapping ~datasets in
       Format.printf "@.%s@."
         (Pipeline_sim.Trace.gantt ~width:76 trace);
-      let stats =
-        Pipeline_sim.Workload_sim.run
-          ~config:
-            {
-              Pipeline_sim.Workload_sim.default_config with
-              Pipeline_sim.Workload_sim.datasets;
-              noise =
-                (if noise = 0. then Pipeline_sim.Workload_sim.No_noise
-                 else Pipeline_sim.Workload_sim.Uniform_factor noise);
-              seed;
-            }
-          inst sol.Solution.mapping
-      in
       Format.printf
-        "steady period %.3f (analytic %.3f, noise %.0f%%); latency mean %.2f          p95 %.2f max %.2f@."
-        stats.Pipeline_sim.Workload_sim.steady_period sol.Solution.period
-        (100. *. noise) stats.Pipeline_sim.Workload_sim.latency_mean
-        stats.Pipeline_sim.Workload_sim.latency_p95
-        stats.Pipeline_sim.Workload_sim.latency_max;
+        "steady period %.3f (analytic %.3f, noise %.0f%%); latency mean %.2f \
+         p95 %.2f max %.2f@."
+        stats.W.steady_period sol.Solution.period (100. *. noise)
+        stats.W.latency_mean stats.W.latency_p95 stats.W.latency_max;
       if datasets >= 10 then
         Format.printf "@.latency distribution:@.%s"
           (Pipeline_util.Histogram.render ~width:48
-             (Pipeline_util.Histogram.build ~bins:8
-                stats.Pipeline_sim.Workload_sim.latencies));
+             (Pipeline_util.Histogram.build ~bins:8 stats.W.latencies));
       match trace_out with
       | None -> ()
       | Some base ->

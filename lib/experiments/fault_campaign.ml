@@ -2,7 +2,6 @@ open Pipeline_model
 module Rng = Pipeline_util.Rng
 module Stats = Pipeline_util.Stats
 module W = Pipeline_sim.Workload_sim
-module F = Pipeline_sim.Fault_sim
 module Ft_remap = Pipeline_ft.Ft_remap
 
 type point = {
@@ -80,21 +79,27 @@ let pair_outcome ~datasets ~count ((inst : Instance.t), mapping, threshold) =
   let count = min count (Platform.p inst.platform - 1) in
   let rng = Rng.create ((inst.Instance.seed * 31) + (count * 7) + 11) in
   let crashes = draw_crashes rng inst mapping ~count ~datasets in
-  let base = { W.default_config with W.datasets; seed = inst.Instance.seed } in
   let sim retry crash_of =
-    F.run
-      ~config:{ F.base; crashes = List.map crash_of crashes; retry }
+    W.run
+      ~config:
+        {
+          W.default_config with
+          datasets;
+          seed = inst.Instance.seed;
+          crashes = List.map crash_of crashes;
+          retry;
+        }
       inst mapping
   in
   let permanent =
-    sim F.no_retry (fun (u, at) -> { F.at; proc = u; recover_at = None })
+    sim W.no_retry (fun (u, at) -> { W.at; proc = u; recover_at = None })
   in
   let period = Metrics.period inst.app inst.platform mapping in
   let recovered =
     sim
-      { F.max_retries = 3; backoff = period }
+      { W.max_retries = 3; backoff = period }
       (fun (u, at) ->
-        { F.at; proc = u; recover_at = Some (at +. (10. *. period)) })
+        { W.at; proc = u; recover_at = Some (at +. (10. *. period)) })
   in
   let failed = List.map fst crashes in
   let success, ratio, migration =
@@ -110,8 +115,8 @@ let pair_outcome ~datasets ~count ((inst : Instance.t), mapping, threshold) =
           /. float_of_int (Application.n inst.app)) )
   in
   {
-    o_survival = F.survival permanent;
-    o_recovery = F.survival recovered;
+    o_survival = W.survival permanent;
+    o_recovery = W.survival recovered;
     o_success = success;
     o_ratio = ratio;
     o_migration = migration;

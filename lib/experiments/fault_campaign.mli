@@ -12,7 +12,7 @@
        instant each, uniform over the first half of the nominal
        execution window;}
     {- measures the {e survival rate} (fraction of data sets completed,
-       {!Pipeline_sim.Fault_sim}) with permanent crashes, and again with
+       {!Pipeline_sim.Workload_sim}) with permanent crashes, and again with
        recovery (outage of 10 analytic periods, 3 retries, backoff of
        one period);}
     {- asks the remapping controller ([Ft_remap]) for a replacement

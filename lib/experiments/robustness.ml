@@ -4,11 +4,10 @@ let inflation ?(datasets = 300) ?(seed = 1) (inst : Instance.t) mapping ~noise =
   let analytic = Metrics.period inst.app inst.platform mapping in
   let config =
     {
-      Pipeline_sim.Workload_sim.arrival = Pipeline_sim.Workload_sim.Saturated;
+      Pipeline_sim.Workload_sim.default_config with
       noise =
         (if noise = 0. then Pipeline_sim.Workload_sim.No_noise
          else Pipeline_sim.Workload_sim.Uniform_factor noise);
-      slowdowns = [];
       datasets;
       seed;
     }

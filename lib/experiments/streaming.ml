@@ -3,7 +3,6 @@ module Rng = Pipeline_util.Rng
 module Stats = Pipeline_util.Stats
 module S = Pipeline_stream
 module W = Pipeline_sim.Workload_sim
-module F = Pipeline_sim.Fault_sim
 
 type row = {
   shape : string;
@@ -117,9 +116,7 @@ let metrics_of_stats (stats : S.Stream_sim.stats) =
     List.length (List.filter pred stats.S.Stream_sim.reactions)
   in
   {
-    m_completion =
-      float_of_int stats.S.Stream_sim.workload.W.completed
-      /. float_of_int stats.S.Stream_sim.offered;
+    m_completion = W.survival stats.S.Stream_sim.workload;
     m_migrations = float_of_int stats.S.Stream_sim.migrations;
     m_stages = float_of_int stats.S.Stream_sim.migrated_stages;
     m_volume = stats.S.Stream_sim.migration_volume;
@@ -159,7 +156,7 @@ let pair_outcome ~datasets ((inst : Instance.t), mapping, threshold) =
             arrivals;
             churn;
             noise = W.No_noise;
-            retry = { F.max_retries = 3; backoff = threshold };
+            retry = { W.max_retries = 3; backoff = threshold };
             seed = inst.Instance.seed;
           }
         in

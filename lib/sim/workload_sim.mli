@@ -1,21 +1,51 @@
-(** Stochastic pipeline execution on the event-driven kernel ({!Des}).
+(** Stochastic pipeline execution on the event-driven kernel ({!Des}),
+    with optional processor failures.
 
     The paper's evaluation is purely analytic and deterministic; a
-    deployed schedule faces arrival processes and computation-time
-    jitter. This simulator executes a mapping under the one-port,
-    no-overlap discipline of {!Runner} but with:
+    deployed schedule faces arrival processes, computation-time jitter
+    and failing processors. This simulator executes a mapping under the
+    one-port, no-overlap discipline of {!Runner} but with:
 
     {ul
     {- an {e arrival process} for the data sets — saturated (all ready at
-       time 0, the paper's implicit regime), periodic, or Poisson;}
+       time 0, the paper's implicit regime), periodic, Poisson, or an
+       explicit trace;}
     {- multiplicative {e computation-time noise}, drawn independently per
        (interval, data set) from a seeded stream, modelling OS jitter and
-       data-dependent stage costs.}}
+       data-dependent stage costs;}
+    {- timed {e slowdowns} (permanent speed changes) and {e crashes} with
+       optional recovery and a retry policy.}}
 
-    With no noise and saturated arrivals it reproduces {!Runner} (and
-    therefore equations (1)–(2)) exactly — a property the test suite
-    checks — so measured degradations are attributable to the stochastic
-    ingredients alone. *)
+    Crash semantics:
+
+    {ul
+    {- a crashed processor loses its in-flight computation (the data set
+       must be re-executed from scratch — there is no checkpointing);}
+    {- while a processor is down, data transfers to and from it still
+       complete (the interconnect is not the failed component) but no
+       computation starts — under the one-port rendezvous discipline the
+       stall back-pressures the upstream intervals;}
+    {- on recovery, the retry policy re-executes lost data sets: each
+       (interval, data set) computation may be retried up to
+       [max_retries] times, each retry starting [backoff] simulated time
+       units after the recovery;}
+    {- a data set whose retries are exhausted (or whose processor never
+       recovers) is {e dropped}: the drop propagates downstream so later
+       intervals skip the missing data set, and the crashed interval
+       moves on to its next data set — which, on a permanent crash,
+       parks forever, stalling that interval and (by back-pressure)
+       eventually the whole upstream pipeline.}}
+
+    Everything is deterministic: crashes and slowdowns are explicit timed
+    events, arrivals and noise are pre-drawn from the seeded stream, and
+    a retried computation reuses the noise factor drawn for its
+    (interval, data set) pair. Crash and recovery events are queued
+    before the first pipeline event, so a crash beats a completion that
+    falls on the same instant. With no noise, no slowdown, no crash and
+    saturated arrivals the run reproduces {!Runner} (and therefore
+    equations (1)–(2)) exactly — a property the test suite checks — so
+    measured degradations are attributable to the stochastic ingredients
+    alone. *)
 
 open Pipeline_model
 
@@ -47,24 +77,43 @@ type slowdown = {
     frequency boost. Computations {e starting} after [at] run at the new
     speed; multiple events on one processor compose. *)
 
+type crash = {
+  at : float;                 (** crash instant (≥ 0) *)
+  proc : int;                 (** the processor that fails *)
+  recover_at : float option;  (** [None]: permanent; [Some r] with
+                                  [r > at]: the processor comes back *)
+}
+
+type retry = {
+  max_retries : int;  (** re-execution budget per (interval, data set) *)
+  backoff : float;    (** simulated delay between recovery and re-execution *)
+}
+
+val no_retry : retry
+(** [{ max_retries = 0; backoff = 0. }] — lost work is dropped. *)
+
 type config = {
   arrival : arrival;
   noise : noise;
   slowdowns : slowdown list;
+  crashes : crash list;
+  retry : retry;
   datasets : int;
   seed : int;  (** drives arrivals and noise; same seed, same run *)
 }
 
 val default_config : config
-(** Saturated, no noise, no slowdowns, 200 data sets, seed 0. *)
+(** Saturated, no noise, no slowdowns, no crashes, {!no_retry}, 200 data
+    sets, seed 0. *)
 
 val validate : config -> Instance.t -> Mapping.t -> unit
-(** The validation {!run} performs before simulating, exposed so layered
-    simulators ({!Fault_sim}) reject exactly the same configurations.
-    Raises [Invalid_argument] as documented on {!run}. *)
+(** The validation {!run} performs before simulating, exposed so drivers
+    that simulate later ([Pipeline_stream.Stream_sim]) reject a
+    configuration up front. Raises [Invalid_argument] as documented on
+    {!run}. *)
 
 type stats = {
-  completed : int;
+  completed : int;           (** data sets that made it through *)
   makespan : float;          (** completion of the last data set *)
   steady_period : float;     (** running-max completion slope, 2nd half *)
   throughput : float;        (** completed / makespan *)
@@ -72,8 +121,19 @@ type stats = {
   latency_p95 : float;
   latency_max : float;
   sojourn_max : float;       (** completion - arrival (includes source wait) *)
-  latencies : float list;    (** per data set, in arrival order *)
+  latencies : float list;    (** per completed data set, in arrival order *)
+  offered : int;             (** the configured number of data sets *)
+  dropped : int;             (** data sets abandoned after exhausting retries *)
+  killed : int;              (** in-flight computations lost to a crash *)
+  retries : int;             (** re-executions scheduled *)
 }
+(** Measured over the data sets that completed. When nothing completes,
+    makespan/period/throughput are 0 and the latency statistics are
+    [nan]. *)
+
+val survival : stats -> float
+(** [completed / offered] — the fraction of the offered data sets that
+    made it through. *)
 
 val run : ?config:config -> Instance.t -> Mapping.t -> stats
 (** Raises [Invalid_argument] when the configuration or the mapping is
@@ -88,6 +148,11 @@ val run : ?config:config -> Instance.t -> Mapping.t -> stats
     {- a [Trace] whose length differs from [datasets], or with an entry
        that is negative, not finite, or smaller than its predecessor;}
     {- a slowdown whose [factor] is not finite and [> 0] (zero and
-       negative factors are crashes, not slowdowns — see [Fault_sim]);}
-    {- a slowdown scheduled at a negative (or NaN) time;}
-    {- a slowdown naming a processor outside the platform.}} *)
+       negative factors are crashes, not slowdowns);}
+    {- a slowdown or a crash scheduled at a negative (or NaN) time;}
+    {- a slowdown or a crash naming a processor outside the platform;}
+    {- a recovery not strictly after its crash, or not finite;}
+    {- overlapping crash windows on one processor (a processor must
+       recover before it can crash again);}
+    {- [max_retries < 0], or a [backoff] that is negative or not
+       finite.}} *)

@@ -159,7 +159,7 @@ let fingerprint state =
     state.up;
   Buffer.contents buf
 
-(* Compilation to Fault_sim / Workload_sim vocabulary. *)
+(* Compilation to Workload_sim vocabulary. *)
 
 let crashes ~p events =
   validate ~p events;
@@ -171,7 +171,7 @@ let crashes ~p events =
       match e.kind with
       | Join ->
         rev :=
-          { Pipeline_sim.Fault_sim.at = 0.; proc = e.proc; recover_at = Some e.at }
+          { Pipeline_sim.Workload_sim.at = 0.; proc = e.proc; recover_at = Some e.at }
           :: !rev
       | Crash -> down_since.(e.proc) <- Some e.at
       | Recover -> (
@@ -179,7 +179,7 @@ let crashes ~p events =
         | Some at ->
           down_since.(e.proc) <- None;
           rev :=
-            { Pipeline_sim.Fault_sim.at; proc = e.proc; recover_at = Some e.at }
+            { Pipeline_sim.Workload_sim.at; proc = e.proc; recover_at = Some e.at }
             :: !rev
         | None -> ())
       | Speed _ -> ())
@@ -187,7 +187,7 @@ let crashes ~p events =
   Array.iteri
     (fun u since ->
       match since with
-      | Some at -> rev := { Pipeline_sim.Fault_sim.at; proc = u; recover_at = None } :: !rev
+      | Some at -> rev := { Pipeline_sim.Workload_sim.at; proc = u; recover_at = None } :: !rev
       | None -> ())
     down_since;
   List.rev !rev

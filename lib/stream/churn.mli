@@ -11,11 +11,11 @@
     {- the {e live-platform state} — which processors are up and at what
        composed speed factor — folded over events ({!initial},
        {!apply});}
-    {- compilers into the fault-simulation vocabulary ({!crashes},
+    {- compilers into the simulator's vocabulary ({!crashes},
        {!slowdowns}) so an {e uncontrolled} run of a churn trace is one
-       {!Pipeline_sim.Fault_sim.run} — the degenerate case the
+       {!Pipeline_sim.Workload_sim.run} — the degenerate case the
        bit-identity tests pin: an empty trace compiles to no crashes and
-       no slowdowns, i.e. the static simulator.}}
+       no slowdowns, i.e. a crash-free run.}}
 
     Sequencing rules (checked by {!validate}, per processor, in time
     order): a processor with a [Join] event is absent until then and the
@@ -76,9 +76,9 @@ val fingerprint : state -> string
 (** Injective encoding of (liveness, factor) per processor — the
     resolver's cache key. *)
 
-(** {2 Compilation to the fault-simulation vocabulary} *)
+(** {2 Compilation to the simulator's vocabulary} *)
 
-val crashes : p:int -> event list -> Pipeline_sim.Fault_sim.crash list
+val crashes : p:int -> event list -> Pipeline_sim.Workload_sim.crash list
 (** Each [Crash] paired with its next [Recover] (or permanent); each
     [Join] at [t] becomes a crash window [\[0, t)]. Validates first. *)
 

@@ -1,14 +1,13 @@
 open Pipeline_model
 module Stats_u = Pipeline_util.Stats
 module W = Pipeline_sim.Workload_sim
-module F = Pipeline_sim.Fault_sim
 
 type config = {
   controller : Controller.config;
   arrivals : float array;
   churn : Churn.event list;
   noise : W.noise;
-  retry : F.retry;
+  retry : W.retry;
   seed : int;
 }
 
@@ -18,17 +17,13 @@ let default_config ~threshold =
     arrivals = Array.make 200 0.;
     churn = [];
     noise = W.No_noise;
-    retry = F.no_retry;
+    retry = W.no_retry;
     seed = 0;
   }
 
 type stats = {
   workload : W.stats;
-  offered : int;
   lost : int;
-  dropped : int;
-  killed : int;
-  sim_retries : int;
   segments : int;
   reactions : Controller.reaction list;
   migrations : int;
@@ -65,33 +60,30 @@ let c_lost =
 let validate config (inst : Instance.t) initial =
   let k = Array.length config.arrivals in
   if k < 1 then invalid_arg "Stream_sim.run: arrival trace must be non-empty";
-  (* Full workload-layer validation (trace shape, noise, mapping fit). *)
+  (* Full simulator validation (trace shape, noise, retry, mapping fit). *)
   W.validate
     {
-      W.arrival = W.Trace config.arrivals;
+      W.default_config with
+      arrival = W.Trace config.arrivals;
       noise = config.noise;
-      slowdowns = [];
+      retry = config.retry;
       datasets = k;
       seed = config.seed;
     }
     inst initial;
-  if config.retry.F.max_retries < 0 then
-    invalid_arg "Stream_sim.run: max_retries must be >= 0";
-  if not (Float.is_finite config.retry.F.backoff && config.retry.F.backoff >= 0.)
-  then invalid_arg "Stream_sim.run: backoff must be finite and >= 0";
   Churn.validate ~p:(Platform.p inst.platform) config.churn
 
 (* Crash/recover windows of the full churn trace, intersected with a
    segment and rebased to its origin. *)
 let segment_crashes windows seg =
   List.filter_map
-    (fun (w : F.crash) ->
+    (fun (w : W.crash) ->
       let recover = match w.recover_at with Some r -> r | None -> infinity in
       let from = Float.max w.at seg.start and till = Float.min recover seg.stop in
       if from < till then
         Some
           {
-            F.at = from -. seg.start;
+            W.at = from -. seg.start;
             proc = w.proc;
             recover_at = (if recover < seg.stop then Some (recover -. seg.start) else None);
           }
@@ -198,8 +190,8 @@ let run ?config (inst : Instance.t) ~initial =
   loop (Churn.sorted cfg.churn);
   let segments = List.rev (!seg :: !segments_rev) in
   Obs.Counter.add c_segments (List.length segments);
-  (* Execute each epoch under the fault simulator (drain-and-switch:
-     a data set runs entirely in the epoch it arrived in). *)
+  (* Execute each epoch on the simulator (drain-and-switch: a data set
+     runs entirely in the epoch it arrived in). *)
   let offered = Array.length cfg.arrivals in
   let executed =
     let _, _, rev =
@@ -219,21 +211,19 @@ let run ?config (inst : Instance.t) ~initial =
                 Array.init count (fun i ->
                     Float.max cfg.arrivals.(from + i) s.effective_start -. s.start)
               in
-              let base =
+              let config =
                 {
                   W.arrival = W.Trace rel;
                   noise = cfg.noise;
                   slowdowns = segment_slowdowns cfg.churn s;
+                  crashes = segment_crashes windows s;
+                  retry = cfg.retry;
                   datasets = count;
                   seed = cfg.seed + (97 * idx);
                 }
               in
-              let fconfig =
-                { F.base; crashes = segment_crashes windows s; retry = cfg.retry }
-              in
               let stats =
-                Obs.span "stream:segment" @@ fun () ->
-                F.run ~config:fconfig inst s.mapping
+                Obs.span "stream:segment" @@ fun () -> W.run ~config inst s.mapping
               in
               (s, Some stats)
             end
@@ -245,21 +235,18 @@ let run ?config (inst : Instance.t) ~initial =
   in
   let simulated = List.filter_map (fun (s, st) -> Option.map (fun x -> (s, x)) st) executed in
   let sum f = List.fold_left (fun acc (_, st) -> acc + f st) 0 simulated in
-  let completed = sum (fun (st : F.stats) -> st.workload.W.completed) in
-  let dropped = sum (fun st -> st.F.dropped) in
-  let killed = sum (fun st -> st.F.killed) in
-  let sim_retries = sum (fun st -> st.F.retries) in
+  let completed = sum (fun (st : W.stats) -> st.completed) in
   let workload =
     match simulated with
     | [ (_, only) ] ->
-      (* Single epoch: the fault-simulator statistics, verbatim — the
+      (* Single epoch: the simulator statistics, verbatim — the
          empty-churn bit-identity hinges on this arm. *)
-      only.F.workload
+      only
     | _ ->
       let finished =
-        List.filter (fun (_, (st : F.stats)) -> st.workload.W.completed > 0) simulated
+        List.filter (fun (_, (st : W.stats)) -> st.completed > 0) simulated
       in
-      if finished = [] then
+      let totals =
         {
           W.completed = 0;
           makespan = 0.;
@@ -270,29 +257,36 @@ let run ?config (inst : Instance.t) ~initial =
           latency_max = nan;
           sojourn_max = nan;
           latencies = [];
+          offered;
+          dropped = sum (fun st -> st.dropped);
+          killed = sum (fun st -> st.killed);
+          retries = sum (fun st -> st.retries);
         }
+      in
+      if finished = [] then totals
       else begin
         let makespan =
           List.fold_left
-            (fun acc (s, (st : F.stats)) -> Float.max acc (s.start +. st.workload.W.makespan))
+            (fun acc (s, (st : W.stats)) -> Float.max acc (s.start +. st.makespan))
             0. finished
         in
         let latencies =
-          List.concat_map (fun (_, (st : F.stats)) -> st.workload.W.latencies) finished
+          List.concat_map (fun (_, (st : W.stats)) -> st.latencies) finished
         in
         let weighted_period =
           let num, den =
             List.fold_left
-              (fun (num, den) (_, (st : F.stats)) ->
-                let w = st.workload.W.completed in
-                if w >= 2 then (num +. (float_of_int w *. st.workload.W.steady_period), den + w)
+              (fun (num, den) (_, (st : W.stats)) ->
+                let w = st.completed in
+                if w >= 2 then (num +. (float_of_int w *. st.steady_period), den + w)
                 else (num, den))
               (0., 0) finished
           in
           if den = 0 then 0. else num /. float_of_int den
         in
         {
-          W.completed = completed;
+          totals with
+          completed;
           makespan;
           steady_period = weighted_period;
           throughput = (if makespan > 0. then float_of_int completed /. makespan else 0.);
@@ -301,7 +295,7 @@ let run ?config (inst : Instance.t) ~initial =
           latency_max = snd (Stats_u.min_max latencies);
           sojourn_max =
             List.fold_left
-              (fun acc (_, (st : F.stats)) -> Float.max acc st.workload.W.sojourn_max)
+              (fun acc (_, (st : W.stats)) -> Float.max acc st.sojourn_max)
               neg_infinity finished;
           latencies;
         }
@@ -334,11 +328,7 @@ let run ?config (inst : Instance.t) ~initial =
   in
   {
     workload;
-    offered;
     lost;
-    dropped;
-    killed;
-    sim_retries;
     segments = List.length segments;
     reactions;
     migrations = List.length moved;

@@ -5,8 +5,8 @@
     events and controller retry wake-ups. Each event updates the live
     {!Churn.state} and asks the {!Controller} for a reaction; whenever
     the mapping actually changes, the stream is cut into a new
-    {e segment}. Each segment is then executed by
-    {!Pipeline_sim.Fault_sim} under drain-and-switch semantics:
+    {e segment}. Each segment is then executed by one
+    {!Pipeline_sim.Workload_sim.run} under drain-and-switch semantics:
 
     {ul
     {- data sets belong to the segment in which they {e arrive}; sets
@@ -16,16 +16,16 @@
        arrival is clamped to the segment's effective start (open time +
        reaction latency);}
     {- within a segment, the churned platform is compiled into the
-       fault simulator's own vocabulary — down-windows of enrolled
-       processors become crash/recover events, composed speed factors
-       become slowdowns — so segment execution inherits the kill /
-       back-pressure / retry semantics of {!Pipeline_sim.Fault_sim}
+       simulator's own vocabulary — down-windows of enrolled processors
+       become crash/recover events, composed speed factors become
+       slowdowns — so segment execution inherits the kill /
+       back-pressure / retry semantics of {!Pipeline_sim.Workload_sim}
        verbatim;}
     {- with an {e empty churn trace} there is a single segment whose
-       fault-simulator run carries no crash and no slowdown, and whose
-       statistics are returned {e verbatim}: the streaming run is
-       bit-for-bit the static {!Pipeline_sim.Workload_sim} run of the
-       same trace — the degenerate case the qcheck suite pins.}}
+       run carries no crash and no slowdown, and whose statistics are
+       returned {e verbatim}: the streaming run is bit-for-bit the
+       static {!Pipeline_sim.Workload_sim} run of the same trace — the
+       degenerate case the qcheck suite pins.}}
 
     Determinism: the controller fold is sequential, segment seeds
     derive from the run seed and the segment index, and every float
@@ -39,13 +39,13 @@ type config = {
   arrivals : float array;       (** absolute instants, sorted, >= 0 *)
   churn : Churn.event list;
   noise : Pipeline_sim.Workload_sim.noise;
-  retry : Pipeline_sim.Fault_sim.retry;  (** within-segment re-execution *)
+  retry : Pipeline_sim.Workload_sim.retry;  (** within-segment re-execution *)
   seed : int;
 }
 
 val default_config : threshold:float -> config
 (** {!Controller.default}, 200 saturated arrivals (all at time 0), no
-    churn, no noise, {!Pipeline_sim.Fault_sim.no_retry}, seed 0. *)
+    churn, no noise, {!Pipeline_sim.Workload_sim.no_retry}, seed 0. *)
 
 type stats = {
   workload : Pipeline_sim.Workload_sim.stats;
@@ -54,12 +54,9 @@ type stats = {
           multi-segment latency statistics are recomputed over the
           concatenated per-set latencies and [steady_period] is the
           completion-weighted mean over segments that completed at
-          least two sets. *)
-  offered : int;        (** arrivals in the trace *)
+          least two sets. [offered] counts the arrivals in the trace;
+          [dropped], [killed] and [retries] are summed over segments. *)
   lost : int;           (** offered minus completed (drops + stalls) *)
-  dropped : int;        (** fault-layer drops, summed over segments *)
-  killed : int;         (** in-flight computations lost to crashes *)
-  sim_retries : int;    (** fault-layer re-executions *)
   segments : int;       (** mapping epochs (>= 1) *)
   reactions : Controller.reaction list;  (** chronological *)
   migrations : int;     (** reactions that moved at least one stage *)
@@ -76,7 +73,7 @@ type stats = {
 }
 
 val run : ?config:config -> Instance.t -> initial:Mapping.t -> stats
-(** Raises [Invalid_argument] on everything {!Pipeline_sim.Fault_sim}
+(** Raises [Invalid_argument] on everything {!Pipeline_sim.Workload_sim}
     rejects for the embedded workload configuration, plus: an empty or
     unsorted arrival trace, a churn trace {!Churn.validate} rejects,
     and a controller configuration {!Controller.create} rejects. *)

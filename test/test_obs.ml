@@ -152,14 +152,13 @@ let test_counters_nonzero () =
         ignore (E.Campaign.figure (smoke_setup ()));
         let inst = Helpers.small_instance () in
         let mapping = Mapping.of_cuts ~n:4 ~cuts:[ 2 ] ~procs:[ 1; 0 ] in
-        ignore (Pipeline_sim.Workload_sim.run inst mapping);
-        let module F = Pipeline_sim.Fault_sim in
+        let module W = Pipeline_sim.Workload_sim in
         ignore
-          (F.run
+          (W.run
              ~config:
                {
-                 F.default_config with
-                 F.crashes = [ { F.at = 1.; proc = 1; recover_at = None } ];
+                 W.default_config with
+                 W.crashes = [ { W.at = 2.; proc = 1; recover_at = None } ];
                }
              inst mapping);
         ignore
@@ -180,7 +179,8 @@ let test_counters_nonzero () =
       "pool.items";
       "sim.des.fired";
       "sim.des.max_queue";
-      "sim.fault.runs";
+      "sim.workload.runs";
+      "sim.fault.killed";
       "ft.remap.calls";
     ]
 

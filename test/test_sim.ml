@@ -652,10 +652,8 @@ let test_des_cancel_keeps_clock () =
   Helpers.check_float "clock advanced" 5. (Des.now des)
 
 (* ------------------------------------------------------------------ *)
-(* Fault simulator                                                     *)
+(* Crashes                                                             *)
 (* ------------------------------------------------------------------ *)
-
-module F = Pipeline_sim.Fault_sim
 
 (* small_instance + single mapping on proc 1 (speed 4):
    in 1 + compute 5 + out 1, so data set t computes over [7t+1, 7t+6]
@@ -663,12 +661,20 @@ module F = Pipeline_sim.Fault_sim
 let single_on_p1 () =
   (Helpers.small_instance (), Mapping.single ~n:4 ~proc:1)
 
-let fault_config ?(datasets = 5) ?(crashes = []) ?(retry = F.no_retry) () =
-  { F.base = { W.default_config with W.datasets = datasets }; crashes; retry }
+let fault_config ?(datasets = 5) ?(crashes = []) ?(retry = W.no_retry) () =
+  { W.default_config with W.datasets; crashes; retry }
 
-let prop_fault_sim_no_crash_identical =
-  Helpers.qtest ~count:60 "no crashes = workload sim (bit-for-bit)"
-    gen_instance_mapping (fun (inst, mapping) ->
+(* Crashes that cannot reach the pipeline change nothing: a permanent
+   or a recovering crash on every processor the mapping leaves idle, and
+   a permanent crash of every enrolled processor after the crash-free
+   makespan. The first input is the small instance with processor 2
+   idle. *)
+let prop_harmless_crashes =
+  Helpers.qtest ~count:60 "harmless crashes = crash-free run (bit-for-bit)"
+    (QCheck2.Gen.graft_corners gen_instance_mapping
+       [ (Helpers.small_instance (), Mapping.of_cuts ~n:4 ~cuts:[ 2 ] ~procs:[ 1; 0 ]) ]
+       ())
+    (fun (inst, mapping) ->
       let base =
         {
           W.default_config with
@@ -679,31 +685,38 @@ let prop_fault_sim_no_crash_identical =
         }
       in
       let plain = W.run ~config:base inst mapping in
-      let faulty =
-        F.run ~config:{ F.base; crashes = []; retry = F.no_retry } inst mapping
+      let harmless crashes =
+        let s = W.run ~config:{ base with W.crashes } inst mapping in
+        Stdlib.compare plain s = 0 && s.W.killed = 0 && s.W.dropped = 0 && s.W.retries = 0
       in
-      Stdlib.compare plain faulty.F.workload = 0
-      && faulty.F.killed = 0 && faulty.F.dropped = 0 && faulty.F.retries = 0)
+      let enrolled, idle =
+        List.partition (Mapping.uses mapping)
+          (List.init (Platform.p inst.Instance.platform) Fun.id)
+      in
+      List.for_all
+        (fun u ->
+          harmless [ { W.at = 3.; proc = u; recover_at = None } ]
+          && harmless [ { W.at = 3.; proc = u; recover_at = Some 8. } ])
+        idle
+      && harmless
+           (List.map
+              (fun u -> { W.at = plain.W.makespan +. 1.; proc = u; recover_at = None })
+              enrolled))
 
 let test_fault_sim_deterministic () =
   let inst, mapping = single_on_p1 () in
   let config =
     {
       (fault_config ~datasets:40
-         ~crashes:[ { F.at = 10.; proc = 1; recover_at = Some 20. } ]
-         ~retry:{ F.max_retries = 2; backoff = 1. } ())
+         ~crashes:[ { W.at = 10.; proc = 1; recover_at = Some 20. } ]
+         ~retry:{ W.max_retries = 2; backoff = 1. } ())
       with
-      F.base =
-        {
-          W.default_config with
-          W.datasets = 40;
-          noise = W.Uniform_factor 0.2;
-          seed = 7;
-        };
+      W.noise = W.Uniform_factor 0.2;
+      seed = 7;
     }
   in
-  let a = F.run ~config inst mapping in
-  let b = F.run ~config inst mapping in
+  let a = W.run ~config inst mapping in
+  let b = W.run ~config inst mapping in
   Alcotest.(check bool) "same seed, same stats" true (Stdlib.compare a b = 0)
 
 let test_fault_sim_permanent_crash () =
@@ -712,16 +725,16 @@ let test_fault_sim_permanent_crash () =
      set 2 parks forever on the dead processor. *)
   let inst, mapping = single_on_p1 () in
   let config =
-    fault_config ~crashes:[ { F.at = 10.; proc = 1; recover_at = None } ]
-      ~retry:{ F.max_retries = 3; backoff = 1. } ()
+    fault_config ~crashes:[ { W.at = 10.; proc = 1; recover_at = None } ]
+      ~retry:{ W.max_retries = 3; backoff = 1. } ()
   in
-  let stats = F.run ~config inst mapping in
-  Alcotest.(check int) "completed" 1 stats.F.workload.W.completed;
-  Alcotest.(check int) "killed" 1 stats.F.killed;
-  Alcotest.(check int) "dropped" 1 stats.F.dropped;
-  Alcotest.(check int) "retries" 0 stats.F.retries;
-  Helpers.check_float "survival" 0.2 (F.survival stats);
-  Helpers.check_float "makespan is ds0's completion" 7. stats.F.workload.W.makespan
+  let stats = W.run ~config inst mapping in
+  Alcotest.(check int) "completed" 1 stats.W.completed;
+  Alcotest.(check int) "killed" 1 stats.W.killed;
+  Alcotest.(check int) "dropped" 1 stats.W.dropped;
+  Alcotest.(check int) "retries" 0 stats.W.retries;
+  Helpers.check_float "survival" 0.2 (W.survival stats);
+  Helpers.check_float "makespan is ds0's completion" 7. stats.W.makespan
 
 let test_fault_sim_retry_after_recovery () =
   (* Crash at 10 kills data set 1; recovery at 20 + backoff 2 replays it
@@ -729,16 +742,16 @@ let test_fault_sim_retry_after_recovery () =
      completions 7, 28, 35, 42, 49. *)
   let inst, mapping = single_on_p1 () in
   let config =
-    fault_config ~crashes:[ { F.at = 10.; proc = 1; recover_at = Some 20. } ]
-      ~retry:{ F.max_retries = 1; backoff = 2. } ()
+    fault_config ~crashes:[ { W.at = 10.; proc = 1; recover_at = Some 20. } ]
+      ~retry:{ W.max_retries = 1; backoff = 2. } ()
   in
-  let stats = F.run ~config inst mapping in
-  Alcotest.(check int) "completed" 5 stats.F.workload.W.completed;
-  Alcotest.(check int) "killed" 1 stats.F.killed;
-  Alcotest.(check int) "dropped" 0 stats.F.dropped;
-  Alcotest.(check int) "retries" 1 stats.F.retries;
-  Helpers.check_float "survival" 1. (F.survival stats);
-  Helpers.check_float "makespan" 49. stats.F.workload.W.makespan
+  let stats = W.run ~config inst mapping in
+  Alcotest.(check int) "completed" 5 stats.W.completed;
+  Alcotest.(check int) "killed" 1 stats.W.killed;
+  Alcotest.(check int) "dropped" 0 stats.W.dropped;
+  Alcotest.(check int) "retries" 1 stats.W.retries;
+  Helpers.check_float "survival" 1. (W.survival stats);
+  Helpers.check_float "makespan" 49. stats.W.makespan
 
 let test_fault_sim_recovery_without_retry () =
   (* Same crash window but no retry budget: data set 1 is dropped at the
@@ -746,13 +759,13 @@ let test_fault_sim_recovery_without_retry () =
      runs over [20,25]: completions 7, 26, 33, 40. *)
   let inst, mapping = single_on_p1 () in
   let config =
-    fault_config ~crashes:[ { F.at = 10.; proc = 1; recover_at = Some 20. } ] ()
+    fault_config ~crashes:[ { W.at = 10.; proc = 1; recover_at = Some 20. } ] ()
   in
-  let stats = F.run ~config inst mapping in
-  Alcotest.(check int) "completed" 4 stats.F.workload.W.completed;
-  Alcotest.(check int) "killed" 1 stats.F.killed;
-  Alcotest.(check int) "dropped" 1 stats.F.dropped;
-  Helpers.check_float "makespan" 40. stats.F.workload.W.makespan
+  let stats = W.run ~config inst mapping in
+  Alcotest.(check int) "completed" 4 stats.W.completed;
+  Alcotest.(check int) "killed" 1 stats.W.killed;
+  Alcotest.(check int) "dropped" 1 stats.W.dropped;
+  Helpers.check_float "makespan" 40. stats.W.makespan
 
 let test_fault_sim_drop_propagates () =
   (* Two intervals: stages 1-2 on proc 1, stages 3-4 on proc 0. A
@@ -762,87 +775,59 @@ let test_fault_sim_drop_propagates () =
   let inst = Helpers.small_instance () in
   let mapping = Mapping.of_cuts ~n:4 ~cuts:[ 2 ] ~procs:[ 1; 0 ] in
   let config =
-    fault_config ~crashes:[ { F.at = 9.; proc = 1; recover_at = None } ] ()
+    fault_config ~crashes:[ { W.at = 9.; proc = 1; recover_at = None } ] ()
   in
-  let stats = F.run ~config inst mapping in
-  Alcotest.(check int) "completed" 1 stats.F.workload.W.completed;
-  Alcotest.(check int) "killed" 1 stats.F.killed;
-  Alcotest.(check int) "dropped" 1 stats.F.dropped;
-  Helpers.check_float "ds0 completion" 12. stats.F.workload.W.makespan
-
-let test_fault_sim_unused_proc_crash_harmless () =
-  (* Crashing a processor the mapping does not use changes nothing. *)
-  let inst = Helpers.small_instance () in
-  let mapping = Mapping.of_cuts ~n:4 ~cuts:[ 2 ] ~procs:[ 1; 0 ] in
-  let base = { W.default_config with W.datasets = 25 } in
-  let plain = W.run ~config:base inst mapping in
-  let stats =
-    F.run
-      ~config:
-        {
-          F.base;
-          crashes = [ { F.at = 3.; proc = 2; recover_at = Some 8. } ];
-          retry = F.no_retry;
-        }
-      inst mapping
-  in
-  Alcotest.(check bool) "identical stats" true
-    (Stdlib.compare plain stats.F.workload = 0);
-  Alcotest.(check int) "nothing killed" 0 stats.F.killed
+  let stats = W.run ~config inst mapping in
+  Alcotest.(check int) "completed" 1 stats.W.completed;
+  Alcotest.(check int) "killed" 1 stats.W.killed;
+  Alcotest.(check int) "dropped" 1 stats.W.dropped;
+  Helpers.check_float "ds0 completion" 12. stats.W.makespan
 
 let test_fault_sim_rejects_bad_config () =
   let inst, mapping = single_on_p1 () in
   let rejects name config =
     Alcotest.(check bool) name true
       (try
-         ignore (F.run ~config inst mapping);
+         ignore (W.run ~config inst mapping);
          false
        with Invalid_argument _ -> true)
   in
   rejects "negative crash time"
-    (fault_config ~crashes:[ { F.at = -1.; proc = 1; recover_at = None } ] ());
+    (fault_config ~crashes:[ { W.at = -1.; proc = 1; recover_at = None } ] ());
   rejects "nan crash time"
-    (fault_config ~crashes:[ { F.at = nan; proc = 1; recover_at = None } ] ());
+    (fault_config ~crashes:[ { W.at = nan; proc = 1; recover_at = None } ] ());
   rejects "proc out of range"
-    (fault_config ~crashes:[ { F.at = 1.; proc = 3; recover_at = None } ] ());
+    (fault_config ~crashes:[ { W.at = 1.; proc = 3; recover_at = None } ] ());
   rejects "negative proc"
-    (fault_config ~crashes:[ { F.at = 1.; proc = -1; recover_at = None } ] ());
+    (fault_config ~crashes:[ { W.at = 1.; proc = -1; recover_at = None } ] ());
   rejects "recovery before crash"
-    (fault_config ~crashes:[ { F.at = 5.; proc = 1; recover_at = Some 5. } ] ());
+    (fault_config ~crashes:[ { W.at = 5.; proc = 1; recover_at = Some 5. } ] ());
   rejects "infinite recovery"
     (fault_config
-       ~crashes:[ { F.at = 5.; proc = 1; recover_at = Some infinity } ]
+       ~crashes:[ { W.at = 5.; proc = 1; recover_at = Some infinity } ]
        ());
   rejects "overlapping windows"
     (fault_config
        ~crashes:
          [
-           { F.at = 5.; proc = 1; recover_at = Some 15. };
-           { F.at = 10.; proc = 1; recover_at = Some 20. };
+           { W.at = 5.; proc = 1; recover_at = Some 15. };
+           { W.at = 10.; proc = 1; recover_at = Some 20. };
          ]
        ());
   rejects "permanent then crash again"
     (fault_config
        ~crashes:
          [
-           { F.at = 5.; proc = 1; recover_at = None };
-           { F.at = 10.; proc = 1; recover_at = None };
+           { W.at = 5.; proc = 1; recover_at = None };
+           { W.at = 10.; proc = 1; recover_at = None };
          ]
        ());
   rejects "negative retries"
-    (fault_config ~retry:{ F.max_retries = -1; backoff = 0. } ());
+    (fault_config ~retry:{ W.max_retries = -1; backoff = 0. } ());
   rejects "negative backoff"
-    (fault_config ~retry:{ F.max_retries = 1; backoff = -1. } ());
+    (fault_config ~retry:{ W.max_retries = 1; backoff = -1. } ());
   rejects "nan backoff"
-    (fault_config ~retry:{ F.max_retries = 1; backoff = nan } ());
-  (* Base-layer validation still applies through the fault layer. *)
-  rejects "bad base noise"
-    {
-      F.base = { W.default_config with W.noise = W.Uniform_factor 2. };
-      crashes = [];
-      retry = F.no_retry;
-    }
-
+    (fault_config ~retry:{ W.max_retries = 1; backoff = nan } ())
 
 let () =
   Alcotest.run "sim"
@@ -906,7 +891,7 @@ let () =
         ] );
       ( "fault-sim",
         [
-          prop_fault_sim_no_crash_identical;
+          prop_harmless_crashes;
           Alcotest.test_case "deterministic" `Quick test_fault_sim_deterministic;
           Alcotest.test_case "permanent crash" `Quick test_fault_sim_permanent_crash;
           Alcotest.test_case "retry after recovery" `Quick
@@ -914,8 +899,6 @@ let () =
           Alcotest.test_case "recovery without retry" `Quick
             test_fault_sim_recovery_without_retry;
           Alcotest.test_case "drop propagates" `Quick test_fault_sim_drop_propagates;
-          Alcotest.test_case "unused proc crash" `Quick
-            test_fault_sim_unused_proc_crash_harmless;
           Alcotest.test_case "bad fault config" `Quick
             test_fault_sim_rejects_bad_config;
         ] );

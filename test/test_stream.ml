@@ -2,7 +2,6 @@ open Pipeline_model
 open Pipeline_stream
 module Rng = Pipeline_util.Rng
 module W = Pipeline_sim.Workload_sim
-module F = Pipeline_sim.Fault_sim
 
 let gen_seed = QCheck2.Gen.int_range 0 100_000
 
@@ -178,19 +177,19 @@ let test_churn_crash_compilation () =
       ]
   in
   let sorted =
-    List.sort (fun (a : F.crash) b -> compare (a.proc, a.at) (b.proc, b.at)) windows
+    List.sort (fun (a : W.crash) b -> compare (a.proc, a.at) (b.proc, b.at)) windows
   in
   Alcotest.(check int) "three windows" 3 (List.length sorted);
   (match sorted with
   | [ w0; w1; w2 ] ->
-    Helpers.check_float "crash at" 5. w0.F.at;
-    Alcotest.(check (option (float 1e-9))) "recover" (Some 9.) w0.F.recover_at;
+    Helpers.check_float "crash at" 5. w0.W.at;
+    Alcotest.(check (option (float 1e-9))) "recover" (Some 9.) w0.W.recover_at;
     (* Join at 2 = down from the start until 2. *)
-    Helpers.check_float "join from zero" 0. w1.F.at;
-    Alcotest.(check (option (float 1e-9))) "join recover" (Some 2.) w1.F.recover_at;
+    Helpers.check_float "join from zero" 0. w1.W.at;
+    Alcotest.(check (option (float 1e-9))) "join recover" (Some 2.) w1.W.recover_at;
     (* Unrecovered crash is permanent. *)
-    Helpers.check_float "permanent at" 4. w2.F.at;
-    Alcotest.(check (option (float 1e-9))) "permanent" None w2.F.recover_at
+    Helpers.check_float "permanent at" 4. w2.W.at;
+    Alcotest.(check (option (float 1e-9))) "permanent" None w2.W.recover_at
   | _ -> Alcotest.fail "wrong shape");
   Alcotest.(check int) "empty trace, no windows" 0
     (List.length (Churn.crashes ~p:3 []))
@@ -516,9 +515,9 @@ let prop_empty_churn_is_static =
         W.run
           ~config:
             {
+              W.default_config with
               W.arrival = W.Trace arrivals;
               noise = W.Uniform_factor 0.2;
-              slowdowns = [];
               datasets = Array.length arrivals;
               seed;
             }
@@ -551,7 +550,7 @@ let test_stream_sim_deterministic () =
       (Stream_sim.default_config ~threshold) with
       Stream_sim.arrivals;
       churn;
-      retry = { F.max_retries = 2; backoff = threshold };
+      retry = { W.max_retries = 2; backoff = threshold };
       seed = 7;
     }
   in
@@ -576,12 +575,12 @@ let test_stream_sim_accounting () =
       (Stream_sim.default_config ~threshold) with
       Stream_sim.arrivals;
       churn;
-      retry = { F.max_retries = 3; backoff = threshold };
+      retry = { W.max_retries = 3; backoff = threshold };
       seed = 1;
     }
   in
   let stats = Stream_sim.run ~config inst ~initial:mapping in
-  Alcotest.(check int) "offered" 40 stats.Stream_sim.offered;
+  Alcotest.(check int) "offered" 40 stats.Stream_sim.workload.W.offered;
   Alcotest.(check int) "lost = offered - completed"
     (40 - stats.Stream_sim.workload.W.completed)
     stats.Stream_sim.lost;
@@ -612,7 +611,7 @@ let test_stream_sim_rejects_bad_config () =
         inst ~initial:mapping);
   rejects "bad retry" (fun () ->
       Stream_sim.run
-        ~config:{ base with Stream_sim.retry = { F.max_retries = -1; backoff = 0. } }
+        ~config:{ base with Stream_sim.retry = { W.max_retries = -1; backoff = 0. } }
         inst ~initial:mapping)
 
 let () =
