@@ -18,4 +18,14 @@ val respects_period : t -> float -> bool
 
 val respects_latency : t -> float -> bool
 
+val front : t list -> t list
+(** The Pareto front of a point set, by increasing period and strictly
+    decreasing latency. Values within the {!Pipeline_util.Tol.meets}
+    slack of each other tie, the rule the threshold solvers apply to a
+    cap: sweeping by period, a point whose latency does not undercut the
+    last kept one beyond the slack is dropped (the smaller period wins),
+    and one that does but whose period ties the last kept one's replaces
+    it (the smaller latency wins). The sort is stable, so among exact
+    ties the first point of the input is the witness. *)
+
 val pp : Format.formatter -> t -> unit

@@ -67,26 +67,5 @@ let min_period_under_latency (inst : Instance.t) ~latency =
 
 let pareto (inst : Instance.t) =
   let candidates = Array.to_list (candidate_periods inst) in
-  let points =
-    List.filter_map
-      (fun period -> min_latency_under_period inst ~period)
-      candidates
-  in
-  (* Keep non-dominated points: sweeping by increasing period, retain
-     strictly decreasing latencies. *)
-  let sorted =
-    List.sort_uniq
-      (fun a b ->
-        match compare a.Solution.period b.Solution.period with
-        | 0 -> compare a.Solution.latency b.Solution.latency
-        | c -> c)
-      points
-  in
-  let rec prune best_latency = function
-    | [] -> []
-    | sol :: rest ->
-      if sol.Solution.latency < best_latency then
-        sol :: prune sol.Solution.latency rest
-      else prune best_latency rest
-  in
-  prune infinity sorted
+  Solution.front
+    (List.filter_map (fun period -> min_latency_under_period inst ~period) candidates)

@@ -25,4 +25,5 @@ val min_period_under_latency : Instance.t -> latency:float -> Solution.t option
 val pareto : Instance.t -> Solution.t list
 (** The full period/latency Pareto front, sorted by increasing period
     (hence decreasing latency). Obtained by sweeping the candidate
-    periods; each front point is an optimal trade-off. *)
+    periods; each front point is an optimal trade-off, and values within
+    the acceptance slack tie ({!Pipeline_core.Solution.front}). *)

@@ -209,19 +209,4 @@ let pareto inst =
            !acc)
          frontier)
   in
-  let sorted =
-    List.sort
-      (fun a b ->
-        match compare a.Solution.period b.Solution.period with
-        | 0 -> compare a.Solution.latency b.Solution.latency
-        | c -> c)
-      points
-  in
-  let rec prune best_latency = function
-    | [] -> []
-    | sol :: rest ->
-      if sol.Solution.latency < best_latency then
-        sol :: prune sol.Solution.latency rest
-      else prune best_latency rest
-  in
-  prune infinity sorted
+  Solution.front points

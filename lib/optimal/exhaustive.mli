@@ -45,4 +45,5 @@ val min_period_under_latency : Instance.t -> latency:float -> Solution.t option
 
 val pareto : Instance.t -> Solution.t list
 (** Non-dominated (period, latency) mappings, sorted by increasing
-    period. *)
+    period; values within the acceptance slack tie
+    ({!Pipeline_core.Solution.front}). *)

@@ -111,24 +111,7 @@ let min_period_under_latency (inst : Instance.t) ~latency =
   | Some found -> Some found.Threshold.payload
 
 let pareto (inst : Instance.t) =
-  let points =
-    List.filter_map
-      (fun period -> min_latency_under_period inst ~period)
-      (Array.to_list (candidate_periods inst))
-  in
-  let sorted =
-    List.sort_uniq
-      (fun a b ->
-        match compare a.Solution.period b.Solution.period with
-        | 0 -> compare a.Solution.latency b.Solution.latency
-        | c -> c)
-      points
-  in
-  let rec prune best_latency = function
-    | [] -> []
-    | sol :: rest ->
-      if sol.Solution.latency < best_latency then
-        sol :: prune sol.Solution.latency rest
-      else prune best_latency rest
-  in
-  prune infinity sorted
+  Solution.front
+    (List.filter_map
+       (fun period -> min_latency_under_period inst ~period)
+       (Array.to_list (candidate_periods inst)))

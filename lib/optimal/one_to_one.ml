@@ -84,23 +84,7 @@ let pareto (inst : Instance.t) =
       candidates := cycle k u :: !candidates
     done
   done;
-  let points =
-    List.filter_map
-      (fun period -> min_latency_under_period inst ~period)
-      (List.sort_uniq compare !candidates)
-  in
-  let sorted =
-    List.sort_uniq
-      (fun a b ->
-        match compare a.Solution.period b.Solution.period with
-        | 0 -> compare a.Solution.latency b.Solution.latency
-        | c -> c)
-      points
-  in
-  let rec prune best = function
-    | [] -> []
-    | sol :: rest ->
-      if sol.Solution.latency < best then sol :: prune sol.Solution.latency rest
-      else prune best rest
-  in
-  prune infinity sorted
+  Solution.front
+    (List.filter_map
+       (fun period -> min_latency_under_period inst ~period)
+       (List.sort_uniq compare !candidates))

@@ -141,16 +141,30 @@ let prop_pareto_sorted_non_dominated =
   Helpers.qtest ~count:30 "pareto front is sorted and non-dominated" gen_small
     (fun inst -> is_sorted_non_dominated (Bicriteria.pareto inst))
 
+let same_front a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Solution.t) (y : Solution.t) ->
+         Helpers.feq ~eps:1e-9 x.Solution.period y.Solution.period
+         && Helpers.feq ~eps:1e-9 x.Solution.latency y.Solution.latency)
+       a b
+
 let prop_pareto_matches_exhaustive =
   Helpers.qtest ~count:25 "DP pareto = exhaustive pareto" gen_small (fun inst ->
-      let dp = Bicriteria.pareto inst in
-      let ex = Exhaustive.pareto inst in
-      List.length dp = List.length ex
-      && List.for_all2
-           (fun (a : Solution.t) (b : Solution.t) ->
-             Helpers.feq ~eps:1e-9 a.Solution.period b.Solution.period
-             && Helpers.feq ~eps:1e-9 a.Solution.latency b.Solution.latency)
-           dp ex)
+      same_front (Bicriteria.pareto inst) (Exhaustive.pareto inst))
+
+(* Fronts that once split on a 1-ulp tie: seed 1186 enumerates periods
+   4.0999999999999996 and 4.1000000000000005, seed 6618 two latencies
+   that far apart; the DP's capped search sees one point either way. *)
+let test_pareto_ulp_ties () =
+  List.iter
+    (fun seed ->
+      let inst = Helpers.random_instance ~n_max:7 ~p_max:4 seed in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d" seed)
+        true
+        (same_front (Bicriteria.pareto inst) (Exhaustive.pareto inst)))
+    [ 1186; 6618 ]
 
 let prop_pareto_endpoints =
   Helpers.qtest ~count:30 "front spans min period .. optimal latency" gen_small
@@ -372,14 +386,7 @@ let prop_homogeneous_period_under_latency_matches =
 
 let prop_homogeneous_pareto_matches =
   Helpers.qtest ~count:20 "poly pareto = subset DP pareto" gen_hom_instance
-    (fun inst ->
-      let a = Homogeneous.pareto inst and b = Bicriteria.pareto inst in
-      List.length a = List.length b
-      && List.for_all2
-           (fun (x : Solution.t) (y : Solution.t) ->
-             Helpers.feq ~eps:1e-9 x.Solution.period y.Solution.period
-             && Helpers.feq ~eps:1e-9 x.Solution.latency y.Solution.latency)
-           a b)
+    (fun inst -> same_front (Homogeneous.pareto inst) (Bicriteria.pareto inst))
 
 (* ------------------------------------------------------------------ *)
 (* One_to_one                                                          *)
@@ -665,6 +672,7 @@ let () =
         [
           prop_pareto_sorted_non_dominated;
           prop_pareto_matches_exhaustive;
+          Alcotest.test_case "pareto 1-ulp ties" `Quick test_pareto_ulp_ties;
           prop_pareto_endpoints;
         ] );
       ( "homogeneous",
