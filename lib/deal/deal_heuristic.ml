@@ -66,8 +66,15 @@ let minimise_latency_under_period inst ~period =
     else
       let j = bottleneck inst sol in
       match select (improving sol (candidates inst sol ~j)) with
-      | None -> None
       | Some best -> refine best
+      | None ->
+        (* Stuck: a replicated bottleneck cannot be split, and another
+           replica may not pay for itself. Splits alone may still get
+           there, so fall back on H1. *)
+        Option.map
+          (fun (h1 : Pipeline_core.Solution.t) ->
+            evaluate inst (Deal_mapping.of_mapping h1.mapping))
+          (Pipeline_core.Sp_mono_p.solve inst ~period)
   in
   refine (initial inst)
 

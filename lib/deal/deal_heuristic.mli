@@ -27,7 +27,10 @@ type solution = {
 }
 
 val minimise_latency_under_period : Instance.t -> period:float -> solution option
-(** Split/replicate while the period exceeds the threshold. *)
+(** Split/replicate while the period exceeds the threshold. When no move
+    improves the period any more (a replicated bottleneck cannot be
+    split), the answer is H1's mapping ({!Pipeline_core.Sp_mono_p}) as a
+    deal mapping, so this never fails where H1 succeeds. *)
 
 val minimise_period_under_latency : Instance.t -> latency:float -> solution option
 (** Split/replicate while the period improves within the latency budget. *)

@@ -179,6 +179,22 @@ let prop_deal_no_worse_than_h1 =
       | Some _ ->
         Deal_heuristic.minimise_latency_under_period inst ~period:threshold <> None)
 
+(* Seed 332 at 0.7 x the single-processor period (threshold 6.856): the
+   greedy replicates [1..10] on the two fastest processors, because
+   period 7.1 beats the best split's 7.42, and is then stuck — a
+   replicated interval cannot be split and a third replica raises the
+   round-robin period to 8.3. H1 splits twice and reaches 6.3. *)
+let test_deal_stuck_falls_back_on_h1 () =
+  let inst = Helpers.random_instance 332 in
+  let period = Instance.single_proc_period inst *. 0.7 in
+  Alcotest.(check bool) "H1 succeeds" true
+    (Pipeline_core.Sp_mono_p.solve inst ~period <> None);
+  match Deal_heuristic.minimise_latency_under_period inst ~period with
+  | None -> Alcotest.fail "deal failed where H1 succeeds"
+  | Some sol ->
+    Alcotest.(check bool) "meets the threshold" true
+      (sol.Deal_heuristic.period <= period +. (1e-9 *. Float.max 1. period))
+
 let prop_deal_latency_fixed_sound =
   Helpers.qtest ~count:40 "deal latency-fixed respects the budget"
     QCheck2.Gen.(pair gen_seed (float_range 1.0 2.0))
@@ -342,6 +358,8 @@ let () =
           Alcotest.test_case "beats pure splitting" `Quick test_deal_beats_pure_splitting;
           prop_deal_heuristic_sound;
           prop_deal_no_worse_than_h1;
+          Alcotest.test_case "stuck greedy falls back on H1" `Quick
+            test_deal_stuck_falls_back_on_h1;
           prop_deal_latency_fixed_sound;
         ] );
       ( "exhaustive",
