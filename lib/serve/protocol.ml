@@ -404,6 +404,12 @@ let handle_pareto t body =
                 front) );
        ])
 
+(* One request must not set the daemon's memory and run time: the
+   simulator holds a few floats per (interval, data set) pair, and 10^6
+   pairs run in about a second with a ~50 MB heap. The CLI runs in the
+   caller's own process and stays unbounded. *)
+let max_simulated_pairs = 1_000_000
+
 let handle_simulate t body =
   let request = instance_of_json body in
   let lookup = Cache.canonical t.cache request in
@@ -436,20 +442,23 @@ let handle_simulate t body =
   let datasets = Option.value (opt_int body "datasets") ~default:50 in
   let noise = Option.value (opt_number body "noise") ~default:0. in
   let seed = Option.value (opt_int body "seed") ~default:2007 in
-  let stats =
-    Pipeline_sim.Workload_sim.run
+  (* |datasets| <= 10^9 (Json.to_int), so the product cannot overflow. *)
+  let pairs = Mapping.m sol.Pipeline_core.Solution.mapping * datasets in
+  if pairs > max_simulated_pairs then
+    reject 400 "simulation of %d (interval, data set) pairs exceeds the bound of %d"
+      pairs max_simulated_pairs;
+  let module W = Pipeline_sim.Workload_sim in
+  let s =
+    W.run
       ~config:
         {
-          Pipeline_sim.Workload_sim.default_config with
-          Pipeline_sim.Workload_sim.datasets;
-          noise =
-            (if noise = 0. then Pipeline_sim.Workload_sim.No_noise
-             else Pipeline_sim.Workload_sim.Uniform_factor noise);
+          W.default_config with
+          datasets;
+          noise = (if noise = 0. then W.No_noise else W.Uniform_factor noise);
           seed;
         }
       inst sol.Pipeline_core.Solution.mapping
   in
-  let s = stats in
   json_response 200
     (Json.Obj
        [
@@ -460,16 +469,13 @@ let handle_simulate t body =
          ( "stats",
            Json.Obj
              [
-               ( "completed",
-                 Json.Number (float_of_int s.Pipeline_sim.Workload_sim.completed) );
-               ("makespan", Json.Number s.Pipeline_sim.Workload_sim.makespan);
-               ( "steady_period",
-                 Json.Number s.Pipeline_sim.Workload_sim.steady_period );
-               ("throughput", Json.Number s.Pipeline_sim.Workload_sim.throughput);
-               ( "latency_mean",
-                 Json.Number s.Pipeline_sim.Workload_sim.latency_mean );
-               ("latency_p95", Json.Number s.Pipeline_sim.Workload_sim.latency_p95);
-               ("latency_max", Json.Number s.Pipeline_sim.Workload_sim.latency_max);
+               ("completed", Json.Number (float_of_int s.W.completed));
+               ("makespan", Json.Number s.W.makespan);
+               ("steady_period", Json.Number s.W.steady_period);
+               ("throughput", Json.Number s.W.throughput);
+               ("latency_mean", Json.Number s.W.latency_mean);
+               ("latency_p95", Json.Number s.W.latency_p95);
+               ("latency_max", Json.Number s.W.latency_max);
              ] );
        ])
 

@@ -51,14 +51,26 @@ cmp "$workdir/solve1.json" "$workdir/solve2.json" || fail "warm response differs
 curl -sf -d "$body" "$base/pareto" | grep -q '"points"' || fail "/pareto has no points"
 curl -sf -d "$body" "$base/simulate" | grep -q '"stats"' || fail "/simulate has no stats"
 
+# /simulate is bounded: over 10^6 (interval, data set) pairs is a 400
+# before any simulation, and the daemon keeps serving.
+status=$(curl -s -o "$workdir/big.json" -w '%{http_code}' \
+  -d "${body%\}},\"mapping\":\"1-2:1 3-4:0\",\"datasets\":500001}" "$base/simulate")
+[ "$status" = 400 ] || fail "over-bound /simulate gave $status, want 400"
+grep -q "1000002 (interval, data set) pairs exceeds the bound of 1000000" "$workdir/big.json" \
+  || fail "wrong bound wording: $(cat "$workdir/big.json")"
+curl -sf -d "$body" "$base/simulate" | grep -q '"stats"' || fail "/simulate after an over-bound request"
+
 # Error model: unknown heuristic is HTTP 400 with the registry's wording.
 status=$(curl -s -o "$workdir/err.json" -w '%{http_code}' \
   -d "${body%\}},\"heuristic\":\"nope\"}" "$base/solve")
 [ "$status" = 400 ] || fail "unknown heuristic gave $status, want 400"
 grep -q "unknown heuristic nope" "$workdir/err.json" || fail "wrong 400 wording: $(cat "$workdir/err.json")"
 
-# /metrics exposes the serve counters in Prometheus text format.
-curl -sf "$base/metrics" | grep -q '^serve_requests ' || fail "/metrics lacks serve_requests"
+# /metrics exposes the serve counters in Prometheus text format. The
+# body goes through a file: piped into grep -q, curl can die of SIGPIPE
+# once grep has its match, and pipefail turns that into a failure.
+curl -sf -o "$workdir/metrics.txt" "$base/metrics" || fail "/metrics rejected"
+grep -q '^serve_requests ' "$workdir/metrics.txt" || fail "/metrics lacks serve_requests"
 
 # Graceful shutdown on SIGTERM.
 kill -TERM "$pid"

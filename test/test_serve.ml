@@ -478,6 +478,34 @@ let test_protocol_simulate_and_pareto () =
   | Some (Json.List (_ :: _)) -> ()
   | _ -> Alcotest.failf "empty pareto front: %s" body
 
+(* /simulate refuses more than 10^6 (interval, data set) pairs before
+   simulating, and the daemon keeps serving: a two-interval mapping at
+   500 001 data sets is 1 000 002 pairs. *)
+let test_protocol_simulate_bound () =
+  let p = Protocol.create () in
+  let simulate datasets =
+    let body =
+      match parse_ok (small_solve_body ()) with
+      | Json.Obj members ->
+        Json.to_string
+          (Json.Obj
+             (members
+             @ [
+                 ("mapping", Json.String "1-2:1 3-4:0");
+                 ("datasets", Json.Number (float_of_int datasets));
+               ]))
+      | _ -> assert false
+    in
+    Protocol.handle p (request ~path:"/simulate" body)
+  in
+  let status, _, body = simulate 500_001 in
+  Alcotest.(check int) "over the bound is 400" 400 status;
+  Alcotest.(check string) "names the pair count and the bound"
+    "simulation of 1000002 (interval, data set) pairs exceeds the bound of 1000000"
+    (error_of body);
+  let status, _, _ = simulate 20 in
+  Alcotest.(check int) "next simulate is 200" 200 status
+
 (* Fully heterogeneous bodies on every POST endpoint (DESIGN.md §13):
    /solve with the exact exhaustive row, /pareto via the exhaustive
    oracle, /simulate both with an explicit mapping and through the het
@@ -897,6 +925,7 @@ let () =
           Alcotest.test_case "rejections" `Quick test_protocol_rejects;
           Alcotest.test_case "simulate and pareto" `Quick
             test_protocol_simulate_and_pareto;
+          Alcotest.test_case "simulate bound" `Quick test_protocol_simulate_bound;
           Alcotest.test_case "het solve with exact row" `Quick
             test_protocol_het_solve_exact;
           Alcotest.test_case "het pareto via the oracle" `Quick
