@@ -31,7 +31,7 @@ type handle
 
 val schedule_cancellable : t -> delay:float -> (t -> unit) -> handle
 (** Like {!schedule}, but the returned handle can revoke the event before
-    it fires — the fault simulator uses this to kill the in-flight
+    it fires — {!Workload_sim} uses this to kill the in-flight
     computation of a crashed processor. Same delay validation as
     {!schedule}. *)
 

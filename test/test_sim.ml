@@ -670,7 +670,7 @@ let fault_config ?(datasets = 5) ?(crashes = []) ?(retry = W.no_retry) () =
    makespan. The first input is the small instance with processor 2
    idle. *)
 let prop_harmless_crashes =
-  Helpers.qtest ~count:60 "harmless crashes = crash-free run (bit-for-bit)"
+  Helpers.qtest ~count:60 "harmless crashes change no bit"
     (QCheck2.Gen.graft_corners gen_instance_mapping
        [ (Helpers.small_instance (), Mapping.of_cuts ~n:4 ~cuts:[ 2 ] ~procs:[ 1; 0 ]) ]
        ())
