@@ -547,8 +547,8 @@ let test_workload_sim_slowdown_composes () =
    fixed grid (random instances x {saturated, periodic, Poisson, trace}
    x noise off/on x no slowdown/one slowdown) rendered as hex floats,
    latencies as a digest, and compared with test/golden-sim/workload.txt.
-   On a mismatch the full rendering is left in workload.txt.actual next
-   to the test binary's working directory. *)
+   On a mismatch the full rendering is written to workload.txt.actual in
+   the test's working directory, ready to diff or copy over the golden. *)
 let render_workload_grid () =
   let datasets = 40 in
   let trace = Array.init datasets (fun t -> (2.5 *. float_of_int t) +. float_of_int (t mod 3)) in
