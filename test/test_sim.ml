@@ -664,29 +664,44 @@ let single_on_p1 () =
 let fault_config ?(datasets = 5) ?(crashes = []) ?(retry = W.no_retry) () =
   { W.default_config with W.datasets; crashes; retry }
 
+(* Shared by the crash-free and harmless-crash properties: noisy
+   service times and Poisson arrivals, so every data set exercises the
+   pipeline's queues. *)
+let noisy_config =
+  {
+    W.default_config with
+    W.datasets = 30;
+    noise = W.Uniform_factor 0.3;
+    arrival = W.Poisson 0.05;
+    seed = 42;
+  }
+
+(* Without crashes the retry policy is inert: any budget and backoff
+   give the statistics of the plain workload run, bit for bit, with
+   every offered data set completed and no fault counted. *)
+let prop_fault_sim_no_crash_identical =
+  Helpers.qtest ~count:60 "no crashes = workload sim (bit-for-bit)"
+    gen_instance_mapping (fun (inst, mapping) ->
+      let plain = W.run ~config:noisy_config inst mapping in
+      let retrying =
+        W.run
+          ~config:{ noisy_config with W.retry = { W.max_retries = 3; backoff = 2. } }
+          inst mapping
+      in
+      Stdlib.compare plain retrying = 0
+      && plain.W.completed = plain.W.offered
+      && plain.W.killed = 0 && plain.W.dropped = 0 && plain.W.retries = 0)
+
 (* Crashes that cannot reach the pipeline change nothing: a permanent
    or a recovering crash on every processor the mapping leaves idle, and
    a permanent crash of every enrolled processor after the crash-free
-   makespan. The first input is the small instance with processor 2
-   idle. *)
+   makespan. *)
 let prop_harmless_crashes =
   Helpers.qtest ~count:60 "harmless crashes change no bit"
-    (QCheck2.Gen.graft_corners gen_instance_mapping
-       [ (Helpers.small_instance (), Mapping.of_cuts ~n:4 ~cuts:[ 2 ] ~procs:[ 1; 0 ]) ]
-       ())
-    (fun (inst, mapping) ->
-      let base =
-        {
-          W.default_config with
-          W.datasets = 30;
-          noise = W.Uniform_factor 0.3;
-          arrival = W.Poisson 0.05;
-          seed = 42;
-        }
-      in
-      let plain = W.run ~config:base inst mapping in
+    gen_instance_mapping (fun (inst, mapping) ->
+      let plain = W.run ~config:noisy_config inst mapping in
       let harmless crashes =
-        let s = W.run ~config:{ base with W.crashes } inst mapping in
+        let s = W.run ~config:{ noisy_config with W.crashes } inst mapping in
         Stdlib.compare plain s = 0 && s.W.killed = 0 && s.W.dropped = 0 && s.W.retries = 0
       in
       let enrolled, idle =
@@ -782,6 +797,20 @@ let test_fault_sim_drop_propagates () =
   Alcotest.(check int) "killed" 1 stats.W.killed;
   Alcotest.(check int) "dropped" 1 stats.W.dropped;
   Helpers.check_float "ds0 completion" 12. stats.W.makespan
+
+let test_fault_sim_unused_proc_crash_harmless () =
+  (* Crashing a processor the mapping does not use changes nothing. *)
+  let inst = Helpers.small_instance () in
+  let mapping = Mapping.of_cuts ~n:4 ~cuts:[ 2 ] ~procs:[ 1; 0 ] in
+  let base = { W.default_config with W.datasets = 25 } in
+  let plain = W.run ~config:base inst mapping in
+  let stats =
+    W.run
+      ~config:{ base with W.crashes = [ { W.at = 3.; proc = 2; recover_at = Some 8. } ] }
+      inst mapping
+  in
+  Alcotest.(check bool) "identical stats" true (Stdlib.compare plain stats = 0);
+  Alcotest.(check int) "nothing killed" 0 stats.W.killed
 
 let test_fault_sim_rejects_bad_config () =
   let inst, mapping = single_on_p1 () in
@@ -891,6 +920,7 @@ let () =
         ] );
       ( "fault-sim",
         [
+          prop_fault_sim_no_crash_identical;
           prop_harmless_crashes;
           Alcotest.test_case "deterministic" `Quick test_fault_sim_deterministic;
           Alcotest.test_case "permanent crash" `Quick test_fault_sim_permanent_crash;
@@ -899,6 +929,8 @@ let () =
           Alcotest.test_case "recovery without retry" `Quick
             test_fault_sim_recovery_without_retry;
           Alcotest.test_case "drop propagates" `Quick test_fault_sim_drop_propagates;
+          Alcotest.test_case "unused proc crash" `Quick
+            test_fault_sim_unused_proc_crash_harmless;
           Alcotest.test_case "bad fault config" `Quick
             test_fault_sim_rejects_bad_config;
         ] );
