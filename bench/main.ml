@@ -1,11 +1,10 @@
 (* Benchmark and reproduction harness.
 
      dune exec bench/main.exe                 # everything (figures, Table 1,
-                                              # timings, ablations)
+                                              # ablations, campaigns)
      dune exec bench/main.exe -- --quick      # reduced campaign (CI-sized)
      dune exec bench/main.exe -- --figures    # only the 12 paper figures
      dune exec bench/main.exe -- --table1     # only Table 1
-     dune exec bench/main.exe -- --timings    # only the Bechamel timings
      dune exec bench/main.exe -- --ablation   # only the ablation studies
      dune exec bench/main.exe -- --faults     # only the fault campaign
      dune exec bench/main.exe -- --streaming  # only the streaming churn campaign
@@ -30,12 +29,10 @@ module Ureg = Pipeline_registry
 type options = {
   mutable figures : bool;
   mutable table1 : bool;
-  mutable timings : bool;
   mutable ablation : bool;
   mutable faults : bool;
   mutable streaming : bool;
   mutable scaling : bool;
-  mutable serve_load : bool;
   mutable smoke : bool;
   mutable quick : bool;
   mutable pairs : int;
@@ -52,14 +49,10 @@ let options =
   {
     figures = true;
     table1 = true;
-    timings = true;
     ablation = true;
     faults = true;
     streaming = true;
     scaling = true;
-    (* Opt-in only (wall-clock measurements): never part of the default
-       or smoke runs, so the deterministic artefact set is untouched. *)
-    serve_load = false;
     smoke = false;
     quick = false;
     pairs = 50;
@@ -75,12 +68,11 @@ let options =
 let select which =
   (* The first explicit section flag turns the others off. *)
   if
-    options.figures && options.table1 && options.timings && options.ablation
-    && options.faults && options.streaming && options.scaling
+    options.figures && options.table1 && options.ablation && options.faults
+    && options.streaming && options.scaling
   then begin
     options.figures <- false;
     options.table1 <- false;
-    options.timings <- false;
     options.ablation <- false;
     options.faults <- false;
     options.streaming <- false;
@@ -100,8 +92,6 @@ let parse_args () =
        " only regenerate the paper figures");
       ("--table1", Arg.Unit (fun () -> select (fun () -> options.table1 <- true)),
        " only regenerate Table 1");
-      ("--timings", Arg.Unit (fun () -> select (fun () -> options.timings <- true)),
-       " only run the Bechamel timings");
       ("--ablation", Arg.Unit (fun () -> select (fun () -> options.ablation <- true)),
        " only run the ablation studies");
       ("--streaming",
@@ -112,19 +102,13 @@ let parse_args () =
       ("--scaling",
        Arg.Unit (fun () -> select (fun () -> options.scaling <- true)),
        " only run the E6 web-scale scaling ladder");
-      ("--serve-load",
-       Arg.Unit (fun () -> select (fun () -> options.serve_load <- true)),
-       " only run the serve daemon load generator (requests/s and latency \
-        percentiles per phase; writes <out>/serve-load.csv — wall-clock, \
-        not a determinism artefact)");
       ("--smoke",
        Arg.Unit
          (fun () ->
            options.smoke <- true;
-           options.timings <- false;
            options.pairs <- 2;
            options.points <- 3),
-       " end-to-end wiring check (tiny batches, no timings)");
+       " end-to-end wiring check (tiny batches)");
       ("--quick",
        Arg.Unit
          (fun () ->
@@ -154,10 +138,10 @@ let parse_args () =
        "FILE record timed spans and write them to FILE as Chrome \
         trace_event JSON (open in chrome://tracing or Perfetto)");
       ("--perf-summary", Arg.Unit (fun () -> options.perf_summary <- true),
-       " write <out>/perf-summary.json (per-section wall-clock plus the \
-        Obs counters; combine with --metrics for non-zero counters). Not \
-        part of the deterministic artefact set: wall-clocks vary by \
-        machine");
+       " write <out>/perf-summary.json (the Obs counters, plus the \
+        exact solvers timed at 1/4/8 domains; combine with --metrics for \
+        non-zero counters). Not part of the deterministic artefact set: \
+        wall-clocks vary by machine");
     ]
   in
   Arg.parse (Arg.align spec)
@@ -174,20 +158,6 @@ let parse_args () =
 let section title =
   Printf.printf "\n%s\n%s\n%s\n\n" (String.make 74 '=') title (String.make 74 '=')
 
-(* Per-section wall-clocks for --perf-summary, in run order. *)
-let section_times : (string * float) list ref = ref []
-
-let timed name f () =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  section_times := (name, Unix.gettimeofday () -. t0) :: !section_times
-
-(* Counters snapshot for --perf-summary, taken before the Bechamel
-   timings section runs: Bechamel's adaptive sampling re-runs solvers a
-   load-dependent number of times, so counters accumulated after this
-   point are not deterministic and must not enter the CI baseline. *)
-let perf_counters : (string * int) list ref = ref []
-
 (* Wall-clocks of the exact-solver stack at 1/4/8 domains, for the
    --perf-summary "exact_jobs" block: the same bit-identical work timed
    at three pool widths. Runs after the counters snapshot AND after
@@ -197,8 +167,6 @@ let perf_counters : (string * int) list ref = ref []
    cores (scripts/compare_perf_baseline.py). *)
 let exact_jobs_widths = [ 1; 4; 8 ]
 
-let exact_jobs_results : (string * (int * float) list) list ref = ref []
-
 let run_exact_jobs () =
   let prev = Pipeline_util.Pool.jobs () in
   let time f =
@@ -207,34 +175,37 @@ let run_exact_jobs () =
     Unix.gettimeofday () -. t0
   in
   let ladder name f =
-    let rows =
+    ( name,
       List.map
         (fun jobs ->
           Pipeline_util.Pool.set_jobs jobs;
           (jobs, time f))
-        exact_jobs_widths
-    in
-    exact_jobs_results := (name, rows) :: !exact_jobs_results
+        exact_jobs_widths )
   in
   Fun.protect
     ~finally:(fun () -> Pipeline_util.Pool.set_jobs prev)
     (fun () ->
       (* One E6-era exact rung (the quick scaling-bnb size)... *)
-      ladder "bnb-12x100" (fun () ->
-          ignore
-            (E.Scaling.bnb_run ~budget:500_000 ~seed:options.seed [ (12, 100) ]));
+      let bnb =
+        ladder "bnb-12x100" (fun () ->
+            ignore
+              (E.Scaling.bnb_run ~budget:500_000 ~seed:options.seed [ (12, 100) ]))
+      in
       (* ...and the ablation-5 het validation (exhaustive oracle inside). *)
-      ladder "het-validate" (fun () ->
-          ignore
-            (E.Het_campaign.validate ~runs:20 ~seed:options.seed
-               ~family:(List.hd E.Het_campaign.families) ())));
-  exact_jobs_results := List.rev !exact_jobs_results
+      let het =
+        ladder "het-validate" (fun () ->
+            ignore
+              (E.Het_campaign.validate ~runs:20 ~seed:options.seed
+                 ~family:(List.hd E.Het_campaign.families) ()))
+      in
+      [ bnb; het ])
 
-(* Machine-readable perf snapshot for CI: per-section wall-clock plus
-   every Obs counter (probe counts included) from the seeded sections
-   only. Deliberately separate from the deterministic artefact set —
-   timings vary run to run (the counter values do not). *)
-let write_perf_summary ~wall path =
+(* Machine-readable perf snapshot for CI: every Obs counter (probe
+   counts included) from the seeded sections, which the compare script
+   gates exactly, plus the exact-solver jobs ladder, whose wall-clocks
+   gate only the j8/j1 speedup. Deliberately separate from the
+   deterministic artefact set — the wall-clocks vary run to run. *)
+let write_perf_summary ~counters ~exact_jobs path =
   let b = Buffer.create 1024 in
   Printf.bprintf b
     "{\n\
@@ -242,59 +213,28 @@ let write_perf_summary ~wall path =
     \  \"jobs\": %d,\n\
     \  \"cores\": %d,\n\
     \  \"pairs\": %d,\n\
-    \  \"wall_clock_s\": %.3f,\n"
+    \  \"counters\": {"
     options.seed
     (Pipeline_util.Pool.jobs ())
     (Domain.recommended_domain_count ())
-    options.pairs wall;
-  Buffer.add_string b "  \"sections\": {";
-  List.iteri
-    (fun i (name, seconds) ->
-      Printf.bprintf b "%s\n    \"%s\": %.3f" (if i = 0 then "" else ",") name
-        seconds)
-    (List.rev !section_times);
-  Buffer.add_string b "\n  },\n  \"counters\": {";
+    options.pairs;
   List.iteri
     (fun i (name, value) ->
       Printf.bprintf b "%s\n    \"%s\": %d" (if i = 0 then "" else ",") name value)
-    !perf_counters;
-  (* The exact-solver jobs ladder: wall-clock only, never gated exactly
-     (machines differ) — the compare script checks the j8/j1 speedup
-     against the task-tree target when the machine has the cores for
-     it. *)
-  if !exact_jobs_results <> [] then begin
-    Buffer.add_string b "\n  },\n  \"exact_jobs\": {";
-    List.iteri
-      (fun i (name, rows) ->
-        Printf.bprintf b "%s\n    \"%s\": {" (if i = 0 then "" else ",") name;
-        List.iteri
-          (fun k (jobs, seconds) ->
-            Printf.bprintf b "%s\n      \"jobs_%d_s\": %.4f"
-              (if k = 0 then "" else ",")
-              jobs seconds)
-          rows;
-        Buffer.add_string b "\n    }")
-      !exact_jobs_results
-  end;
-  (* Cache-visibility stats live in their own block, NOT under
-     "counters": cache traffic depends on how --jobs slices work across
-     domains, so these values are jobs-variant and the gating CI compare
-     must ignore them (scripts/compare-perf-baseline only reads
-     "counters"). *)
-  let cs = Cost.cache_stats () in
-  Printf.bprintf b
-    "\n\
-    \  },\n\
-    \  \"cache\": {\n\
-    \    \"engine_builds\": %d,\n\
-    \    \"lru_hits\": %d,\n\
-    \    \"lru_misses\": %d,\n\
-    \    \"candidate_builds\": %d,\n\
-    \    \"deal_candidate_builds\": %d\n\
-    \  }\n\
-     }\n"
-    cs.Cost.engine_builds cs.Cost.lru_hits cs.Cost.lru_misses
-    cs.Cost.candidate_builds cs.Cost.deal_candidate_builds;
+    counters;
+  Buffer.add_string b "\n  },\n  \"exact_jobs\": {";
+  List.iteri
+    (fun i (name, rows) ->
+      Printf.bprintf b "%s\n    \"%s\": {" (if i = 0 then "" else ",") name;
+      List.iteri
+        (fun k (jobs, seconds) ->
+          Printf.bprintf b "%s\n      \"jobs_%d_s\": %.4f"
+            (if k = 0 then "" else ",")
+            jobs seconds)
+        rows;
+      Buffer.add_string b "\n    }")
+    exact_jobs;
+  Buffer.add_string b "\n  }\n}\n";
   Pipeline_util.Csv.to_file path (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
@@ -461,259 +401,6 @@ let run_table1 () =
   | failures ->
     print_endline "  REPRODUCTION GATE FAILED:";
     List.iter (Printf.printf "    %s\n") (List.rev failures)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel timings                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let representative_instance experiment =
-  let n = match experiment with E.Config.E1 | E.Config.E2 -> 40 | _ -> 20 in
-  let setup =
-    E.Config.default_setup ~pairs:1 ~seed:options.seed experiment ~n ~p:10
-  in
-  E.Workload.instance setup 0
-
-let timing_tests () =
-  let open Bechamel in
-  List.map
-    (fun experiment ->
-      let inst = representative_instance experiment in
-      let single = Pipeline_model.Instance.single_proc_period inst in
-      let lopt = Pipeline_model.Instance.optimal_latency inst in
-      let tests =
-        List.map
-          (fun (info : Ureg.info) ->
-            let threshold =
-              match info.Ureg.kind with
-              | Ureg.Period_fixed -> single *. 0.6
-              | Ureg.Latency_fixed -> lopt *. 1.5
-            in
-            Test.make ~name:info.Ureg.id
-              (Staged.stage (fun () -> ignore (info.Ureg.solve inst ~threshold))))
-          Ureg.paper
-      in
-      Test.make_grouped ~name:(E.Config.experiment_name experiment) tests)
-    E.Config.all_experiments
-
-(* Small instances the exhaustive solvers can enumerate in microseconds:
-   the group exists to expose any overhead the (disabled) observability
-   hooks add to the hottest enumeration loops. *)
-let exhaustive_timing_tests () =
-  let open Bechamel in
-  let rng = Pipeline_util.Rng.create options.seed in
-  let app = App_generator.generate rng (E.Config.app_spec E.Config.E2 ~n:6) in
-  let platform = Platform_generator.comm_homogeneous rng ~p:4 in
-  let inst = Instance.make ~id:1 app platform in
-  let small_app = App_generator.generate rng (E.Config.app_spec E.Config.E2 ~n:4) in
-  let small_platform = Platform_generator.comm_homogeneous rng ~p:3 in
-  let small = Instance.make ~id:2 small_app small_platform in
-  Test.make_grouped ~name:"exhaustive"
-    [
-      Test.make ~name:"optimal-min-period"
-        (Staged.stage (fun () ->
-             ignore (Pipeline_optimal.Exhaustive.min_period inst)));
-      Test.make ~name:"optimal-pareto"
-        (Staged.stage (fun () -> ignore (Pipeline_optimal.Exhaustive.pareto inst)));
-      Test.make ~name:"deal-min-period"
-        (Staged.stage (fun () ->
-             ignore (Pipeline_deal.Deal_exhaustive.min_period small)));
-    ]
-
-(* The branch-and-bound task machine at 1/4/8 domains on one mid-size
-   instance: the Bechamel view of the task-tree speedup (the gating
-   wall-clock view lives in the --perf-summary exact_jobs block). The
-   solve is --jobs-independent bit-for-bit, so the three rows time the
-   same search. *)
-let bnb_timing_tests () =
-  let open Bechamel in
-  let inst = E.Scaling.bnb_instance ~seed:options.seed ~n:10 ~p:50 in
-  let at jobs =
-    Test.make ~name:(Printf.sprintf "min-period-10x50-j%d" jobs)
-      (Staged.stage (fun () ->
-           let prev = Pipeline_util.Pool.jobs () in
-           Pipeline_util.Pool.set_jobs jobs;
-           Fun.protect
-             ~finally:(fun () -> Pipeline_util.Pool.set_jobs prev)
-             (fun () ->
-               ignore
-                 (Pipeline_optimal.Branch_bound.min_period ~node_budget:50_000
-                    inst))))
-  in
-  Test.make_grouped ~name:"bnb" [ at 1; at 4; at 8 ]
-
-(* The cost engine itself: a full mapping evaluation with the memo
-   tables warm, cold, and disabled, plus one heuristic end-to-end (the
-   engine's dominant consumer). The memo-off row is the price the
-   refactor would have without the tables; see EXPERIMENTS.md. *)
-let cost_timing_tests () =
-  let open Bechamel in
-  let inst = representative_instance E.Config.E2 in
-  let app = inst.Instance.app and platform = inst.Instance.platform in
-  let threshold = Instance.single_proc_period inst *. 0.6 in
-  let mapping =
-    match Sp_mono_p.solve inst ~period:threshold with
-    | Some sol -> sol.Solution.mapping
-    | None -> Mapping.single ~n:(Application.n app) ~proc:0
-  in
-  Test.make_grouped ~name:"cost"
-    [
-      Test.make ~name:"summary-engine-warm"
-        (Staged.stage (fun () ->
-             ignore (Cost.summary (Cost.get app platform) mapping)));
-      Test.make ~name:"summary-engine-cold"
-        (Staged.stage (fun () ->
-             ignore (Cost.summary (Cost.make app platform) mapping)));
-      Test.make ~name:"summary-memo-off"
-        (Staged.stage (fun () ->
-             ignore (Cost.summary (Cost.make ~memo:false app platform) mapping)));
-      Test.make ~name:"h1-end-to-end"
-        (Staged.stage (fun () -> ignore (Sp_mono_p.solve inst ~period:threshold)));
-    ]
-
-(* The threshold engines (DESIGN.md §9): the exact candidate search
-   against the ε-bisection it replaced — same probe, same instance —
-   plus the candidate enumeration itself, cold and from the engine
-   cache. *)
-let threshold_timing_tests () =
-  let open Bechamel in
-  let inst = representative_instance E.Config.E2 in
-  let app = inst.Instance.app and platform = inst.Instance.platform in
-  let info =
-    List.find (fun (i : Ureg.info) -> i.Ureg.kind = Ureg.Period_fixed) Ureg.paper
-  in
-  let succeeds t = info.Ureg.solve inst ~threshold:t <> None in
-  let legacy_bisection () =
-    (* The pre-candidate-search boundary location: 40 blind halvings of
-       [0, single-processor period]. *)
-    let lo = ref 0. and hi = ref (Instance.single_proc_period inst) in
-    for _ = 1 to 40 do
-      let mid = (!lo +. !hi) /. 2. in
-      if succeeds mid then hi := mid else lo := mid
-    done;
-    !lo
-  in
-  ignore (Candidates.periods (Cost.get app platform));
-  Test.make_grouped ~name:"threshold"
-    [
-      Test.make ~name:"candidates-enumerate-cold"
-        (Staged.stage (fun () ->
-             ignore (Candidates.periods (Cost.make app platform))));
-      Test.make ~name:"candidates-cache-warm"
-        (Staged.stage (fun () ->
-             ignore (Candidates.periods (Cost.get app platform))));
-      Test.make ~name:"boundary-candidate-search"
-        (Staged.stage (fun () ->
-             ignore
-               (Threshold.boundary
-                  ~candidates:(Candidates.periods (Cost.get app platform))
-                  ~succeeds ())));
-      Test.make ~name:"boundary-legacy-bisection"
-        (Staged.stage (fun () -> ignore (legacy_bisection ())));
-    ]
-
-(* Warm incremental re-solve vs the cold oracle, on a representative
-   mapped instance with one enrolled processor down — the streaming
-   controller's hot path. The warm cache is primed once so the group
-   measures the steady state the controller actually lives in. *)
-let stream_timing_tests () =
-  let open Bechamel in
-  let module S = Pipeline_stream in
-  let inst = representative_instance E.Config.E2 in
-  let threshold = Pipeline_model.Instance.single_proc_period inst *. 0.6 in
-  let h1 =
-    match Ureg.find "h1-sp-mono-p" with Some h -> h | None -> assert false
-  in
-  let mapping =
-    match h1.Ureg.solve inst ~threshold with
-    | Some o -> Option.get (Deal_mapping.to_mapping o.Ureg.mapping)
-    | None -> assert false
-  in
-  let victim = (Mapping.procs mapping).(0) in
-  let state =
-    S.Churn.apply
-      (S.Churn.initial ~p:(Platform.p inst.Instance.platform) [])
-      { S.Churn.at = 1.; proc = victim; kind = S.Churn.Crash }
-  in
-  let cache = S.Resolver.cache inst in
-  ignore
-    (S.Resolver.resolve ~strategy:`Warm cache state ~before:mapping ~threshold);
-  Test.make_grouped ~name:"stream"
-    [
-      Test.make ~name:"resolve-warm"
-        (Staged.stage (fun () ->
-             ignore
-               (S.Resolver.resolve ~strategy:`Warm cache state ~before:mapping
-                  ~threshold)));
-      Test.make ~name:"resolve-cold"
-        (Staged.stage (fun () ->
-             ignore
-               (S.Resolver.resolve ~strategy:`Cold cache state ~before:mapping
-                  ~threshold)));
-    ]
-
-(* Web-scale building blocks at a fixed mid-rung size (n = 2000,
-   p = 64): cost-engine construction, Nicol's chains solver, and the
-   exact lazy-lattice period search — the three asymptotic rewrites the
-   scaling ladder exercises end to end. Runs after the counters
-   snapshot like every other Bechamel group. *)
-let scaling_timing_tests () =
-  let open Bechamel in
-  let inst = E.Scaling.instance ~seed:options.seed ~n:2_000 ~p:64 in
-  let cost = Cost.get inst.Instance.app inst.Instance.platform in
-  Test.make_grouped ~name:"scaling"
-    [
-      Test.make ~name:"engine-build-2000x64"
-        (Staged.stage (fun () ->
-             ignore (Cost.make inst.Instance.app inst.Instance.platform)));
-      Test.make ~name:"nicol-2000x64"
-        (Staged.stage (fun () ->
-             ignore (Chains.Nicol.solve (Application.works inst.Instance.app) ~p:64)));
-      Test.make ~name:"exact-lazy-period-2000x64"
-        (Staged.stage (fun () ->
-             ignore (E.Scaling.exact_relaxed_min_period cost ~p:64)));
-    ]
-
-let run_timings () =
-  section "BECHAMEL TIMINGS: one group per experiment family (n=40/20, p=10)";
-  let open Bechamel in
-  let open Toolkit in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
-  let test =
-    Test.make_grouped ~name:"heuristics"
-      (timing_tests ()
-      @ [
-          exhaustive_timing_tests (); bnb_timing_tests (); cost_timing_tests ();
-          threshold_timing_tests (); stream_timing_tests ();
-          scaling_timing_tests ();
-        ])
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let estimate =
-        match Analyze.OLS.estimates ols_result with
-        | Some (e :: _) -> e
-        | _ -> nan
-      in
-      rows := (name, estimate) :: !rows)
-    results;
-  let sorted = List.sort compare !rows in
-  Printf.printf "%-44s %16s\n" "benchmark" "time per solve";
-  Printf.printf "%s\n" (String.make 62 '-');
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if Float.is_nan ns then "-"
-        else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else Printf.sprintf "%.1f us" (ns /. 1e3)
-      in
-      Printf.printf "%-44s %16s\n" name pretty)
-    sorted
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -1180,59 +867,6 @@ let run_scaling () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Serve load generator                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Wall-clock measurements of the daemon (doc/serving.mld): an
-   in-process server on an ephemeral loopback port, driven by the
-   closed-loop client of Pipeline_serve.Load. The cold/warm phase pair
-   measures the warm-engine cache; EXPERIMENTS.md quotes a run. *)
-let run_serve_load () =
-  section
-    (Printf.sprintf
-       "SERVE LOAD: daemon throughput and latency, warm vs cold cache (jobs %d)"
-       (Pipeline_util.Pool.jobs ()));
-  Printf.printf
-    "(in-process daemon, ephemeral loopback port, one connection per\n\
-    \ request; solve-cold = fresh platform fingerprint per request,\n\
-    \ solve-warm = 4 cycling fingerprints; wall-clock, machine-dependent)\n\n";
-  let requests_per_phase =
-    if options.smoke then 10 else if options.quick then 60 else 200
-  in
-  let protocol = Pipeline_serve.Protocol.create () in
-  let server = Pipeline_serve.Server.start ~port:0 protocol in
-  let phases =
-    Fun.protect
-      ~finally:(fun () -> Pipeline_serve.Server.stop server)
-      (fun () ->
-        Pipeline_serve.Load.run ~requests_per_phase
-          ~port:(Pipeline_serve.Server.port server) ())
-  in
-  print_string (Pipeline_serve.Load.render phases);
-  let cs = Pipeline_serve.Protocol.cache_stats protocol in
-  Printf.printf
-    "\n\
-    \  warm-engine cache: %d platform hits, %d misses, %d app hits, %d app \
-     misses, %d evictions\n"
-    cs.Pipeline_serve.Cache.platform_hits cs.Pipeline_serve.Cache.platform_misses
-    cs.Pipeline_serve.Cache.app_hits cs.Pipeline_serve.Cache.app_misses
-    cs.Pipeline_serve.Cache.evictions;
-  (match
-     ( List.find_opt (fun p -> p.Pipeline_serve.Load.label = "solve-cold") phases,
-       List.find_opt (fun p -> p.Pipeline_serve.Load.label = "solve-warm") phases
-     )
-   with
-  | Some cold, Some warm when warm.Pipeline_serve.Load.mean_us > 0. ->
-    Printf.printf "  cold/warm mean latency ratio: %.2fx\n"
-      (cold.Pipeline_serve.Load.mean_us /. warm.Pipeline_serve.Load.mean_us)
-  | _ -> ());
-  let path = Filename.concat options.out "serve-load.csv" in
-  Pipeline_util.Csv.to_file path
-    (String.concat "\n" (Pipeline_serve.Load.to_csv phases) ^ "\n");
-  Printf.printf "  wrote %s\n" path;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   parse_args ();
@@ -1242,15 +876,12 @@ let () =
   Printf.printf "Reproduction harness. Output directory: %s (jobs: %d)\n"
     options.out
     (Pipeline_util.Pool.jobs ());
-  if options.figures then timed "figures" run_figures ();
-  if options.table1 then timed "table1" run_table1 ();
-  if options.ablation then timed "ablation" run_ablation ();
-  if options.faults then timed "faults" run_faults ();
-  if options.streaming then timed "streaming" run_streaming ();
-  if options.scaling then timed "scaling" run_scaling ();
-  if options.serve_load then timed "serve-load" run_serve_load ();
-  perf_counters := Obs.metrics ();
-  if options.timings then timed "timings" run_timings ();
+  if options.figures then run_figures ();
+  if options.table1 then run_table1 ();
+  if options.ablation then run_ablation ();
+  if options.faults then run_faults ();
+  if options.streaming then run_streaming ();
+  if options.scaling then run_scaling ();
   if options.metrics then begin
     section "OBSERVABILITY COUNTERS (deterministic: identical at any --jobs)";
     print_string (Obs.summary_table ());
@@ -1266,10 +897,11 @@ let () =
   print_newline ();
   let wall = Unix.gettimeofday () -. started in
   if options.perf_summary then begin
-    (* After the counters snapshot and metrics.csv: the ladder re-solves
-       the exact stack at three pool widths, which would otherwise
-       inflate the gated deterministic counters. *)
-    run_exact_jobs ();
+    (* Counters first: the ladder re-solves the exact stack at three
+       pool widths, which would otherwise inflate the gated
+       deterministic counters. *)
+    let counters = Obs.metrics () in
+    let exact_jobs = run_exact_jobs () in
     Printf.printf "exact-solver jobs ladder (same bit-identical work per width):\n";
     List.iter
       (fun (name, rows) ->
@@ -1282,9 +914,9 @@ let () =
           Printf.printf "  (j8 speedup %.2fx)" (t1 /. t8)
         | _ -> ());
         print_newline ())
-      !exact_jobs_results;
+      exact_jobs;
     let path = Filename.concat options.out "perf-summary.json" in
-    write_perf_summary ~wall path;
+    write_perf_summary ~counters ~exact_jobs path;
     Printf.printf "wrote %s\n" path
   end;
   Printf.printf "wall-clock: %.2f s (jobs %d)\n" wall

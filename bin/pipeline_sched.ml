@@ -328,7 +328,7 @@ let solve_reliability inst ~period ~failure fail_prob =
       period failure
   | Some sol ->
     Format.printf "%-18s %s period=%g latency=%g failure=%.3g@." "tri-criteria"
-      (Pipeline_deal.Deal_mapping.to_string sol.Pipeline_ft.Ft_heuristic.mapping)
+      (Deal_mapping.to_string sol.Pipeline_ft.Ft_heuristic.mapping)
       sol.Pipeline_ft.Ft_heuristic.period sol.Pipeline_ft.Ft_heuristic.latency
       sol.Pipeline_ft.Ft_heuristic.failure
 
@@ -557,7 +557,7 @@ let deal_cmd =
       | None -> Format.printf "deal heuristic: FAILED@."
       | Some (sol : Pipeline_deal.Deal_heuristic.solution) ->
         Format.printf "deal heuristic: %s period=%g latency=%g@."
-          (Pipeline_deal.Deal_mapping.to_string sol.Pipeline_deal.Deal_heuristic.mapping)
+          (Deal_mapping.to_string sol.Pipeline_deal.Deal_heuristic.mapping)
           sol.Pipeline_deal.Deal_heuristic.period
           sol.Pipeline_deal.Deal_heuristic.latency
     in

@@ -57,7 +57,7 @@ let () =
    with
   | Some sol ->
     Format.printf "with replication: %s period=%g latency=%g@."
-      (Pipeline_deal.Deal_mapping.to_string sol.Pipeline_deal.Deal_heuristic.mapping)
+      (Deal_mapping.to_string sol.Pipeline_deal.Deal_heuristic.mapping)
       sol.Pipeline_deal.Deal_heuristic.period
       sol.Pipeline_deal.Deal_heuristic.latency;
     (* Execute the dealt mapping operationally. *)

@@ -31,14 +31,14 @@
 open Pipeline_model
 
 type solution = {
-  mapping : Pipeline_deal.Deal_mapping.t;
+  mapping : Deal_mapping.t;
   period : float;   (** round-robin deal period *)
   latency : float;  (** worst-replica deal latency *)
   failure : float;  (** [Deal_reliability.failure] *)
 }
 
 val evaluate :
-  Instance.t -> Reliability.t -> Pipeline_deal.Deal_mapping.t -> solution
+  Instance.t -> Reliability.t -> Deal_mapping.t -> solution
 (** Score a deal mapping on all three criteria. *)
 
 val feasible : solution -> period:float -> failure:float -> bool

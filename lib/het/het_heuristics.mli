@@ -51,6 +51,10 @@ val minimise_period_under_latency :
     keeps the latency within budget. [None] when even the best
     single-processor mapping violates the budget.
 
+    Like {!Pipeline_core.Sp_mono_l}, the result is not monotone in the
+    budget: a larger budget can admit a higher-latency split early on
+    that the greedy never revisits, and end on a higher period.
+
     The four packaged heuristics (ids [het-sp-mono-p], [het-sp-bi-p],
     [het-sp-mono-l], [het-sp-bi-l]) live in the unified
     [Pipeline_registry] alongside every other stack's rows. *)

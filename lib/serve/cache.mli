@@ -19,8 +19,7 @@
     [platforms] platform entries, each holding at most
     [apps_per_platform] applications; the least recently used entry
     drops first. Interpretation choices (entry sizing, the interplay
-    with [Cost.get]'s 8-engine domain LRU, what "warm" means for the
-    load generator) are DESIGN.md §12.
+    with [Cost.get]'s 8-engine domain LRU) are DESIGN.md §12.
 
     Lookups mutate the LRU order: the cache is meant to be used from the
     server's single request thread (requests are serialised — the

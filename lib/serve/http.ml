@@ -8,16 +8,18 @@ type request = {
   body : string;
 }
 
-type error = Closed | Too_large of string | Malformed of string
+type error = Closed | Too_large of string | Malformed of string | Timeout
 
 let max_header_bytes = 8192
 let default_max_body = 1024 * 1024
+let deadline_s = 2.
 
 let reason = function
   | 200 -> "OK"
   | 400 -> "Bad Request"
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
+  | 408 -> "Request Timeout"
   | 413 -> "Payload Too Large"
   | 500 -> "Internal Server Error"
   | _ -> "Unknown"
@@ -26,16 +28,28 @@ let reason = function
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let rec really_read fd buf off need =
+exception Deadline
+
+(* One read that waits only for the time left before [deadline]. *)
+let rec read_before deadline fd buf off len =
+  let left = deadline -. Unix.gettimeofday () in
+  if left <= 0. then raise Deadline;
+  match Unix.select [ fd ] [] [] left with
+  | [], _, _ -> read_before deadline fd buf off len
+  | _ -> Unix.read fd buf off len
+  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+    read_before deadline fd buf off len
+
+let rec really_read deadline fd buf off need =
   if need > 0 then begin
-    let got = Unix.read fd buf off need in
+    let got = read_before deadline fd buf off need in
     if got = 0 then raise End_of_file;
-    really_read fd buf (off + got) (need - got)
+    really_read deadline fd buf (off + got) (need - got)
   end
 
 (* Accumulate until the header terminator; bytes past it are the start
    of the body. *)
-let read_head fd =
+let read_head deadline fd =
   let chunk = Bytes.create 1024 in
   let acc = Buffer.create 512 in
   (* Rescanning the whole buffer per chunk is fine: the head is capped
@@ -61,7 +75,7 @@ let read_head fd =
       if Buffer.length acc > max_header_bytes then
         Error (Too_large "request headers exceed the 8 KiB cap")
       else begin
-        let got = Unix.read fd chunk 0 (Bytes.length chunk) in
+        let got = read_before deadline fd chunk 0 (Bytes.length chunk) in
         if got = 0 then Error Closed
         else begin
           Buffer.add_subbytes acc chunk 0 got;
@@ -87,8 +101,8 @@ let parse_headers lines =
           Ok ((name, value) :: headers)))
     (Ok []) lines
 
-let read_request ?(max_body = default_max_body) fd =
-  match read_head fd with
+let read_framed ~max_body deadline fd =
+  match read_head deadline fd with
   | Error e -> Error e
   | Ok (head, early_body) -> (
     match String.split_on_char '\n' head with
@@ -127,12 +141,16 @@ let read_request ?(max_body = default_max_body) fd =
               Ok { meth; path; headers; body = String.sub early_body 0 n }
             else begin
               let rest = Bytes.create (n - have) in
-              match really_read fd rest 0 (n - have) with
+              match really_read deadline fd rest 0 (n - have) with
               | () ->
                 Ok { meth; path; headers; body = early_body ^ Bytes.to_string rest }
               | exception End_of_file -> Error Closed
             end)))
       | _ -> Error (Malformed "malformed request line")))
+
+let read_request ?(max_body = default_max_body) fd =
+  let deadline = Unix.gettimeofday () +. deadline_s in
+  try read_framed ~max_body deadline fd with Deadline -> Error Timeout
 
 let header req name = List.assoc_opt (String.lowercase_ascii name) req.headers
 

@@ -15,17 +15,23 @@ let serve_connection protocol ~max_body client =
   Fun.protect
     ~finally:(fun () -> try Unix.close client with Unix.Unix_error _ -> ())
     (fun () ->
+      (* Reads stop at the request deadline inside Http; a blocked write
+         gives up after the same time. *)
+      Unix.setsockopt_float client Unix.SO_SNDTIMEO Http.deadline_s;
+      let error status msg =
+        Http.write_response client ~status
+          (Printf.sprintf "{\"error\":%s}" (Json.to_string (Json.String msg)))
+      in
       match Http.read_request ~max_body client with
       | Ok req ->
         let status, content_type, body = Protocol.handle protocol req in
         Http.write_response client ~status ~content_type body
       | Error Http.Closed -> () (* nothing arrived; nothing to answer *)
-      | Error (Http.Too_large msg) ->
-        Http.write_response client ~status:413
-          (Printf.sprintf "{\"error\":%s}" (Json.to_string (Json.String msg)))
-      | Error (Http.Malformed msg) ->
-        Http.write_response client ~status:400
-          (Printf.sprintf "{\"error\":%s}" (Json.to_string (Json.String msg))))
+      | Error (Http.Too_large msg) -> error 413 msg
+      | Error (Http.Malformed msg) -> error 400 msg
+      | Error Http.Timeout ->
+        error 408
+          (Printf.sprintf "request not received within %g s" Http.deadline_s))
 
 let accept_loop protocol ~max_body sock stop_flag =
   while not (Atomic.get stop_flag) do

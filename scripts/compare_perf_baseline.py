@@ -15,16 +15,6 @@ baseline in the same PR:
 
 and record the why in DESIGN.md / EXPERIMENTS.md.
 
-Wall-clocks vary by machine and never gate: the whole-run wall-clock is
-reported, and flagged with a non-blocking ::warning:: only when it
-exceeds the tolerance band of +/-50% vs the baseline (generous on
-purpose: shared CI runners jitter, and the counters already catch every
-real complexity regression exactly).
-
-The "cache" block of perf-summary.json is ignored by design: cache
-traffic depends on how --jobs slices work across domains, so those
-values are jobs-variant diagnostics, not gate material.
-
 The "exact_jobs" block (wall-clocks of the exact-solver stack at 1/4/8
 domains, same bit-identical work per width) gates the task-tree speedup:
 when the CURRENT machine reports >= 8 cores, every ladder entry must
@@ -37,7 +27,6 @@ they are machine wall-clocks, not determinism material.
 import json
 import sys
 
-WALL_TOLERANCE = 0.50  # fraction of baseline wall-clock; warn-only
 MIN_EXACT_SPEEDUP = 3.0  # jobs-8 vs jobs-1, gating only with >= 8 cores
 
 
@@ -49,17 +38,6 @@ def main() -> int:
         base = json.load(f)
     with open(sys.argv[2]) as f:
         cur = json.load(f)
-
-    # Wall-clock: report always, warn outside the band, never fail.
-    bw, cw = base.get("wall_clock_s"), cur.get("wall_clock_s")
-    if bw and cw:
-        rel = (cw - bw) / bw
-        print(f"wall-clock: baseline {bw:.1f}s -> current {cw:.1f}s ({rel:+.0%})")
-        if abs(rel) > WALL_TOLERANCE:
-            print(
-                f"::warning::wall-clock {rel:+.0%} vs baseline, outside the "
-                f"+/-{WALL_TOLERANCE:.0%} band (non-blocking; counters gate)"
-            )
 
     bc = base.get("counters", {})
     cc = cur.get("counters", {})

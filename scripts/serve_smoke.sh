@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Serve-daemon lifecycle smoke: start `pipeline_sched serve` on an
 # ephemeral port, drive every endpoint through curl, check the warm
-# cache answers byte-identically, then SIGTERM and require the clean
-# shutdown line. Run by CI's serve job (and by hand:
+# cache answers byte-identically and that a stalled client cannot hold
+# a healthy one past the request deadline, then SIGTERM and require the
+# clean shutdown line. Run by CI's serve job (and by hand:
 # `bash scripts/serve_smoke.sh _build/default/bin/pipeline_sched.exe`).
 set -euo pipefail
 
@@ -71,6 +72,20 @@ grep -q "unknown heuristic nope" "$workdir/err.json" || fail "wrong 400 wording:
 # once grep has its match, and pipefail turns that into a failure.
 curl -sf -o "$workdir/metrics.txt" "$base/metrics" || fail "/metrics rejected"
 grep -q '^serve_requests ' "$workdir/metrics.txt" || fail "/metrics lacks serve_requests"
+
+# A client that sends half a request head and goes quiet holds the
+# daemon for at most the 2 s request deadline: a healthy /health behind
+# it is answered within 3 s, and the stalled client gets a 408.
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+printf 'GET /health HTTP/1.1\r\nHost: x\r\n' >&3
+status=$(curl -s -m 3 -o /dev/null -w '%{http_code}' "$base/health") || true
+[ "$status" = 200 ] || fail "/health behind a stalled client gave '$status', want 200 within 3 s"
+stalled=$(timeout 3 cat <&3) || true
+exec 3<&-
+case "$stalled" in
+  "HTTP/1.1 408"*) ;;
+  *) fail "stalled client got '$stalled', want a 408" ;;
+esac
 
 # Graceful shutdown on SIGTERM.
 kill -TERM "$pid"

@@ -247,7 +247,8 @@ let test_huge_period_returns_latency_optimal () =
       sol.Solution.latency
 
 let test_latency_budget_monotone () =
-  (* More latency budget can only improve (or keep) the period. *)
+  (* On this instance more latency budget improves (or keeps) the
+     period. That is not a law of H5: see [test_h5_budget_not_monotone]. *)
   let inst = Helpers.random_instance 4242 in
   let lopt = Instance.optimal_latency inst in
   let period_at budget =
@@ -258,6 +259,38 @@ let test_latency_budget_monotone () =
   let p1 = period_at 1.0 and p15 = period_at 1.5 and p3 = period_at 3.0 in
   Alcotest.(check bool) "1.5x <= 1.0x" true (p15 <= p1 +. 1e-9);
   Alcotest.(check bool) "3x <= 1.5x" true (p3 <= p15 +. 1e-9)
+
+(* More budget can raise H5's period: the larger budget admits a
+   higher-latency split early on, and the greedy never revisits it. *)
+let test_h5_budget_not_monotone () =
+  let inst = Helpers.random_instance 12245 in
+  let lopt = Instance.optimal_latency inst in
+  let period_at budget =
+    match Sp_mono_l.solve inst ~latency:(lopt *. budget) with
+    | Some sol -> sol.Solution.period
+    | None -> infinity
+  in
+  Helpers.check_float "1.2 x L_opt" 4.7571428571428571 (period_at 1.2);
+  Helpers.check_float "2.0 x L_opt" 6.7142857142857144 (period_at 2.0)
+
+(* What does hold: a budget H5 never used changes nothing. When the
+   mapping found at 2 x L_opt already meets 1.2 x L_opt, the run at
+   1.2 x L_opt makes the same choices and returns the same solution. *)
+let prop_unused_budget_changes_nothing =
+  Helpers.qtest "an unused latency budget changes no bit of H5" gen_seed
+    (fun seed ->
+      let inst = Helpers.random_instance seed in
+      let lopt = Instance.optimal_latency inst in
+      match Sp_mono_l.solve inst ~latency:(lopt *. 2.) with
+      | Some wide when Solution.respects_latency wide (lopt *. 1.2) -> (
+        let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+        match Sp_mono_l.solve inst ~latency:(lopt *. 1.2) with
+        | Some narrow ->
+          Mapping.equal narrow.Solution.mapping wide.Solution.mapping
+          && same narrow.Solution.period wide.Solution.period
+          && same narrow.Solution.latency wide.Solution.latency
+        | None -> false)
+      | _ -> true)
 
 let test_sp_bi_p_beats_or_ties_unconstrained_latency () =
   (* H4's binary search minimises latency: never worse than H1's latency
@@ -440,6 +473,9 @@ let () =
             test_huge_period_returns_latency_optimal;
           Alcotest.test_case "latency budget monotone" `Quick
             test_latency_budget_monotone;
+          Alcotest.test_case "latency budget not monotone" `Quick
+            test_h5_budget_not_monotone;
+          prop_unused_budget_changes_nothing;
           Alcotest.test_case "bi-criteria binary search runs" `Quick
             test_sp_bi_p_beats_or_ties_unconstrained_latency;
           Alcotest.test_case "pure 3-explo gets stuck" `Quick

@@ -1,7 +1,7 @@
 open Pipeline_model
 open Pipeline_ft
 module Rng = Pipeline_util.Rng
-module DM = Pipeline_deal.Deal_mapping
+module DM = Deal_mapping
 module DR = Pipeline_deal.Deal_reliability
 module Registry = Pipeline_core.Registry
 

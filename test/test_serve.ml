@@ -196,6 +196,7 @@ let test_http_malformed () =
     | Error (Http.Malformed _) -> ()
     | Error (Http.Too_large _) -> Alcotest.failf "%S: Too_large, expected Malformed" text
     | Error Http.Closed -> Alcotest.failf "%S: Closed, expected Malformed" text
+    | Error Http.Timeout -> Alcotest.failf "%S: Timeout, expected Malformed" text
     | Ok _ -> Alcotest.failf "%S accepted" text
   in
   expect_malformed "BLAH\r\n\r\n";
@@ -853,6 +854,85 @@ let test_server_reset_client () =
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
             Alcotest.fail "no answer within 2 s after a client reset"))
 
+(* A request head without the blank line that ends it: a client that
+   sends this and goes quiet has stalled. *)
+let partial_head = "GET /health HTTP/1.1\r\nHost: x\r\n"
+
+(* A connected client socket that has sent [text]. *)
+let client port text =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  ignore (Unix.write_substring fd text 0 (String.length text));
+  fd
+
+(* Everything the server sends on [fd] until it closes, or what arrived
+   before a 3 s receive timeout. *)
+let read_reply fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 3.;
+  let acc = Buffer.create 256 and buf = Bytes.create 1024 in
+  let rec drain () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | got ->
+      Buffer.add_subbytes acc buf 0 got;
+      drain ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  drain ();
+  Buffer.contents acc
+
+(* The stalled client holds the sequential accept loop only until the
+   request deadline: the healthy client behind it is answered within
+   3 s, and the stalled one gets a 408. *)
+let test_server_stalled_client () =
+  with_server (fun port ->
+      let stalled = client port partial_head in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close stalled with Unix.Unix_error _ -> ())
+        (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let healthy = client port (partial_head ^ "\r\n") in
+          let reply =
+            Fun.protect
+              ~finally:(fun () -> try Unix.close healthy with Unix.Unix_error _ -> ())
+              (fun () -> read_reply healthy)
+          in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool) "healthy client gets a 200" true
+            (String.starts_with ~prefix:"HTTP/1.1 200" reply);
+          Alcotest.(check bool)
+            (Printf.sprintf "answered within 3 s (took %.2f s)" elapsed)
+            true (elapsed < 3.);
+          let reply = read_reply stalled in
+          Alcotest.(check bool) "stalled client gets a 408" true
+            (String.starts_with ~prefix:"HTTP/1.1 408" reply);
+          Alcotest.(check bool) "408 body" true
+            (Str_find.contains reply
+               {|{"error":"request not received within 2 s"}|})))
+
+(* Stop runs on its own thread, so a stop that never returns fails the
+   test instead of hanging it. *)
+let test_server_stop_while_stalled () =
+  let server = Server.start ~port:0 (Protocol.create ()) in
+  let stalled = client (Server.port server) partial_head in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close stalled with Unix.Unix_error _ -> ())
+    (fun () ->
+      (* Let the accept loop (50 ms poll) pick the stalled client up. *)
+      Thread.delay 0.2;
+      let stopped = Atomic.make false in
+      let t0 = Unix.gettimeofday () in
+      ignore
+        (Thread.create
+           (fun () ->
+             Server.stop server;
+             Atomic.set stopped true)
+           ());
+      while (not (Atomic.get stopped)) && Unix.gettimeofday () -. t0 < 3. do
+        Thread.delay 0.01
+      done;
+      Alcotest.(check bool) "stop returns within 3 s" true (Atomic.get stopped))
+
 let test_server_stop_restart () =
   let protocol = Protocol.create () in
   let server = Server.start ~port:0 protocol in
@@ -947,6 +1027,10 @@ let () =
             test_server_concurrent_clients;
           Alcotest.test_case "client reset mid-body" `Quick
             test_server_reset_client;
+          Alcotest.test_case "stalled client next to a healthy one" `Quick
+            test_server_stalled_client;
+          Alcotest.test_case "stop while a client is stalled" `Quick
+            test_server_stop_while_stalled;
           Alcotest.test_case "stop and restart" `Quick test_server_stop_restart;
           Alcotest.test_case "byte-identical over HTTP" `Quick
             test_server_byte_identity;

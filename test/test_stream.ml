@@ -232,7 +232,7 @@ let small_mapped () =
   let threshold = Instance.single_proc_period inst in
   match (h1 ()).Pipeline_registry.solve inst ~threshold with
   | Some o -> (
-    match Pipeline_deal.Deal_mapping.to_mapping o.Pipeline_registry.mapping with
+    match Deal_mapping.to_mapping o.Pipeline_registry.mapping with
     | Some mapping -> (inst, mapping, threshold)
     | None -> Alcotest.fail "H1 returned a replicated mapping")
   | None -> Alcotest.fail "H1 infeasible"
