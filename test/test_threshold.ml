@@ -512,6 +512,69 @@ let prop_sp_bi_p_unchanged =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Golden thresholds                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every threshold the searches produce, pinned bit-for-bit: each
+   registry row but ft on E1-E4 x n in {5, 10, 20, 40} x 2 pairs
+   (p = 10, seed 2007) through Failure.instance_threshold, and the four
+   het rows on each bandwidth family (n = 12, p = 6, 2 pairs) through
+   Het_campaign.instance_threshold, rendered as hex floats and compared
+   with test/golden-threshold/thresholds.txt. On a mismatch the full
+   rendering is written to thresholds.txt.actual in the test's working
+   directory, ready to diff or copy over the golden. *)
+let render_thresholds () =
+  let module E = Pipeline_experiments in
+  let buf = Buffer.create 32768 in
+  let rows =
+    List.filter
+      (fun (i : Registry.info) -> i.Registry.stack <> Registry.Ft)
+      Registry.all
+  in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun n ->
+          let setup = E.Config.default_setup ~pairs:2 ~seed:2007 e ~n ~p:10 in
+          List.iteri
+            (fun k inst ->
+              List.iter
+                (fun (info : Registry.info) ->
+                  Printf.bprintf buf "%s n=%d #%d %s %h\n"
+                    (E.Config.experiment_name e) n k info.Registry.id
+                    (Failure.instance_threshold info inst))
+                rows)
+            (E.Workload.instances setup))
+        [ 5; 10; 20; 40 ])
+    E.Config.all_experiments;
+  List.iter
+    (fun family ->
+      List.iteri
+        (fun k inst ->
+          List.iter
+            (fun (info : Registry.info) ->
+              Printf.bprintf buf "%s #%d %s %h\n"
+                (E.Het_campaign.family_name family) k info.Registry.id
+                (E.Het_campaign.instance_threshold info inst))
+            Registry.het)
+        (E.Het_campaign.family_instances ~pairs:2 ~seed:2007 ~family ~n:12 6))
+    E.Het_campaign.families;
+  Buffer.contents buf
+
+let test_thresholds_golden () =
+  let actual = render_thresholds () in
+  let expected =
+    In_channel.with_open_bin "golden-threshold/thresholds.txt"
+      In_channel.input_all
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "thresholds.txt.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+    Alcotest.failf "thresholds moved; full rendering in %s"
+      (Filename.concat (Sys.getcwd ()) "thresholds.txt.actual")
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Threshold.bisect                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -577,6 +640,8 @@ let () =
         ] );
       ("failure-boundary", [ prop_failure_threshold_sound ]);
       ("sp-bi-p", [ prop_sp_bi_p_unchanged ]);
+      ( "golden",
+        [ Alcotest.test_case "thresholds" `Quick test_thresholds_golden ] );
       ( "bisect",
         [
           Alcotest.test_case "brackets the boundary" `Quick test_bisect_brackets;
