@@ -1,6 +1,6 @@
-(** H2b — "3-Explo bi": 3-exploration, bi-criteria, fixed period (§4.1).
+(** H3 — "3-Explo bi": 3-exploration, bi-criteria, fixed period (§4.1).
 
-    Same 3-way splitting mechanism as H2a, but the retained candidate
+    Same 3-way splitting mechanism as H2, but the retained candidate
     minimises [max_{i∈{j,j',j''}} Δlatency/Δperiod(i)] — the latency
     price paid per unit of period improvement. *)
 

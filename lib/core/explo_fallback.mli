@@ -8,7 +8,7 @@
     no asymptotic cost; the ablation bench quantifies the gain. *)
 
 val solve_mono : Pipeline_model.Instance.t -> period:float -> Solution.t option
-(** H2a with fallback. *)
+(** H2 with fallback (registry row H2x). *)
 
 val solve_bi : Pipeline_model.Instance.t -> period:float -> Solution.t option
-(** H2b with fallback. *)
+(** H3 with fallback (registry row H3x). *)

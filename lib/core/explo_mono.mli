@@ -1,4 +1,4 @@
-(** H2a — "3-Explo mono": 3-exploration, mono-criterion, fixed period
+(** H2 — "3-Explo mono": 3-exploration, mono-criterion, fixed period
     (§4.1).
 
     Split the bottleneck interval in three, keeping one part on its

@@ -1,4 +1,3 @@
-
 type gen = Split.t -> j:int -> Split.candidate list
 type select = Split.candidate list -> Split.candidate option
 
@@ -31,11 +30,9 @@ let gen_three_with_fallback config ~j =
 
 let threshold_met = Pipeline_util.Tol.meets
 
-let minimise_latency_under_period ?(latency_cap = infinity) ~gen ~select inst
-    ~period =
+let walk ?(latency_cap = infinity) ~gen ~select ~stop inst =
   let rec refine config =
-    if threshold_met (Split.period config) period then
-      Some (Split.to_solution config)
+    if stop config then config
     else begin
       let j = Split.bottleneck config in
       let candidates =
@@ -44,24 +41,24 @@ let minimise_latency_under_period ?(latency_cap = infinity) ~gen ~select inst
           (gen config ~j)
       in
       match select candidates with
-      | None -> None (* bottleneck cannot be improved: the period is stuck *)
+      | None -> config (* no candidate improves the bottleneck *)
       | Some cand -> refine (Split.apply config cand)
     end
   in
   refine (Split.initial inst)
 
+let never _ = false
+
+let minimise_latency_under_period ?latency_cap ~gen ~select inst ~period =
+  let met config = threshold_met (Split.period config) period in
+  let config = walk ?latency_cap ~gen ~select ~stop:met inst in
+  if met config then Some (Split.to_solution config) else None
+
 let minimise_period_under_latency ~gen ~select inst ~latency =
-  let rec refine config =
-    let j = Split.bottleneck config in
-    let candidates =
-      List.filter
-        (fun (c : Split.candidate) -> threshold_met c.latency latency)
-        (gen config ~j)
-    in
-    match select candidates with
-    | None -> Split.to_solution config
-    | Some cand -> refine (Split.apply config cand)
-  in
-  let config = Split.initial inst in
-  if threshold_met (Split.latency config) latency then Some (refine config)
+  if threshold_met (Split.latency (Split.initial inst)) latency then
+    Some
+      (Split.to_solution
+         (walk ~latency_cap:latency ~gen ~select ~stop:never inst))
   else None
+
+let reach ~gen ~select inst = Split.period (walk ~gen ~select ~stop:never inst)

@@ -1,15 +1,16 @@
-(** Driver loops shared by the heuristics.
+(** Driver loop shared by the heuristics.
 
     Both paper families follow the same skeleton: start from the
     latency-optimal configuration (everything on the fastest processor)
     and repeatedly split the current bottleneck interval, handing stages
-    to the next fastest unused processor(s), until the break condition.
+    to the next fastest unused processor(s). That skeleton is one
+    {!walk}; the families differ only in when it stops.
 
     {ul
-    {- {e Period fixed} (H1, H2a, H2b, H3): split while the period exceeds
-       the threshold; succeed iff it is reached. The selection rule and an
-       optional latency cap (H3) are parameters.}
-    {- {e Latency fixed} (H4, H5): split while improving candidates exist
+    {- {e Period fixed} (H1–H4): walk until the period meets the
+       threshold; succeed iff it does. The selection rule and an optional
+       latency cap (H4) are parameters.}
+    {- {e Latency fixed} (H5, H6): walk while improving candidates exist
        that keep the latency within the threshold, driving the period as
        low as possible; succeed iff the optimal latency itself respects
        the threshold.}} *)
@@ -22,6 +23,14 @@ type gen = Split.t -> j:int -> Split.candidate list
 type select = Split.candidate list -> Split.candidate option
 (** Retain one candidate of a non-empty filtered list ([None] to stop). *)
 
+val walk :
+  ?latency_cap:float ->
+  gen:gen -> select:select -> stop:(Split.t -> bool) -> Instance.t -> Split.t
+(** From {!Split.initial}, apply the selected candidate of the
+    bottleneck interval until [stop] holds or none is left; returns the
+    configuration where it stopped. Candidates whose latency exceeds
+    [latency_cap] (default [+∞]) are discarded before selection. *)
+
 val minimise_latency_under_period :
   ?latency_cap:float ->
   gen:gen ->
@@ -29,15 +38,20 @@ val minimise_latency_under_period :
   Instance.t ->
   period:float ->
   Solution.t option
-(** Splitting loop of the period-fixed family. Candidates whose latency
-    exceeds [latency_cap] (default [+∞]) are discarded before selection.
-    Returns the final solution when the period threshold is reached,
-    [None] otherwise (failure). *)
+(** Period-fixed family: {!walk} until the period meets the threshold;
+    [None] when it never does. *)
 
 val minimise_period_under_latency :
   gen:gen -> select:select -> Instance.t -> latency:float -> Solution.t option
-(** Splitting loop of the latency-fixed family. [None] when even the
-    single-processor optimum violates the latency threshold. *)
+(** Latency-fixed family: {!walk} to the end, capped at the threshold;
+    [None] when even the starting mapping violates it. *)
+
+val reach : gen:gen -> select:select -> Instance.t -> float
+(** Final period of the cap-free {!walk} that never stops early. The
+    bound only decides where that walk stops and every split lowers the
+    period, so [minimise_latency_under_period ~gen ~select inst ~period]
+    succeeds iff [Tol.meets (reach ~gen ~select inst) period]
+    (DESIGN.md §9). *)
 
 val select_mono : select
 (** Minimise the largest piece cycle-time ([max(period(j), period(j')) ]

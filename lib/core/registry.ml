@@ -8,7 +8,12 @@ type info = {
   table_name : string;
   kind : kind;
   solve : Instance.t -> threshold:float -> Solution.t option;
+  reach : Instance.t -> float;
 }
+
+(* The latency-fixed loop succeeds iff its starting mapping meets the
+   budget. *)
+let start_latency inst = Split.latency (Split.initial inst)
 
 let all =
   [
@@ -18,6 +23,7 @@ let all =
       table_name = "H1";
       kind = Period_fixed;
       solve = (fun inst ~threshold -> Sp_mono_p.solve inst ~period:threshold);
+      reach = Sp_mono_p.reach;
     };
     {
       id = "h2-3explo-mono";
@@ -25,6 +31,7 @@ let all =
       table_name = "H2";
       kind = Period_fixed;
       solve = (fun inst ~threshold -> Explo_mono.solve inst ~period:threshold);
+      reach = Loop.reach ~gen:Loop.gen_three ~select:Loop.select_mono;
     };
     {
       id = "h3-3explo-bi";
@@ -32,6 +39,7 @@ let all =
       table_name = "H3";
       kind = Period_fixed;
       solve = (fun inst ~threshold -> Explo_bi.solve inst ~period:threshold);
+      reach = Loop.reach ~gen:Loop.gen_three ~select:Loop.select_bi;
     };
     {
       id = "h4-sp-bi-p";
@@ -39,6 +47,7 @@ let all =
       table_name = "H4";
       kind = Period_fixed;
       solve = (fun inst ~threshold -> Sp_bi_p.solve inst ~period:threshold);
+      reach = Loop.reach ~gen:Loop.gen_two ~select:Loop.select_bi;
     };
     {
       id = "h5-sp-mono-l";
@@ -46,6 +55,7 @@ let all =
       table_name = "H5";
       kind = Latency_fixed;
       solve = (fun inst ~threshold -> Sp_mono_l.solve inst ~latency:threshold);
+      reach = start_latency;
     };
     {
       id = "h6-sp-bi-l";
@@ -53,6 +63,7 @@ let all =
       table_name = "H6";
       kind = Latency_fixed;
       solve = (fun inst ~threshold -> Sp_bi_l.solve inst ~latency:threshold);
+      reach = start_latency;
     };
   ]
 
@@ -65,6 +76,8 @@ let extended =
       kind = Period_fixed;
       solve =
         (fun inst ~threshold -> Explo_fallback.solve_mono inst ~period:threshold);
+      reach =
+        Loop.reach ~gen:Loop.gen_three_with_fallback ~select:Loop.select_mono;
     };
     {
       id = "h3x-3explo-bi-fb";
@@ -73,6 +86,8 @@ let extended =
       kind = Period_fixed;
       solve =
         (fun inst ~threshold -> Explo_fallback.solve_bi inst ~period:threshold);
+      reach =
+        Loop.reach ~gen:Loop.gen_three_with_fallback ~select:Loop.select_bi;
     };
   ]
 

@@ -13,6 +13,10 @@ type info = {
   table_name : string;  (** row name in the paper's Table 1 (H1 … H6) *)
   kind : kind;
   solve : Instance.t -> threshold:float -> Solution.t option;
+  reach : Instance.t -> float;
+      (** For every [t], [solve inst ~threshold:t <> None] iff
+          [Tol.meets (reach inst) t]: the final period of the bound-free
+          walk, or the starting latency (DESIGN.md §9). *)
 }
 
 val all : info list

@@ -1,6 +1,6 @@
-(** H5 — "Sp bi L": splitting, bi-criteria, fixed latency (§4.2).
+(** H6 — "Sp bi L": splitting, bi-criteria, fixed latency (§4.2).
 
-    Variant of H4 selecting, at each step, the split that minimises
+    Variant of H5 selecting, at each step, the split that minimises
     [max_{i∈{j,j'}} Δlatency/Δperiod(i)] while the latency budget is not
     exceeded. *)
 

@@ -1,4 +1,4 @@
-(** H3 — "Sp bi P": splitting, bi-criteria, fixed period, with a binary
+(** H4 — "Sp bi P": splitting, bi-criteria, fixed period, with a binary
     search over the authorised latency (§4.1).
 
     Each trial fixes an authorised latency (between the optimal latency

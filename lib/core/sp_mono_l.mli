@@ -1,4 +1,4 @@
-(** H4 — "Sp mono L": splitting, mono-criterion, fixed latency (§4.2).
+(** H5 — "Sp mono L": splitting, mono-criterion, fixed latency (§4.2).
 
     Same splitting mechanism as H1, but the break condition is the
     latency budget: splits are applied while they keep the latency within

@@ -7,3 +7,6 @@
 
 val solve : Pipeline_model.Instance.t -> period:float -> Solution.t option
 (** Minimised latency under the period threshold; [None] on failure. *)
+
+val reach : Pipeline_model.Instance.t -> float
+(** {!Loop.reach} of {!solve}. *)

@@ -58,35 +58,41 @@ let select = function
   | first :: rest ->
     Some (List.fold_left (fun acc c -> if better c acc then c else acc) first rest)
 
-let improving (sol : solution) = List.filter (fun c -> c.period < sol.period)
-
-let minimise_latency_under_period inst ~period =
+(* The one split/replicate loop: from [initial], apply the best
+   period-improving move until [stop] holds or none is left. *)
+let walk ?(latency_cap = infinity) ~stop inst =
   let rec refine sol =
-    if threshold_met sol.period period then Some sol
+    if stop sol then sol
     else
       let j = bottleneck inst sol in
-      match select (improving sol (candidates inst sol ~j)) with
-      | Some best -> refine best
-      | None ->
-        (* Stuck: a replicated bottleneck cannot be split, and another
-           replica may not pay for itself. Splits alone may still get
-           there, so fall back on H1. *)
-        Option.map
-          (fun (h1 : Pipeline_core.Solution.t) ->
-            evaluate inst (Deal_mapping.of_mapping h1.mapping))
-          (Pipeline_core.Sp_mono_p.solve inst ~period)
+      let acceptable =
+        List.filter
+          (fun c -> c.period < sol.period && threshold_met c.latency latency_cap)
+          (candidates inst sol ~j)
+      in
+      match select acceptable with None -> sol | Some best -> refine best
   in
   refine (initial inst)
 
+let never _ = false
+
+let minimise_latency_under_period inst ~period =
+  let met sol = threshold_met sol.period period in
+  let sol = walk ~stop:met inst in
+  if met sol then Some sol
+  else
+    (* Stuck: a replicated bottleneck cannot be split, and another
+       replica may not pay for itself. Splits alone may still get there,
+       so fall back on H1. *)
+    Option.map
+      (fun (h1 : Pipeline_core.Solution.t) ->
+        evaluate inst (Deal_mapping.of_mapping h1.mapping))
+      (Pipeline_core.Sp_mono_p.solve inst ~period)
+
 let minimise_period_under_latency inst ~latency =
-  let rec refine sol =
-    let j = bottleneck inst sol in
-    let acceptable =
-      List.filter
-        (fun c -> threshold_met c.latency latency)
-        (improving sol (candidates inst sol ~j))
-    in
-    match select acceptable with None -> sol | Some best -> refine best
-  in
-  let sol = initial inst in
-  if threshold_met sol.latency latency then Some (refine sol) else None
+  if threshold_met (initial inst).latency latency then
+    Some (walk ~latency_cap:latency ~stop:never inst)
+  else None
+
+let reach inst =
+  Float.min (walk ~stop:never inst).period (Pipeline_core.Sp_mono_p.reach inst)

@@ -26,6 +26,9 @@ type solution = {
   latency : float;
 }
 
+val initial : Instance.t -> solution
+(** Every stage on the fastest processor, where both drivers start. *)
+
 val minimise_latency_under_period : Instance.t -> period:float -> solution option
 (** Split/replicate while the period exceeds the threshold. When no move
     improves the period any more (a replicated bottleneck cannot be
@@ -33,4 +36,11 @@ val minimise_latency_under_period : Instance.t -> period:float -> solution optio
     deal mapping, so this never fails where H1 succeeds. *)
 
 val minimise_period_under_latency : Instance.t -> latency:float -> solution option
-(** Split/replicate while the period improves within the latency budget. *)
+(** Split/replicate while the period improves within the latency budget.
+    [None] when {!initial} violates the budget. *)
+
+val reach : Instance.t -> float
+(** The smaller of the final period of the walk run without a bound
+    and H1's {!Pipeline_core.Sp_mono_p.reach}, the fallback's:
+    [minimise_latency_under_period ~period] succeeds iff
+    [Tol.meets (reach inst) period]. *)

@@ -34,30 +34,38 @@ let period_candidates (info : Registry.info) (inst : Instance.t) =
     else None
   | Registry.Ft -> None
 
-let instance_threshold ?(iterations = 40) (info : Registry.info) inst =
+(* Rows with a [reach] answer every probe with one comparison against
+   one walk, computed on the first probe; only ft re-solves at each
+   probe (DESIGN.md §9). *)
+let search ~counter ?search_counter (info : Registry.info) inst =
+  let meets =
+    match info.reach with
+    | Some reach ->
+      let reach = lazy (reach inst) in
+      fun threshold -> Pipeline_util.Tol.meets (Lazy.force reach) threshold
+    | None -> fun threshold -> info.solve inst ~threshold <> None
+  in
   let probes = ref 0 in
   let succeeds threshold =
     incr probes;
-    info.solve inst ~threshold <> None
+    meets threshold
   in
   let bisection () =
     (* Bracket the boundary: 0 always fails (periods and latencies are
-       positive), [hi] always succeeds. *)
+       positive). [hi_start] succeeds for every row but pathological
+       ones; double it until it does, probing each top once. *)
     let hi_start =
       match info.kind with
       | Registry.Period_fixed -> Instance.single_proc_period inst
       | Registry.Latency_fixed -> Instance.optimal_latency inst
     in
     let hi = ref (Float.max hi_start 1e-9) in
-    if not (succeeds !hi) then
-      (* Pathological: even the guaranteed-feasible threshold fails; widen
-         until success (finite instances always succeed eventually). *)
-      while not (succeeds !hi) do
-        hi := !hi *. 2.
-      done;
+    while not (succeeds !hi) do
+      hi := !hi *. 2.
+    done;
     let b =
-      Threshold.bisect ~max_probes:iterations ~rel:latency_rel ~lo:0. ~hi:!hi
-        ~feasible:succeeds ()
+      Threshold.bisect ~max_probes:40 ~rel:latency_rel
+        ?probe_counter:search_counter ~lo:0. ~hi:!hi ~feasible:succeeds ()
     in
     b.Threshold.lo
   in
@@ -68,7 +76,9 @@ let instance_threshold ?(iterations = 40) (info : Registry.info) inst =
       match period_candidates info inst with
       | None -> bisection ()
       | Some set -> (
-        match Threshold.boundary_set ~set ~succeeds () with
+        match
+          Threshold.boundary_set ?probe_counter:search_counter ~set ~succeeds ()
+        with
         | Some boundary -> boundary
         | None ->
           (* Even the top candidate failed (the heuristic rejects
@@ -76,26 +86,24 @@ let instance_threshold ?(iterations = 40) (info : Registry.info) inst =
              to the widening bisection. *)
           bisection ()))
   in
-  Obs.Counter.add c_probes !probes;
+  Obs.Counter.add counter !probes;
   result
 
-(* Each per-instance bisection is independent, so the per-pair loop fans
+let instance_threshold info inst = search ~counter:c_probes info inst
+
+(* Each per-instance search is independent, so the per-pair loop fans
    out across the domain pool; folding the result array in index order
    keeps the summation order — and therefore every table cell —
    identical to the sequential run. *)
-let instance_thresholds ?iterations info instances =
-  Pipeline_util.Pool.map
-    (fun inst -> instance_threshold ?iterations info inst)
-    (Array.of_list instances)
+let instance_thresholds info instances =
+  Pipeline_util.Pool.map (instance_threshold info) (Array.of_list instances)
 
-let average_threshold ?iterations (info : Registry.info) instances =
-  let total =
-    Array.fold_left ( +. ) 0. (instance_thresholds ?iterations info instances)
-  in
+let average_threshold (info : Registry.info) instances =
+  let total = Array.fold_left ( +. ) 0. (instance_thresholds info instances) in
   total /. float_of_int (List.length instances)
 
-let max_threshold ?iterations (info : Registry.info) instances =
-  Array.fold_left Float.max 0. (instance_thresholds ?iterations info instances)
+let max_threshold (info : Registry.info) instances =
+  Array.fold_left Float.max 0. (instance_thresholds info instances)
 
 type aggregate = Mean | Max
 
@@ -116,9 +124,8 @@ let table ?(aggregate = Mean) ?(pairs = 50) ?(seed = 2007) experiment ~p ~ns =
         Workload.instances (Config.default_setup ~pairs ~seed experiment ~n ~p))
       ns
   in
-  let measure = match aggregate with
-    | Mean -> average_threshold ?iterations:None
-    | Max -> max_threshold ?iterations:None
+  let measure =
+    match aggregate with Mean -> average_threshold | Max -> max_threshold
   in
   let rows =
     List.map

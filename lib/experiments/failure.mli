@@ -7,27 +7,37 @@
     it is located {e exactly} by {!Pipeline_model.Threshold.search} over
     the finite candidate set; latency-fixed rows (and stacks off the
     plain candidate grid) use the adaptive bisection of
-    {!Pipeline_model.Threshold.bisect} (DESIGN.md §9). The reported value
-    averages the per-instance boundaries over the batch, matching the
-    table's per-(experiment, n) cells. *)
+    {!Pipeline_model.Threshold.bisect} (DESIGN.md §9). Every row but ft
+    answers each probe of either search by comparing the threshold with
+    the [reach] of its {!Pipeline_registry.info}, computed once; ft
+    solves at each probe. The reported value averages the per-instance
+    boundaries over the batch, matching the table's per-(experiment, n)
+    cells. *)
 
 open Pipeline_model
 module Registry = Pipeline_registry
 
-val instance_threshold : ?iterations:int -> Registry.info -> Instance.t -> float
-(** The feasibility boundary of one heuristic on one instance: the exact
-    smallest succeeding candidate for period-fixed rows, the adaptive
-    bisection's bracket otherwise ([iterations], default 40, caps the
-    bisection probes; the candidate search needs no cap). For
+val search :
+  counter:Obs.Counter.t ->
+  ?search_counter:Obs.Counter.t ->
+  Registry.info ->
+  Instance.t ->
+  float
+(** The one threshold search: the exact smallest succeeding candidate
+    for period-fixed rows, the adaptive bisection's bracket (at most 40
+    probes) otherwise. [counter] counts its probes; [search_counter],
+    when given, replaces the [model.threshold.*] counters. *)
+
+val instance_threshold : Registry.info -> Instance.t -> float
+(** {!search} counted on [experiments.threshold_probes]. For
     latency-fixed heuristics this converges to the optimal latency — H5
     and H6 necessarily tie, which is exactly the paper's "surprising"
     observation. *)
 
-val average_threshold :
-  ?iterations:int -> Registry.info -> Instance.t list -> float
+val average_threshold : Registry.info -> Instance.t list -> float
 (** Batch average of {!instance_threshold}. *)
 
-val max_threshold : ?iterations:int -> Registry.info -> Instance.t list -> float
+val max_threshold : Registry.info -> Instance.t list -> float
 (** Worst per-instance boundary over the batch — the alternative reading
     of the paper's "largest value for which the heuristic was not able to
     find a solution" (cf. EXPERIMENTS.md). *)

@@ -7,8 +7,7 @@ module Table = Pipeline_util.Table
    names on purpose: the golden-gated metrics dump pins the historical
    counters, so the het table must only move rows of its own. *)
 let c_threshold_probes =
-  Obs.Counter.make
-    ~doc:"solver feasibility probes in Het_campaign.instance_threshold"
+  Obs.Counter.make ~doc:"feasibility probes in Het_campaign.instance_threshold"
     "experiments.het.threshold_probes"
 
 let c_search_probes =
@@ -69,46 +68,11 @@ let family_instances ?(pairs = 50) ?(seed = 2007) ~family ~n p =
        (family_instance ~seed ~family ~n ~p)
        (Array.init pairs Fun.id))
 
-(* Exact threshold of one het row on one instance: binary search over
-   the fully-het candidate set for the period direction, adaptive
-   bisection for latency. Mirrors Failure.instance_threshold but routes
-   every probe to the experiments.het.* counters so the historical
-   metrics rows stay untouched. *)
-let instance_threshold (info : Pipeline_registry.info) (inst : Instance.t) =
-  let probes = ref 0 in
-  let succeeds threshold =
-    incr probes;
-    info.Pipeline_registry.solve inst ~threshold <> None
-  in
-  let bisection () =
-    let hi_start =
-      match info.Pipeline_registry.kind with
-      | Pipeline_registry.Period_fixed -> Instance.single_proc_period inst
-      | Pipeline_registry.Latency_fixed -> Instance.optimal_latency inst
-    in
-    let hi = ref (Float.max hi_start 1e-9) in
-    while not (succeeds !hi) do
-      hi := !hi *. 2.
-    done;
-    let b =
-      Threshold.bisect ~max_probes:40 ~rel:1e-10
-        ~probe_counter:c_search_probes ~lo:0. ~hi:!hi ~feasible:succeeds ()
-    in
-    b.Threshold.lo
-  in
-  let result =
-    match info.Pipeline_registry.kind with
-    | Pipeline_registry.Latency_fixed -> bisection ()
-    | Pipeline_registry.Period_fixed -> (
-      let set = Candidates.Set.of_engine (Cost.get inst.app inst.platform) in
-      match
-        Threshold.boundary_set ~probe_counter:c_search_probes ~set ~succeeds ()
-      with
-      | Some boundary -> boundary
-      | None -> bisection ())
-  in
-  Obs.Counter.add c_threshold_probes !probes;
-  result
+(* The Failure search, counted on the experiments.het.* counters so the
+   historical metrics rows stay untouched. *)
+let instance_threshold info inst =
+  Failure.search ~counter:c_threshold_probes ~search_counter:c_search_probes
+    info inst
 
 type threshold_table = {
   n : int;
@@ -171,12 +135,7 @@ let validate ?(runs = 20) ?(seed = 2007) ~family () =
       (Pipeline_optimal.Exhaustive.min_period inst).Pipeline_core.Solution
       .period
     in
-    match
-      Pipeline_het.Het_heuristics.minimise_period_under_latency inst
-        ~latency:infinity
-    with
-    | Some sol -> sol.Pipeline_core.Solution.period /. optimal
-    | None -> infinity
+    Pipeline_het.Het_heuristics.reach inst /. optimal
   in
   (* Sequential over runs: each ratio calls the exhaustive oracle, whose
      enumeration fans out over the domain pool (Pool.fan_out) — the

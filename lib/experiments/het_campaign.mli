@@ -61,12 +61,12 @@ val family_instances :
 (** {1 Exact thresholds per family} *)
 
 val instance_threshold : Pipeline_registry.info -> Instance.t -> float
-(** Exact threshold of one registry row on one instance: binary search
-    over the fully-het candidate set ({!Candidates.Set}) for
+(** {!Failure.search} on one het registry row and one instance: binary
+    search over the fully-het candidate set ({!Candidates.Set}) for
     period-direction rows, adaptive bisection for latency-direction
     rows. Probes are tallied on [experiments.het.threshold_probes]
-    (solver calls) and [experiments.het.search_probes] (search probes),
-    {e not} on the historical threshold counters. *)
+    (feasibility probes) and [experiments.het.search_probes] (search
+    probes), {e not} on the historical threshold counters. *)
 
 type threshold_table = {
   n : int;
@@ -98,8 +98,8 @@ type validation = { runs : int; mean_ratio : float; max_ratio : float }
 
 val validate : ?runs:int -> ?seed:int -> family:family -> unit -> validation
 (** Ratio of the het heuristic's unconstrained-best period
-    ({!Pipeline_het.Het_heuristics.minimise_period_under_latency} at
-    [latency = ∞]) to {!Pipeline_optimal.Exhaustive.min_period}, over
+    ({!Pipeline_het.Het_heuristics.reach}) to
+    {!Pipeline_optimal.Exhaustive.min_period}, over
     [runs] (default 20) small instances (n ∈ [\[3,8\]], p ∈ [\[2,6\]])
     of the family. [mean_ratio ≥ 1.] and [max_ratio ≥ 1.] always; both
     equal [1.] when the heuristic is optimal on every draw. *)

@@ -116,38 +116,38 @@ let pick select current = function
 let bottleneck (inst : Instance.t) (sol : Solution.t) =
   Metrics.bottleneck inst.app inst.platform sol.Solution.mapping
 
-let minimise_latency_under_period ?(select = Min_period) (inst : Instance.t)
-    ~period =
+(* The one splitting loop: from [initial], apply the selected
+   period-improving candidate until [stop] holds or none is left. *)
+let walk ?(latency_cap = infinity) ~select ~stop (inst : Instance.t) =
   let rec refine (sol : Solution.t) =
-    if threshold_met sol.Solution.period period then Some sol
+    if stop sol then sol
     else begin
       let j = bottleneck inst sol in
       let improving =
         List.filter
-          (fun (c : Solution.t) -> c.Solution.period < sol.Solution.period)
+          (fun (c : Solution.t) ->
+            c.Solution.period < sol.Solution.period
+            && threshold_met c.Solution.latency latency_cap)
           (candidates inst sol ~j)
       in
       match pick select sol improving with
-      | None -> None
+      | None -> sol
       | Some best -> refine best
     end
   in
   refine (initial inst)
 
-let minimise_period_under_latency ?(select = Min_period) (inst : Instance.t)
-    ~latency =
-  let rec refine (sol : Solution.t) =
-    let j = bottleneck inst sol in
-    let improving =
-      List.filter
-        (fun (c : Solution.t) ->
-          c.Solution.period < sol.Solution.period
-          && threshold_met c.Solution.latency latency)
-        (candidates inst sol ~j)
-    in
-    match pick select sol improving with
-    | None -> sol
-    | Some best -> refine best
-  in
-  let sol = initial inst in
-  if threshold_met sol.Solution.latency latency then Some (refine sol) else None
+let never _ = false
+
+let minimise_latency_under_period ?(select = Min_period) inst ~period =
+  let met (sol : Solution.t) = threshold_met sol.Solution.period period in
+  let sol = walk ~select ~stop:met inst in
+  if met sol then Some sol else None
+
+let minimise_period_under_latency ?(select = Min_period) inst ~latency =
+  if threshold_met (initial inst).Solution.latency latency then
+    Some (walk ~latency_cap:latency ~select ~stop:never inst)
+  else None
+
+let reach ?(select = Min_period) inst =
+  (walk ~select ~stop:never inst).Solution.period

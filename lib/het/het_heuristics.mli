@@ -39,11 +39,19 @@ type select =
   | Min_ratio   (** smallest latency increase per unit of period gained
                     (the paper's bi-criteria rule, on global values) *)
 
+val initial : Instance.t -> Solution.t
+(** Best single-processor mapping by latency, where both drivers start. *)
+
 val minimise_latency_under_period :
   ?select:select -> Instance.t -> period:float -> Solution.t option
 (** Split the bottleneck while the period exceeds the threshold
     (default selection [Min_period]). [None] when stuck above the
     threshold. *)
+
+val reach : ?select:select -> Instance.t -> float
+(** Final period of the walk run without a bound:
+    [minimise_latency_under_period ~select ~period] succeeds iff
+    [Tol.meets (reach ~select inst) period]. *)
 
 val minimise_period_under_latency :
   ?select:select -> Instance.t -> latency:float -> Solution.t option

@@ -151,15 +151,6 @@ let search_set ?probe_counter ~set ~probe () =
             finish !best))
   end
 
-let boundary ?probe_counter ~candidates ~succeeds () =
-  match
-    search ?probe_counter ~candidates
-      ~probe:(fun t -> if succeeds t then Some () else None)
-      ()
-  with
-  | None -> None
-  | Some { threshold; _ } -> Some threshold
-
 let boundary_set ?probe_counter ~set ~succeeds () =
   match
     search_set ?probe_counter ~set

@@ -65,24 +65,16 @@ val search_set :
     empty rounds. Lazy probes are counted in
     [model.threshold.lattice_probes]. *)
 
-val boundary :
-  ?probe_counter:Obs.Counter.t ->
-  candidates:float array ->
-  succeeds:(float -> bool) ->
-  unit ->
-  float option
-(** {!search} for plain feasibility tests: the exact threshold at which
-    [succeeds] flips from false to true, assuming it only flips at a
-    candidate (true whenever the probed solver compares its threshold
-    against achievable objective values — DESIGN.md §9). *)
-
 val boundary_set :
   ?probe_counter:Obs.Counter.t ->
   set:Candidates.Set.t ->
   succeeds:(float -> bool) ->
   unit ->
   float option
-(** {!boundary} over a possibly-lazy set, via {!search_set}. *)
+(** {!search_set} for plain feasibility tests: the exact threshold at
+    which [succeeds] flips from false to true, assuming it only flips at
+    a candidate (true whenever the probed solver compares its threshold
+    against achievable objective values — DESIGN.md §9). *)
 
 type bisection = {
   lo : float;  (** largest known-infeasible value *)

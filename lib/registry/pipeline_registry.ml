@@ -24,6 +24,7 @@ type info = {
   kind : kind;
   stack : stack;
   solve : ?ctx:context -> Instance.t -> threshold:float -> outcome option;
+  reach : (Instance.t -> float) option;
 }
 
 (* Objective values are copied from the stack's own evaluation, never
@@ -54,6 +55,7 @@ let of_core (info : Core_registry.info) =
     solve =
       (fun ?ctx:_ inst ~threshold ->
         Option.map outcome_of_solution (info.solve inst ~threshold));
+    reach = Some info.reach;
   }
 
 let of_core_extension info = { (of_core info) with stack = Extension }
@@ -80,6 +82,14 @@ let het_row ~id ~paper_name ~table_name ~kind ~select =
               inst ~latency:threshold
         in
         Option.map outcome_of_solution result);
+    reach =
+      Some
+        (match kind with
+        | Period_fixed -> Pipeline_het.Het_heuristics.reach ~select
+        | Latency_fixed ->
+          fun inst ->
+            (Pipeline_het.Het_heuristics.initial inst).Pipeline_core.Solution
+            .latency);
   }
 
 let het =
@@ -119,6 +129,7 @@ let deal =
           Option.map outcome_of_deal
             (Pipeline_deal.Deal_heuristic.minimise_latency_under_period inst
                ~period:threshold));
+      reach = Some Pipeline_deal.Deal_heuristic.reach;
     };
     {
       id = "deal-split-rep-l";
@@ -131,6 +142,9 @@ let deal =
           Option.map outcome_of_deal
             (Pipeline_deal.Deal_heuristic.minimise_period_under_latency inst
                ~latency:threshold));
+      reach =
+        Some
+          (fun inst -> (Pipeline_deal.Deal_heuristic.initial inst).latency);
     };
   ]
 
@@ -165,6 +179,8 @@ let ft =
               })
             (Pipeline_ft.Ft_heuristic.minimise_latency inst rel
                ~period:threshold ~failure));
+      (* The replication step reads the bound. *)
+      reach = None;
     };
   ]
 

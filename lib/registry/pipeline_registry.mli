@@ -64,6 +64,10 @@ type info = {
       (** [None] when the heuristic cannot meet the threshold. The
           context only affects the [Ft] row; every other stack ignores
           it. *)
+  reach : (Instance.t -> float) option;
+      (** For every [t], [solve inst ~threshold:t <> None] iff
+          [Tol.meets (reach inst) t] (DESIGN.md §9). [None] only for the
+          [Ft] row, whose replication step reads the bound. *)
 }
 
 val paper : info list
@@ -97,10 +101,6 @@ val resolve : ?kind:kind -> string -> (info, string) result
     whose threshold kind does not match. Both the CLI (exit 2) and the
     serve daemon (HTTP 400, see doc/serving.mld) resolve requests
     through this, so the two surfaces reject with identical wording. *)
-
-val of_core : Pipeline_core.Registry.info -> info
-(** Embed a core-registry row ([stack = Core]); used by the bench's
-    ablations for rows constructed on the fly. *)
 
 val solution_of_outcome : outcome -> Pipeline_core.Solution.t option
 (** The outcome as a plain {!Pipeline_core.Solution.t} when no interval

@@ -467,6 +467,108 @@ let prop_failure_threshold_sound =
                cands)
         period_rows)
 
+(* The widening bisection doubles its bracket top until a probe
+   succeeds. Each top is probed once: a row that fails at the
+   single-processor period is asked about it exactly one time. *)
+let test_widening_probes_each_top_once () =
+  let inst = Helpers.small_instance () in
+  let single = Instance.single_proc_period inst in
+  let h1 = List.hd Registry.paper in
+  let probed = ref [] in
+  let counting =
+    {
+      (List.hd Registry.ft) with
+      Registry.id = "counting";
+      reach = None;
+      solve =
+        (fun ?ctx:_ inst ~threshold ->
+          probed := threshold :: !probed;
+          if threshold >= 3. *. single then h1.Registry.solve inst ~threshold
+          else None);
+    }
+  in
+  let t = Failure.instance_threshold counting inst in
+  Alcotest.(check bool) "boundary in (2, 3] x single" true
+    (t >= 2. *. single && t <= 3. *. single);
+  Alcotest.(check int) "single-processor period probed once" 1
+    (List.length (List.filter (fun x -> x = single) !probed))
+
+(* ------------------------------------------------------------------ *)
+(* Reach: one walk answers every threshold probe                       *)
+(* ------------------------------------------------------------------ *)
+
+let test_only_ft_lacks_reach () =
+  Alcotest.(check (list string)) "rows without reach" [ "ft-rep-tri" ]
+    (List.filter_map
+       (fun (i : Registry.info) ->
+         if i.Registry.reach = None then Some i.Registry.id else None)
+       Registry.all)
+
+let reach_of (info : Registry.info) = Option.get info.Registry.reach
+
+(* The contract of [Registry.info.reach]: [solve] succeeds at [t] iff
+   [Tol.meets (reach inst) t]. Thresholds sit where the answer can
+   flip: the candidates of the row's own set nearest [reach] and those
+   picked by [picks], each with its one-ulp neighbours, and [reach] with
+   its neighbours and just below the acceptance slack. *)
+let reach_contract_holds (info : Registry.info) inst picks =
+  let reach = reach_of info inst in
+  let cost = Cost.get inst.Instance.app inst.Instance.platform in
+  let cands =
+    match info.Registry.stack with
+    | Registry.Deal -> Candidates.deal_periods cost
+    | _ -> Candidates.periods cost
+  in
+  let count = Array.length cands in
+  let below = Array.fold_left (fun k c -> if c < reach then k + 1 else k) 0 cands in
+  let nearest =
+    List.filter (fun i -> i >= 0 && i < count) (List.init 5 (fun d -> below - 3 + d))
+  in
+  let around c = [ Float.pred c; c; Float.succ c ] in
+  let thresholds =
+    (reach *. (1. -. 1e-9)) :: around reach
+    @ List.concat_map (fun i -> around cands.(i mod count)) (nearest @ picks)
+  in
+  List.for_all
+    (fun t ->
+      info.Registry.solve inst ~threshold:t <> None
+      = Pipeline_util.Tol.meets reach t)
+    thresholds
+
+let prop_reach_contract (info : Registry.info) =
+  let instance =
+    match info.Registry.stack with
+    | Registry.Het -> Helpers.random_het_instance ~n_max:8 ~p_max:5
+    | _ -> Helpers.random_instance ?n_max:None ?p_max:None
+  in
+  Helpers.qtest ~count:200
+    ("solve succeeds iff reach meets: " ^ info.Registry.id)
+    QCheck2.Gen.(pair gen_seed (list_repeat 8 nat))
+    (fun (seed, picks) -> reach_contract_holds info (instance seed) picks)
+
+let reach_contract_props =
+  List.map prop_reach_contract
+    (List.filter (fun (i : Registry.info) -> i.Registry.reach <> None) Registry.all)
+
+(* On the lazy lattice the searched threshold equals the walked one:
+   the same bisection over bit patterns finds the same boundary whether
+   each probe solves or compares with [reach]. *)
+let prop_reach_lazy_lattice =
+  Helpers.qtest ~count:30 "lattice: solve-probed = reach-probed (H1, H4)"
+    gen_uniform_large
+    (fun inst ->
+      let cost = Cost.get inst.Instance.app inst.Instance.platform in
+      let set = Candidates.Set.of_engine ~max_materialised:0 cost in
+      Candidates.Set.is_lazy set
+      && List.for_all
+           (fun id ->
+             let info = Option.get (Registry.find id) in
+             let solves t = info.Registry.solve inst ~threshold:t <> None in
+             let meets = Pipeline_util.Tol.meets (reach_of info inst) in
+             Threshold.boundary_set ~set ~succeeds:solves ()
+             = Threshold.boundary_set ~set ~succeeds:meets ())
+           [ "h1-sp-mono-p"; "h4-sp-bi-p" ])
+
 (* ------------------------------------------------------------------ *)
 (* Sp_bi_p: adaptive bisection vs the legacy fixed-count loop          *)
 (* ------------------------------------------------------------------ *)
@@ -638,7 +740,15 @@ let () =
           prop_het_lazy_set_matches_array;
           prop_het_row_threshold_sound;
         ] );
-      ("failure-boundary", [ prop_failure_threshold_sound ]);
+      ( "failure-boundary",
+        [
+          prop_failure_threshold_sound;
+          Alcotest.test_case "widening probes each top once" `Quick
+            test_widening_probes_each_top_once;
+        ] );
+      ( "reach",
+        Alcotest.test_case "only ft lacks reach" `Quick test_only_ft_lacks_reach
+        :: prop_reach_lazy_lattice :: reach_contract_props );
       ("sp-bi-p", [ prop_sp_bi_p_unchanged ]);
       ( "golden",
         [ Alcotest.test_case "thresholds" `Quick test_thresholds_golden ] );
