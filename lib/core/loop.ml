@@ -47,8 +47,6 @@ let walk ?(latency_cap = infinity) ~gen ~select ~stop inst =
   in
   refine (Split.initial inst)
 
-let never _ = false
-
 let minimise_latency_under_period ?latency_cap ~gen ~select inst ~period =
   let met config = threshold_met (Split.period config) period in
   let config = walk ?latency_cap ~gen ~select ~stop:met inst in
@@ -56,9 +54,11 @@ let minimise_latency_under_period ?latency_cap ~gen ~select inst ~period =
 
 let minimise_period_under_latency ~gen ~select inst ~latency =
   if threshold_met (Split.latency (Split.initial inst)) latency then
-    Some
-      (Split.to_solution
-         (walk ~latency_cap:latency ~gen ~select ~stop:never inst))
+    let config =
+      walk ~latency_cap:latency ~gen ~select ~stop:(Fun.const false) inst
+    in
+    Some (Split.to_solution config)
   else None
 
-let reach ~gen ~select inst = Split.period (walk ~gen ~select ~stop:never inst)
+let reach ~gen ~select inst =
+  Split.period (walk ~gen ~select ~stop:(Fun.const false) inst)

@@ -74,8 +74,6 @@ let walk ?(latency_cap = infinity) ~stop inst =
   in
   refine (initial inst)
 
-let never _ = false
-
 let minimise_latency_under_period inst ~period =
   let met sol = threshold_met sol.period period in
   let sol = walk ~stop:met inst in
@@ -91,8 +89,10 @@ let minimise_latency_under_period inst ~period =
 
 let minimise_period_under_latency inst ~latency =
   if threshold_met (initial inst).latency latency then
-    Some (walk ~latency_cap:latency ~stop:never inst)
+    Some (walk ~latency_cap:latency ~stop:(Fun.const false) inst)
   else None
 
 let reach inst =
-  Float.min (walk ~stop:never inst).period (Pipeline_core.Sp_mono_p.reach inst)
+  Float.min
+    (walk ~stop:(Fun.const false) inst).period
+    (Pipeline_core.Sp_mono_p.reach inst)

@@ -1,4 +1,4 @@
-(** Splitting-and-dealing heuristic: the paper's H1/H4 pair extended with
+(** Splitting-and-dealing heuristic: the paper's H1/H5 pair extended with
     replication moves (the §7 "deal skeleton" perspective, implemented).
 
     The driver keeps the paper's skeleton — start from the fastest single

@@ -137,8 +137,6 @@ let walk ?(latency_cap = infinity) ~select ~stop (inst : Instance.t) =
   in
   refine (initial inst)
 
-let never _ = false
-
 let minimise_latency_under_period ?(select = Min_period) inst ~period =
   let met (sol : Solution.t) = threshold_met sol.Solution.period period in
   let sol = walk ~select ~stop:met inst in
@@ -146,8 +144,8 @@ let minimise_latency_under_period ?(select = Min_period) inst ~period =
 
 let minimise_period_under_latency ?(select = Min_period) inst ~latency =
   if threshold_met (initial inst).Solution.latency latency then
-    Some (walk ~latency_cap:latency ~select ~stop:never inst)
+    Some (walk ~latency_cap:latency ~select ~stop:(Fun.const false) inst)
   else None
 
 let reach ?(select = Min_period) inst =
-  (walk ~select ~stop:never inst).Solution.period
+  (walk ~select ~stop:(Fun.const false) inst).Solution.period

@@ -19,7 +19,8 @@ for f in test/test_*.ml; do
 done
 # The suites, and the golden files they read relative to their directory.
 dune build --root . --display quiet \
-  $(printf 'test/%s.exe ' "${suites[@]}") test/golden-sim/*
+  $(printf 'test/%s.exe ' "${suites[@]}") test/golden-sim/* \
+  test/golden-threshold/*
 
 logs=$(mktemp -d)
 trap 'rm -rf "$logs"' EXIT

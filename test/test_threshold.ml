@@ -520,9 +520,13 @@ let reach_contract_holds (info : Registry.info) inst picks =
     | _ -> Candidates.periods cost
   in
   let count = Array.length cands in
-  let below = Array.fold_left (fun k c -> if c < reach then k + 1 else k) 0 cands in
+  let below =
+    Array.fold_left (fun k c -> if c < reach then k + 1 else k) 0 cands
+  in
   let nearest =
-    List.filter (fun i -> i >= 0 && i < count) (List.init 5 (fun d -> below - 3 + d))
+    List.filter
+      (fun i -> i >= 0 && i < count)
+      (List.init 5 (fun d -> below - 3 + d))
   in
   let around c = [ Float.pred c; c; Float.succ c ] in
   let thresholds =
@@ -536,10 +540,10 @@ let reach_contract_holds (info : Registry.info) inst picks =
     thresholds
 
 let prop_reach_contract (info : Registry.info) =
-  let instance =
+  let instance seed =
     match info.Registry.stack with
-    | Registry.Het -> Helpers.random_het_instance ~n_max:8 ~p_max:5
-    | _ -> Helpers.random_instance ?n_max:None ?p_max:None
+    | Registry.Het -> Helpers.random_het_instance ~n_max:8 ~p_max:5 seed
+    | _ -> Helpers.random_instance seed
   in
   Helpers.qtest ~count:200
     ("solve succeeds iff reach meets: " ^ info.Registry.id)
@@ -548,7 +552,9 @@ let prop_reach_contract (info : Registry.info) =
 
 let reach_contract_props =
   List.map prop_reach_contract
-    (List.filter (fun (i : Registry.info) -> i.Registry.reach <> None) Registry.all)
+    (List.filter
+       (fun (i : Registry.info) -> i.Registry.reach <> None)
+       Registry.all)
 
 (* On the lazy lattice the searched threshold equals the walked one:
    the same bisection over bit patterns finds the same boundary whether
