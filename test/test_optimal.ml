@@ -286,6 +286,128 @@ let prop_exhaustive_het_parallel_bit_identical =
         (with_tree_cap cap (fun () -> with_jobs jobs all))
       = 0)
 
+(* ------------------------------------------------------------------ *)
+(* Golden exact oracles                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every exhaustive oracle pinned across versions, witnesses included:
+   tie-heavy comm-homogeneous instances (works 1-3, deltas 0-2, speeds
+   1-2, bandwidth 1, n <= 6, p <= 4) and fully heterogeneous ones
+   (n <= 5, p <= 4, speeds 1-2, links 1-2). Per instance: the five
+   plain queries as mapping, period and latency in hex; the number of
+   enumerated mappings and an MD5 of their sequence; and, where
+   n <= 4 and p <= 3 on a comm-homogeneous platform, the deal and ft
+   optima as values only plus the count and an MD5 of the sorted deal
+   mapping strings. Compared with test/golden-exact/oracles.txt; on a
+   mismatch the rendering is written to oracles.txt.actual in the test's
+   working directory. *)
+let tie_heavy_instance k =
+  let module Rng = Pipeline_util.Rng in
+  let rng = Rng.create (7000 + k) in
+  let n = Rng.int_in rng 1 6 and p = Rng.int_in rng 1 4 in
+  let works = Array.init n (fun _ -> float_of_int (Rng.int_in rng 1 3)) in
+  let deltas = Array.init (n + 1) (fun _ -> float_of_int (Rng.int_in rng 0 2)) in
+  let speeds = Array.init p (fun _ -> float_of_int (Rng.int_in rng 1 2)) in
+  Instance.make ~seed:k
+    (Application.make ~deltas works)
+    (Platform.comm_homogeneous ~bandwidth:1. speeds)
+
+let het_oracle_instance k =
+  let module Rng = Pipeline_util.Rng in
+  let rng = Rng.create (9000 + k) in
+  let n = Rng.int_in rng 1 5 and p = Rng.int_in rng 1 4 in
+  let works = Array.init n (fun _ -> float_of_int (Rng.int_in rng 1 3)) in
+  let deltas = Array.init (n + 1) (fun _ -> float_of_int (Rng.int_in rng 0 2)) in
+  let platform =
+    Platform_generator.fully_heterogeneous ~bandwidth_min:1 ~bandwidth_max:2
+      ~speed_min:1 ~speed_max:2 rng ~p
+  in
+  Instance.make ~seed:k (Application.make ~deltas works) platform
+
+let render_solution buf (s : Solution.t) =
+  Printf.bprintf buf " [%s] %h %h" (Mapping_io.to_string s.Solution.mapping)
+    s.Solution.period s.Solution.latency
+
+let render_plain_oracles buf inst =
+  let best = (Exhaustive.min_period inst).Solution.period in
+  let period = (best +. Instance.single_proc_period inst) /. 2.
+  and latency = Instance.optimal_latency inst *. 1.25 in
+  let line name sols =
+    Buffer.add_string buf name;
+    List.iter (render_solution buf) sols;
+    Buffer.add_char buf '\n'
+  in
+  line "  min_period" [ Exhaustive.min_period inst ];
+  line "  min_latency" [ Exhaustive.min_latency inst ];
+  line "  min_latency_under_period"
+    (Option.to_list (Exhaustive.min_latency_under_period inst ~period));
+  line "  min_period_under_latency"
+    (Option.to_list (Exhaustive.min_period_under_latency inst ~latency));
+  line "  pareto" (Exhaustive.pareto inst);
+  let seq = Buffer.create 4096 and count = ref 0 in
+  Exhaustive.iter_mappings inst (fun mapping ->
+      incr count;
+      Buffer.add_string seq (Mapping_io.to_string mapping);
+      Buffer.add_char seq '\n');
+  Printf.bprintf buf "  mappings %d %s\n" !count
+    (Digest.to_hex (Digest.string (Buffer.contents seq)))
+
+let deal_mapping_strings inst =
+  let acc = ref [] in
+  Pipeline_deal.Deal_exhaustive.iter inst (fun deal ->
+      acc := Deal_mapping.to_string deal :: !acc);
+  !acc
+
+let render_deal_oracles buf (inst : Instance.t) =
+  let module Rng = Pipeline_util.Rng in
+  let d = Pipeline_deal.Deal_exhaustive.min_period inst in
+  Printf.bprintf buf "  deal_min_period %h %h\n" d.Pipeline_deal.Deal_heuristic.period
+    d.Pipeline_deal.Deal_heuristic.latency;
+  let p = Platform.p inst.platform in
+  let rng = Rng.create (11000 + inst.seed) in
+  let rel =
+    Reliability.make
+      (Array.init p (fun _ -> [| 0.1; 0.2; 0.3; 0.5 |].(Rng.int rng 4)))
+  in
+  let period = Instance.single_proc_period inst *. 0.75 in
+  (match Pipeline_ft.Ft_exhaustive.min_latency inst rel ~period ~failure:0.25 with
+  | None -> Buffer.add_string buf "  ft_min_latency none\n"
+  | Some s ->
+    Printf.bprintf buf "  ft_min_latency %h %h %h\n" s.Pipeline_ft.Ft_heuristic.latency
+      s.Pipeline_ft.Ft_heuristic.period s.Pipeline_ft.Ft_heuristic.failure);
+  let strings = List.sort compare (deal_mapping_strings inst) in
+  Printf.bprintf buf "  deal_mappings %d %s\n" (List.length strings)
+    (Digest.to_hex (Digest.string (String.concat "\n" strings)))
+
+let render_oracles () =
+  let buf = Buffer.create 65536 in
+  for k = 0 to 99 do
+    let inst = tie_heavy_instance k in
+    let n = Application.n inst.app and p = Platform.p inst.platform in
+    Printf.bprintf buf "comm #%d n=%d p=%d\n" k n p;
+    render_plain_oracles buf inst;
+    if n <= 4 && p <= 3 then render_deal_oracles buf inst
+  done;
+  for k = 0 to 39 do
+    let inst = het_oracle_instance k in
+    Printf.bprintf buf "het #%d n=%d p=%d\n" k (Application.n inst.app)
+      (Platform.p inst.platform);
+    render_plain_oracles buf inst
+  done;
+  Buffer.contents buf
+
+let test_oracles_golden () =
+  let actual = render_oracles () in
+  let expected =
+    In_channel.with_open_bin "golden-exact/oracles.txt" In_channel.input_all
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "oracles.txt.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+    Alcotest.failf "exact oracles moved; full rendering in %s"
+      (Filename.concat (Sys.getcwd ()) "oracles.txt.actual")
+  end
+
 let prop_branch_bound_parallel_bit_identical =
   Helpers.qtest ~count:40
     "branch-bound: solution, nodes and proven flag ignore the pool width"
@@ -731,4 +853,5 @@ let () =
           prop_exhaustive_parallel_bit_identical;
           prop_exhaustive_het_parallel_bit_identical;
         ] );
+      ("golden", [ Alcotest.test_case "exact oracles" `Quick test_oracles_golden ]);
     ]
