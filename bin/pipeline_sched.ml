@@ -435,6 +435,14 @@ let solve_cmd =
       | Ok _ -> ()
       | Error msg -> die "%s" msg)
     | None -> ());
+    (* The DP on comm-homogeneous platforms, the exhaustive oracle
+       otherwise; past its guard, the daemon's 400 wording and exit 2. *)
+    let print_exact () =
+      match Ureg.exact inst kind ~threshold with
+      | Error diagnostic -> die "%s" diagnostic
+      | Ok None -> Format.printf "%-18s infeasible@." "exact"
+      | Ok (Some sol) -> Format.printf "%-18s %a@." "exact" pp_solution sol
+    in
     if not (Platform.is_comm_homogeneous inst.Instance.platform) then begin
       match chosen with
       | Some (name, info) when info.Ureg.stack <> Ureg.Het ->
@@ -457,29 +465,7 @@ let solve_cmd =
         (match result with
         | None -> Format.printf "%-18s FAILED@." "het splitting"
         | Some sol -> Format.printf "%-18s %a@." "het splitting" pp_solution sol);
-        if exact then begin
-          (* The bi-criteria DPs need comm-homogeneity; the exhaustive
-             oracle scores any platform, behind its enumeration guard. *)
-          let n = Application.n inst.Instance.app
-          and p = Platform.p inst.Instance.platform in
-          (* One wording for CLI exit 2 and serve HTTP 400, with the
-             actual mapping count: Exhaustive.oversized. *)
-          (match Pipeline_optimal.Exhaustive.oversized ~n ~p with
-          | Some diagnostic -> die "%s" diagnostic
-          | None -> ());
-          let sol =
-            match kind with
-            | Registry.Period_fixed ->
-              Pipeline_optimal.Exhaustive.min_latency_under_period inst
-                ~period:threshold
-            | Registry.Latency_fixed ->
-              Pipeline_optimal.Exhaustive.min_period_under_latency inst
-                ~latency:threshold
-          in
-          match sol with
-          | None -> Format.printf "%-18s infeasible@." "exact"
-          | Some sol -> Format.printf "%-18s %a@." "exact" pp_solution sol
-        end
+        if exact then print_exact ()
     end
     else begin
       let selected =
@@ -490,20 +476,7 @@ let solve_cmd =
       in
       Format.printf "%a@." pp_instance inst;
       List.iter (print_outcome ~kind ~threshold ~polish inst) selected;
-      if exact then begin
-        let sol =
-          match kind with
-          | Registry.Period_fixed ->
-            Pipeline_optimal.Bicriteria.min_latency_under_period inst
-              ~period:threshold
-          | Registry.Latency_fixed ->
-            Pipeline_optimal.Bicriteria.min_period_under_latency inst
-              ~latency:threshold
-        in
-        match sol with
-        | None -> Format.printf "%-18s infeasible@." "exact"
-        | Some sol -> Format.printf "%-18s %a@." "exact" pp_solution sol
-      end
+      if exact then print_exact ()
     end
   in
   Cmd.v
@@ -843,9 +816,10 @@ let eval_cmd =
       | Some text -> parse_mapping text
       | None -> die "--mapping is required"
     in
+    let s = Cost.summary (Cost.get inst.Instance.app inst.Instance.platform) mapping in
     Format.printf "%a@." pp_instance inst;
-    let s = Metrics.summary inst.Instance.app inst.Instance.platform mapping in
-    Format.printf "%s@.  %a@." (Mapping.to_string mapping) Metrics.pp_summary s;
+    Format.printf "%s@.  period=%g latency=%g intervals=%d@." (Mapping.to_string mapping)
+      s.period s.latency s.intervals;
     let report = Pipeline_sim.Validate.check inst mapping in
     Format.printf "  simulator: %a@." Pipeline_sim.Validate.pp report
   in
@@ -947,7 +921,6 @@ let simulate_cmd =
   in
   let run inst period mapping datasets noise trace_out seed crashes retries
       backoff crash_trace =
-    Format.printf "%a@." pp_instance inst;
     let sol =
       match mapping with
       | Some text ->
@@ -956,10 +929,11 @@ let simulate_cmd =
         let threshold =
           Option.value period ~default:(Instance.single_proc_period inst *. 0.85)
         in
-        match Sp_mono_p.solve inst ~period:threshold with
+        match Ureg.default_mapping inst ~period:threshold with
         | None -> die "no mapping achieves period %g" threshold
         | Some sol -> sol)
     in
+    Format.printf "%a@." pp_instance inst;
     let trace_crashes, trace_slowdowns =
       match crash_trace with
       | None -> ([], [])
@@ -1095,9 +1069,10 @@ let pareto_cmd =
   let run () obs inst =
     with_obs obs @@ fun () ->
     Format.printf "%a@." pp_instance inst;
-    List.iter
-      (fun (sol : Solution.t) -> Format.printf "%a@." Solution.pp sol)
-      (Pipeline_optimal.Bicriteria.pareto inst)
+    match Ureg.exact_pareto inst with
+    | Error diagnostic -> die "%s" diagnostic
+    | Ok front ->
+      List.iter (fun (sol : Solution.t) -> Format.printf "%a@." Solution.pp sol) front
   in
   Cmd.v
     (Cmd.info "pareto" ~doc:"Exact period/latency Pareto front (exponential in p).")

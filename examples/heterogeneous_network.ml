@@ -80,5 +80,5 @@ let () =
   | None -> ()
   | Some sol ->
     Format.printf "weighted-deal lower bound on the same mapping: %.2f@."
-      (Pipeline_deal.Deal_metrics.period_weighted inst
+      (Cost.deal_period_weighted (Cost.get inst.app inst.platform)
          sol.Pipeline_deal.Deal_heuristic.mapping)

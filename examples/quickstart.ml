@@ -28,9 +28,9 @@ let () =
 
   (* Evaluate a hand-written mapping with the paper's cost model. *)
   let manual = Mapping.of_cuts ~n:6 ~cuts:[ 3; 4 ] ~procs:[ 1; 4; 3 ] in
-  let s = Metrics.summary app platform manual in
-  Format.printf "Manual mapping %s:@.  %a@.@." (Mapping.to_string manual)
-    Metrics.pp_summary s;
+  let s = Cost.summary (Cost.get app platform) manual in
+  Format.printf "Manual mapping %s:@.  period=%g latency=%g intervals=%d@.@."
+    (Mapping.to_string manual) s.period s.latency s.intervals;
 
   (* Lemma 1: the latency optimum maps everything to the fastest CPU. *)
   let latency_opt = Pipeline_optimal.Latency.solve inst in

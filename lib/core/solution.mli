@@ -10,7 +10,7 @@ type t = {
 }
 
 val of_mapping : Instance.t -> Mapping.t -> t
-(** Evaluate both objectives with {!Pipeline_model.Metrics}. *)
+(** Evaluate both objectives with {!Pipeline_model.Cost}. *)
 
 val respects_period : t -> float -> bool
 (** [respects_period s p] with a relative tolerance of 1e-9, so a solution

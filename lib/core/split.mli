@@ -83,4 +83,4 @@ val apply : t -> candidate -> t
 
 val to_solution : t -> Solution.t
 (** Export the current mapping; objectives are recomputed independently
-    with {!Pipeline_model.Metrics} as a cross-check. *)
+    with {!Pipeline_model.Cost} as a cross-check. *)

@@ -1,142 +1,25 @@
 open Pipeline_model
 
-(* Mappings where interval j gets a non-empty subset S_j of processors,
-   the S_j pairwise disjoint. Bounded by Σ_m C(n-1, m-1) · (p+1)^p as a
-   crude over-estimate; we compute a tighter product bound below. *)
-let count_estimate ~n ~p =
-  (* Each of the ≤ min(n,p) intervals picks a non-empty subset of the
-     remaining processors: bound by (2^p)^m summed over partition
-     counts. Crude but monotone — good enough for a guard. *)
-  let rec binom n k =
-    if k < 0 || k > n then 0.
-    else if k = 0 || k = n then 1.
-    else binom (n - 1) (k - 1) *. float_of_int n /. float_of_int k
-  in
-  let total = ref 0. in
-  for m = 1 to min n p do
-    total := !total +. (binom (n - 1) (m - 1) *. (2. ** float_of_int (p * m)))
-  done;
-  !total
+(* Registered here, not in Exhaustive, so that only binaries linking the
+   deal oracle list these counters. *)
+let rule =
+  Pipeline_optimal.Exhaustive.deal
+    ~mappings:
+      (Obs.Counter.make ~doc:"deal mappings enumerated by Deal_exhaustive"
+         "deal.exhaustive.mappings")
+    ~branches:
+      (Obs.Counter.make ~doc:"frontier tasks fanned out by Deal_exhaustive"
+         "deal.exhaustive.branches")
 
-let guard = 1e6
-
-let c_mappings =
-  Obs.Counter.make ~doc:"deal mappings enumerated by Deal_exhaustive"
-    "deal.exhaustive.mappings"
-
-let c_branches =
-  Obs.Counter.make ~doc:"frontier tasks fanned out by Deal_exhaustive"
-    "deal.exhaustive.branches"
-
-(* Non-empty submasks of [mask], ascending. *)
-let subsets_of mask =
-  let rec submasks s acc =
-    if s = 0 then acc else submasks ((s - 1) land mask) (s :: acc)
-  in
-  submasks mask []
-
-(* A task is a prefix of the enumeration: the intervals assigned so far
-   (reversed), the next stage [d] and the free-processor mask. The
-   children of a prefix enumerate the next interval's (end, subset)
-   choices in the sequential order — end ascending, subsets ascending —
-   so concatenating children subtrees in index order reproduces the
-   parent's subtree verbatim, and the frontier's index order equals the
-   historical sequential enumeration order. *)
-type task = {
-  d : int;  (* next stage to map; complete when d > n *)
-  free : int;  (* bitmask of unassigned processors *)
-  acc_rev : (Interval.t * int list) list;
-}
-
-let procs_of_mask ~p mask =
-  let rec collect u acc =
-    if u >= p then List.rev acc
-    else collect (u + 1) (if mask land (1 lsl u) <> 0 then u :: acc else acc)
-  in
-  collect 0 []
-
-let children ~n ~p task =
-  if task.d > n then [||]
-  else
-    let kids = ref [] in
-    for e = n downto task.d do
-      List.iter
-        (fun subset ->
-          kids :=
-            {
-              d = e + 1;
-              free = task.free lxor subset;
-              acc_rev =
-                (Interval.make ~first:task.d ~last:e, procs_of_mask ~p subset)
-                :: task.acc_rev;
-            }
-            :: !kids)
-        (List.rev (subsets_of task.free))
-    done;
-    Array.of_list !kids
-
-(* Sequential enumeration of one task's subtree, in canonical order. *)
-let run_task ~n ~p task consider =
-  let rec assign d free acc consider =
-    if d > n then consider (Deal_mapping.make ~n (List.rev acc))
-    else
-      for e = d to n do
-        List.iter
-          (fun subset ->
-            assign (e + 1)
-              (free lxor subset)
-              ((Interval.make ~first:d ~last:e, procs_of_mask ~p subset) :: acc)
-              consider)
-          (subsets_of free)
-      done
-  in
-  assign task.d task.free task.acc_rev consider
-
-(* Task-local count, one flush per task: order-independent sums keep
-   the totals bit-identical at any [--jobs N]. *)
-let counted run consider =
-  if not (Obs.metrics_enabled ()) then run consider
-  else begin
-    let local = ref 0 in
-    run (fun mapping ->
-        incr local;
-        consider mapping);
-    Obs.Counter.add c_mappings !local
-  end
-
-let tasks (inst : Instance.t) =
-  let n = Application.n inst.app and p = Platform.p inst.platform in
-  if count_estimate ~n ~p > guard then
-    invalid_arg "Deal_exhaustive.iter: instance too large to enumerate";
-  let root = { d = 1; free = (1 lsl p) - 1; acc_rev = [] } in
-  let frontier = Pipeline_util.Pool.fan_out ~children:(children ~n ~p) [| root |] in
-  Obs.Counter.add c_branches (Array.length frontier);
-  (n, p, frontier)
-
-let iter (inst : Instance.t) consider =
-  let n, p, frontier = tasks inst in
-  Array.iter (fun task -> counted (run_task ~n ~p task) consider) frontier
-
-let parallel_fold (inst : Instance.t) ~init ~step ~merge =
-  let n, p, frontier = tasks inst in
-  let locals =
-    Pipeline_util.Pool.map
-      (fun task ->
-        let acc = ref init in
-        counted (run_task ~n ~p task) (fun mapping -> acc := step !acc mapping);
-        !acc)
-      frontier
-  in
-  Array.fold_left merge init locals
+let fold inst ~init ~step ~merge =
+  Pipeline_optimal.Exhaustive.fold rule inst ~init ~step ~merge
 
 let min_period (inst : Instance.t) =
   (* First-seen-wins on (period, latency) ties, per task; merging the
      task winners in index order applies the same rule, so the result
      matches the sequential scan at any parallelism degree. *)
   let keep_acc (b : Deal_heuristic.solution) (c : Deal_heuristic.solution) =
-    b.Deal_heuristic.period < c.Deal_heuristic.period
-    || (b.Deal_heuristic.period = c.Deal_heuristic.period
-       && b.Deal_heuristic.latency <= c.Deal_heuristic.latency)
+    b.period < c.period || (b.period = c.period && b.latency <= c.latency)
   in
   let merge acc candidate =
     match (acc, candidate) with
@@ -145,16 +28,9 @@ let min_period (inst : Instance.t) =
     | _ -> candidate
   in
   let step acc mapping =
-    let s = Deal_metrics.summary inst mapping in
-    let candidate =
-      {
-        Deal_heuristic.mapping;
-        period = s.Deal_metrics.period;
-        latency = s.Deal_metrics.latency;
-      }
-    in
-    merge acc (Some candidate)
+    let s = Cost.deal_summary (Cost.get inst.app inst.platform) mapping in
+    merge acc (Some { Deal_heuristic.mapping; period = s.period; latency = s.latency })
   in
-  match parallel_fold inst ~init:None ~step ~merge with
+  match fold inst ~init:None ~step ~merge with
   | Some sol -> sol
   | None -> assert false (* the single-interval single-replica mapping exists *)

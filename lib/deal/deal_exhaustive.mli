@@ -1,45 +1,26 @@
 (** Brute-force enumeration of deal mappings (validation only).
 
-    Enumerates every partition of the stages into consecutive intervals
-    and every assignment of disjoint non-empty processor sets to the
-    intervals, scoring with the round-robin cost model — the ground truth
-    for {!Deal_heuristic} on tiny instances. The search space is huge
-    (partitions × ordered set partitions of the processors), so a guard
-    rejects instances beyond [10^6] enumerated mappings.
-
-    {!min_period} and {!parallel_fold} expand the enumeration tree
-    breadth-first into a deterministic frontier of subtree tasks
-    ({!Pipeline_util.Pool.fan_out}) and evaluate the frontier on the
-    domain pool; task results merge in frontier order with
-    first-seen-wins ties, so the reported optimum is bit-identical to
-    the sequential scan at any pool width and any frontier size
-    (DESIGN.md §14). *)
+    Every partition of the stages into consecutive intervals and every
+    assignment of disjoint non-empty processor sets to the intervals,
+    enumerated by {!Pipeline_optimal.Exhaustive} and scored with the
+    round-robin cost model — the ground truth for {!Deal_heuristic} on
+    tiny instances. The search space is huge (partitions × ordered set
+    partitions of the processors), so a guard rejects instances beyond
+    [10^6] enumerated mappings. The enumeration feeds the
+    [deal.exhaustive.*] counters; results are bit-identical at any pool
+    width and any frontier size (DESIGN.md §14). *)
 
 open Pipeline_model
 
-val count_estimate : n:int -> p:int -> float
-(** Upper bound on the number of deal mappings enumerated. *)
-
-val parallel_fold :
+val fold :
   Instance.t ->
   init:'a ->
   step:('a -> Deal_mapping.t -> 'a) ->
   merge:('a -> 'a -> 'a) ->
   'a
-(** Fold [step] over every deal mapping, task-parallel over the
-    enumeration frontier. Contract: merging contiguous segment folds in
-    enumeration order with [merge] must equal the one-pass sequential
-    fold — true for any first-seen-wins minimisation — and then the
-    result is bit-identical at any pool width. The tri-criteria oracle
-    ([Ft_exhaustive]) and {!min_period} are both built on this. Raises
-    [Invalid_argument] beyond the size guard. *)
-
-val iter : Instance.t -> (Deal_mapping.t -> unit) -> unit
-(** Apply a function to every deal mapping of the instance (every
-    interval partition × every disjoint non-empty replica assignment),
-    in a deterministic order. The ground-truth enumerator behind
-    {!min_period} and the fault-tolerance oracle ([Ft_exhaustive]).
-    Raises [Invalid_argument] beyond the size guard. *)
+(** {!Pipeline_optimal.Exhaustive.fold} over every deal mapping. The
+    tri-criteria oracle ([Ft_exhaustive]) and {!min_period} are both
+    built on this. Raises [Invalid_argument] beyond the size guard. *)
 
 val min_period : Instance.t -> Deal_heuristic.solution
 (** The deal mapping with the smallest round-robin period (ties broken by

@@ -9,8 +9,8 @@ type solution = {
 let threshold_met = Pipeline_util.Tol.meets
 
 let evaluate inst mapping =
-  let s = Deal_metrics.summary inst mapping in
-  { mapping; period = s.Deal_metrics.period; latency = s.Deal_metrics.latency }
+  let s = Cost.deal_summary (Cost.get inst.Instance.app inst.Instance.platform) mapping in
+  { mapping; period = s.period; latency = s.latency }
 
 let initial (inst : Instance.t) =
   let n = Application.n inst.app in

@@ -5,7 +5,7 @@
     in interval [j], by replica [t mod r_j]; the boundary transfer is a
     rendezvous between the upstream replica that produced the data set
     and the downstream replica that will consume it. Used to check the
-    analytic round-robin period of {!Deal_metrics} against an actual
+    analytic round-robin period of {!Pipeline_model.Cost.deal_period} against an actual
     execution. *)
 
 open Pipeline_model
@@ -20,4 +20,4 @@ type result = {
 val run : Instance.t -> Deal_mapping.t -> datasets:int -> result
 (** Raises [Invalid_argument] when [datasets < 1] or the mapping does not
     fit the instance (communication-homogeneous platforms only, as in
-    {!Deal_metrics}). *)
+    {!Pipeline_model.Cost.deal_period}). *)

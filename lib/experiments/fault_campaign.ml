@@ -56,7 +56,7 @@ let draw_crashes rng (inst : Instance.t) mapping ~count ~datasets =
   let victims =
     List.filteri (fun i _ -> i < count) (shuffled enrolled @ shuffled spare)
   in
-  let period = Metrics.period inst.app inst.platform mapping in
+  let period = Cost.period (Cost.get inst.app inst.platform) mapping in
   let horizon = 0.5 *. float_of_int datasets *. period in
   List.map
     (fun u -> (u, Rng.float_in rng 0. (Float.max horizon 1.)))
@@ -94,7 +94,7 @@ let pair_outcome ~datasets ~count ((inst : Instance.t), mapping, threshold) =
   let permanent =
     sim W.no_retry (fun (u, at) -> { W.at; proc = u; recover_at = None })
   in
-  let period = Metrics.period inst.app inst.platform mapping in
+  let period = Cost.period (Cost.get inst.app inst.platform) mapping in
   let recovered =
     sim
       { W.max_retries = 3; backoff = period }

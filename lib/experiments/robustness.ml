@@ -1,7 +1,7 @@
 open Pipeline_model
 
 let inflation ?(datasets = 300) ?(seed = 1) (inst : Instance.t) mapping ~noise =
-  let analytic = Metrics.period inst.app inst.platform mapping in
+  let analytic = Cost.period (Cost.get inst.app inst.platform) mapping in
   let config =
     {
       Pipeline_sim.Workload_sim.default_config with

@@ -22,7 +22,7 @@ let min_latency (inst : Instance.t) rel ~period ~failure =
     invalid_arg "Ft_exhaustive: period bound must be finite and > 0";
   if not (failure >= 0. && failure <= 1.) then
     invalid_arg "Ft_exhaustive: failure bound must be in [0,1]";
-  Deal_exhaustive.parallel_fold inst ~init:None ~merge:keep ~step:(fun acc deal ->
+  Deal_exhaustive.fold inst ~init:None ~merge:keep ~step:(fun acc deal ->
       let cand = Ft_heuristic.evaluate inst rel deal in
       if Ft_heuristic.feasible cand ~period ~failure then keep acc (Some cand)
       else acc)

@@ -3,7 +3,7 @@
 
     The paper optimises (period, latency); the fault-tolerance extension
     adds the mapping's failure probability
-    ({!Pipeline_model.Reliability}, [Deal_reliability]) as a third
+    ({!Pipeline_model.Reliability}, {!Pipeline_model.Cost.failure}) as a third
     criterion. Following the paper's methodology of fixing all but one
     criterion, the heuristic {e minimises latency} subject to
 
@@ -34,7 +34,7 @@ type solution = {
   mapping : Deal_mapping.t;
   period : float;   (** round-robin deal period *)
   latency : float;  (** worst-replica deal latency *)
-  failure : float;  (** [Deal_reliability.failure] *)
+  failure : float;  (** {!Pipeline_model.Cost.failure} *)
 }
 
 val evaluate :

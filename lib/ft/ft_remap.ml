@@ -1,5 +1,4 @@
 open Pipeline_model
-module Registry = Pipeline_core.Registry
 module Solution = Pipeline_core.Solution
 
 type outcome = {
@@ -11,11 +10,6 @@ type outcome = {
   migrated_stages : int;
   migration_volume : float;
 }
-
-let default_heuristic () =
-  match Registry.find "h1-sp-mono-p" with
-  | Some h -> h
-  | None -> assert false
 
 let validate (inst : Instance.t) before failed ~threshold =
   let p = Platform.p inst.platform in
@@ -59,12 +53,9 @@ let c_migrated =
   Obs.Counter.make ~doc:"stages migrated across all remaps"
     "ft.remap.migrated_stages"
 
-let remap ?heuristic (inst : Instance.t) ~before ~failed ~threshold =
+let remap (inst : Instance.t) ~before ~failed ~threshold =
   validate inst before failed ~threshold;
   Obs.Counter.incr c_calls;
-  let heuristic =
-    match heuristic with Some h -> h | None -> default_heuristic ()
-  in
   let platform = inst.platform and app = inst.app in
   let p = Platform.p platform and n = Application.n app in
   let is_failed = Array.make p false in
@@ -75,11 +66,7 @@ let remap ?heuristic (inst : Instance.t) ~before ~failed ~threshold =
   in
   if Array.length survivors = 0 then None
   else begin
-    let met (sol : Solution.t) =
-      match heuristic.Registry.kind with
-      | Registry.Period_fixed -> Solution.respects_period sol threshold
-      | Registry.Latency_fixed -> Solution.respects_latency sol threshold
-    in
+    let met (sol : Solution.t) = Solution.respects_period sol threshold in
     let incumbent_ok =
       Array.for_all (fun u -> not is_failed.(u)) (Mapping.procs before)
       && met (Solution.of_mapping inst before)
@@ -114,7 +101,7 @@ let remap ?heuristic (inst : Instance.t) ~before ~failed ~threshold =
       Instance.make ~id:inst.id ~seed:inst.seed app sub_platform
     in
     let solved, fallback =
-      match heuristic.Registry.solve sub_inst ~threshold with
+      match Pipeline_core.Sp_mono_p.solve sub_inst ~period:threshold with
       | Some sol -> (translate ~n ~survivors sol.Solution.mapping, false)
       | None ->
         (* Online systems need some mapping: fastest survivor. *)

@@ -1,9 +1,10 @@
 (** Online remapping after processor failures.
 
     When processors crash mid-campaign, the controller re-solves the
-    mapping problem on the {e surviving} sub-platform with any registry
-    heuristic and reports the migration cost of switching, plus the
-    (possibly degraded) period and latency of the new mapping:
+    mapping problem on the {e surviving} sub-platform with H1
+    ({!Pipeline_core.Sp_mono_p}) and reports the migration cost of
+    switching, plus the (possibly degraded) period and latency of the
+    new mapping:
 
     {ol
     {- survivors keep their original (platform-wide, 0-based) indices —
@@ -12,13 +13,12 @@
     {- if the running mapping enrols no failed processor and still meets
        the threshold, it is kept as-is — an online controller never
        migrates without cause;}
-    {- otherwise the chosen heuristic (default: H1, ["h1-sp-mono-p"])
-       runs on the surviving sub-platform against the caller's
-       threshold;}
-    {- when the heuristic cannot meet the threshold on the degraded
-       platform, the controller falls back to the fastest surviving
-       processor (Lemma 1's shape) and reports [met_threshold = false]
-       rather than giving up — an online system needs {e some} mapping;}
+    {- otherwise H1 runs on the surviving sub-platform against the
+       caller's period threshold;}
+    {- when H1 cannot meet the threshold on the degraded platform, the
+       controller falls back to the fastest surviving processor
+       (Lemma 1's shape) and reports [met_threshold = false] rather than
+       giving up — an online system needs {e some} mapping;}
     {- migration cost counts the stages whose processor changed and
        charges each moved stage its input payload [δ_{k-1}] (the data
        that must be re-staged on the new processor).}}
@@ -32,16 +32,14 @@ type outcome = {
   mapping : Mapping.t;      (** on original indices; survivors only *)
   period : float;           (** equation (1) on the original platform *)
   latency : float;          (** equation (2) on the original platform *)
-  met_threshold : bool;     (** threshold met (period- or latency-, per
-                                the heuristic's kind) *)
-  fallback : bool;          (** heuristic failed; fastest-survivor
+  met_threshold : bool;     (** period threshold met *)
+  fallback : bool;          (** H1 failed; fastest-survivor
                                 single-processor mapping used instead *)
   migrated_stages : int;    (** stages whose processor changed *)
   migration_volume : float; (** [Σ δ_{k-1}] over migrated stages *)
 }
 
 val remap :
-  ?heuristic:Pipeline_core.Registry.info ->
   Instance.t ->
   before:Mapping.t ->
   failed:int list ->

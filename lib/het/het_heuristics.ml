@@ -114,7 +114,7 @@ let pick select current = function
     Some (List.fold_left (fun acc c -> if better c acc then c else acc) first rest)
 
 let bottleneck (inst : Instance.t) (sol : Solution.t) =
-  Metrics.bottleneck inst.app inst.platform sol.Solution.mapping
+  Cost.bottleneck (Cost.get inst.app inst.platform) sol.Solution.mapping
 
 (* The one splitting loop: from [initial], apply the selected
    period-improving candidate until [stop] holds or none is left. *)

@@ -8,7 +8,7 @@
     is gone: moving a piece to another processor changes the boundary
     transfer costs of the adjacent intervals too. These heuristics
     therefore re-evaluate candidates with the full
-    {!Pipeline_model.Metrics} cost model (O(m) per candidate) and widen
+    {!Pipeline_model.Cost} model (O(m) per candidate) and widen
     the candidate pool: the piece handed away may go to {e any} unused
     processor, not only the next fastest — on a heterogeneous network,
     a slightly slower machine with fat links to its neighbours often

@@ -6,7 +6,7 @@
     [X / speed] time units; sending a message of size [X] over a link of
     bandwidth [b] takes [X / b] (linear cost model). Contention follows
     the one-port model, which the analytic cost functions of
-    {!module:Metrics} assume and the simulator in [Pipeline_sim] enforces
+    {!module:Cost} assume and the simulator in [Pipeline_sim] enforces
     operationally.
 
     Three platform classes appear in the paper:

@@ -15,7 +15,7 @@
     {- [mapping_failure] is [1 - mapping_success].}}
 
     Replication changes the formula — an interval survives while {e any}
-    replica survives — see [Deal_reliability] in the deal library. *)
+    replica survives — see {!Cost.failure}. *)
 
 type t
 

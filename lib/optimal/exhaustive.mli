@@ -1,21 +1,27 @@
-(** Brute-force enumeration of every interval mapping.
+(** Brute-force enumeration of every interval mapping, plain or dealt.
 
     Enumerates all partitions of [\[1..n\]] into [m] intervals and all
-    injective assignments of [m] processors, scoring each with the full
-    {!Pipeline_model.Metrics} cost model — so, unlike {!Bicriteria}, it
-    also works on fully heterogeneous platforms. Cost grows as
+    ways to give each interval what a {!rule} says it receives: one free
+    processor (a plain interval mapping) or a non-empty set of free
+    processors (a deal mapping, arXiv 0711.1231). Plain mappings are
+    scored with the full {!Pipeline_model.Cost} model — so, unlike
+    {!Bicriteria}, the plain queries also work on fully heterogeneous
+    platforms. Plain enumeration cost grows as
     [Σ_m C(n-1, m-1) · p!/(p-m)!]; a guard rejects instances whose
-    estimated enumeration exceeds [10^7] mappings. Validation only.
+    estimated enumeration exceeds [10^7] plain mappings or [10^6] deal
+    mappings. Validation only.
 
-    The solvers expand the enumeration tree breadth-first into a
-    deterministic frontier of independent subtree tasks
-    ({!Pipeline_util.Pool.fan_out}) and run the frontier on the domain
-    pool; task-local results merge in frontier order with
-    first-seen-wins tie-breaking, and the frontier preserves the
-    sequential enumeration order, so every answer — including which of
-    several equal-cost optima is returned — is bit-identical to the
-    sequential enumeration at any pool width and any frontier size
-    (DESIGN.md §14). *)
+    The order is the interval count [m] ascending, then the cut
+    positions in lexicographic order, then each interval's processor (or
+    processor set, as a bit mask) ascending. The solvers expand the
+    enumeration tree breadth-first into a deterministic frontier of
+    independent subtree tasks ({!Pipeline_util.Pool.fan_out}) and run
+    the frontier on the domain pool; task-local results merge in
+    frontier order with first-seen-wins tie-breaking, and the frontier
+    preserves the sequential enumeration order, so every answer —
+    including which of several equal-cost optima is returned — is
+    bit-identical to the sequential enumeration at any pool width and
+    any frontier size (DESIGN.md §14). *)
 
 open Pipeline_model
 open Pipeline_core
@@ -33,9 +39,33 @@ val oversized : n:int -> p:int -> string option
     wording shared by the CLI's exit-2 rejection and the serve daemon's
     HTTP 400 body; [None] when the enumeration is admissible. *)
 
+type 'mapping rule
+(** What each interval receives, with the counters its enumeration
+    feeds. *)
+
+val deal :
+  mappings:Obs.Counter.t -> branches:Obs.Counter.t -> Deal_mapping.t rule
+(** Each interval receives a non-empty set of free processors; the
+    enumerated mappings and frontier tasks are added to the given
+    counters. Plain mappings count in [optimal.exhaustive.*]. *)
+
+val fold :
+  'm rule ->
+  Instance.t ->
+  init:'a ->
+  step:('a -> 'm -> 'a) ->
+  merge:('a -> 'a -> 'a) ->
+  'a
+(** Fold [step] over every mapping, task-parallel over the enumeration
+    frontier. Contract: merging contiguous segment folds in enumeration
+    order with [merge] must equal the one-pass sequential fold — true
+    for any first-seen-wins minimisation — and then the result is
+    bit-identical at any pool width. Raises [Invalid_argument] beyond
+    the size guard. *)
+
 val iter_mappings : Instance.t -> (Mapping.t -> unit) -> unit
-(** Enumerate every interval mapping (raises [Invalid_argument] when the
-    estimate exceeds the guard). *)
+(** Enumerate every plain interval mapping, sequentially and in order
+    (raises [Invalid_argument] when the estimate exceeds the guard). *)
 
 val min_period : Instance.t -> Solution.t
 val min_latency : Instance.t -> Solution.t

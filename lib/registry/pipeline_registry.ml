@@ -209,3 +209,34 @@ let resolve ?kind key =
     | Some k when info.kind <> k ->
       Error (Printf.sprintf "heuristic %s does not match the threshold kind" key)
     | _ -> Ok info)
+
+(* The platform-kind dispatch both surfaces share, so that the CLI and
+   the daemon answer the same requests (DESIGN.md §13): the DP on
+   comm-homogeneous platforms, the exhaustive oracle behind its guard
+   otherwise. *)
+module Bicriteria = Pipeline_optimal.Bicriteria
+module Exhaustive = Pipeline_optimal.Exhaustive
+
+let exact_by (inst : Instance.t) dp exhaustive =
+  if Platform.is_comm_homogeneous inst.platform then Ok (dp inst)
+  else
+    match Exhaustive.oversized ~n:(Application.n inst.app) ~p:(Platform.p inst.platform) with
+    | Some diagnostic -> Error diagnostic
+    | None -> Ok (exhaustive inst)
+
+let exact inst kind ~threshold =
+  match kind with
+  | Period_fixed ->
+    exact_by inst
+      (Bicriteria.min_latency_under_period ~period:threshold)
+      (Exhaustive.min_latency_under_period ~period:threshold)
+  | Latency_fixed ->
+    exact_by inst
+      (Bicriteria.min_period_under_latency ~latency:threshold)
+      (Exhaustive.min_period_under_latency ~latency:threshold)
+
+let exact_pareto inst = exact_by inst Bicriteria.pareto Exhaustive.pareto
+
+let default_mapping (inst : Instance.t) ~period =
+  if Platform.is_comm_homogeneous inst.platform then Pipeline_core.Sp_mono_p.solve inst ~period
+  else Pipeline_het.Het_heuristics.minimise_latency_under_period inst ~period

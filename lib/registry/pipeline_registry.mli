@@ -106,3 +106,22 @@ val solution_of_outcome : outcome -> Pipeline_core.Solution.t option
 (** The outcome as a plain {!Pipeline_core.Solution.t} when no interval
     is replicated ([None] otherwise). Objective values are copied, not
     recomputed. *)
+
+(** {2 Platform-kind dispatch}
+
+    The solver choices the CLI and the serve daemon share, so that both
+    surfaces answer the same requests (DESIGN.md §13). *)
+
+val exact :
+  Instance.t -> kind -> threshold:float -> (Pipeline_core.Solution.t option, string) result
+(** The exact answer for the threshold: the bi-criteria DP on a
+    comm-homogeneous platform, the exhaustive oracle otherwise, and
+    [Error] with {!Pipeline_optimal.Exhaustive.oversized}'s diagnostic
+    (the CLI's exit-2 line, the daemon's 400 body) past its guard. *)
+
+val exact_pareto : Instance.t -> (Pipeline_core.Solution.t list, string) result
+(** The exact Pareto front, dispatched and guarded as {!exact}. *)
+
+val default_mapping : Instance.t -> period:float -> Pipeline_core.Solution.t option
+(** The mapping [simulate] runs when none is given: H1 on a
+    comm-homogeneous platform, het splitting otherwise. *)

@@ -267,17 +267,6 @@ let handle_health () =
 
 let handle_metrics () = (200, "text/plain; version=0.0.4", Obs.exposition ())
 
-(* Fully-het exact answers come from the exhaustive oracle; its
-   enumeration guard (10^7 mappings) is re-checked here so oversized
-   requests get a deliberate 400, not a 500 — with the CLI's exact
-   exit-2 wording (Exhaustive.oversized). *)
-let check_exhaustive_size (inst : Instance.t) =
-  let n = Application.n inst.Instance.app
-  and p = Platform.p inst.Instance.platform in
-  match Pipeline_optimal.Exhaustive.oversized ~n ~p with
-  | Some diagnostic -> reject 400 "%s" diagnostic
-  | None -> ()
-
 let handle_solve t body =
   let request = instance_of_json body in
   let kind, threshold = threshold_of body in
@@ -328,32 +317,10 @@ let handle_solve t body =
     else results
   in
   let results =
-    if exact then begin
-      (* Comm-homogeneous: the O(n³p) dynamic programs. Fully het: the
-         exhaustive oracle, behind its enumeration guard (DESIGN.md
-         §13). *)
-      let sol =
-        if comm_hom then
-          match kind with
-          | Pipeline_core.Registry.Period_fixed ->
-            Pipeline_optimal.Bicriteria.min_latency_under_period inst
-              ~period:threshold
-          | Pipeline_core.Registry.Latency_fixed ->
-            Pipeline_optimal.Bicriteria.min_period_under_latency inst
-              ~latency:threshold
-        else begin
-          check_exhaustive_size inst;
-          match kind with
-          | Pipeline_core.Registry.Period_fixed ->
-            Pipeline_optimal.Exhaustive.min_latency_under_period inst
-              ~period:threshold
-          | Pipeline_core.Registry.Latency_fixed ->
-            Pipeline_optimal.Exhaustive.min_period_under_latency inst
-              ~latency:threshold
-        end
-      in
-      results @ [ solution_row ~id:"exact" ~name:"exact" sol ]
-    end
+    if exact then
+      match Ureg.exact inst kind ~threshold with
+      | Ok sol -> results @ [ solution_row ~id:"exact" ~name:"exact" sol ]
+      | Error diagnostic -> reject 400 "%s" diagnostic
     else results
   in
   json_response 200
@@ -375,14 +342,9 @@ let handle_pareto t body =
   let lookup = Cache.canonical t.cache request in
   let inst = lookup.Cache.instance in
   let front =
-    if Platform.is_comm_homogeneous inst.Instance.platform then
-      Pipeline_optimal.Bicriteria.pareto inst
-    else begin
-      (* Per-link bandwidths break the DP's locality; the exhaustive
-         oracle scores every mapping instead (guarded). *)
-      check_exhaustive_size inst;
-      Pipeline_optimal.Exhaustive.pareto inst
-    end
+    match Ureg.exact_pareto inst with
+    | Ok front -> front
+    | Error diagnostic -> reject 400 "%s" diagnostic
   in
   json_response 200
     (Json.Obj
@@ -426,16 +388,7 @@ let handle_simulate t body =
         | Some p -> p
         | None -> Instance.single_proc_period inst *. 0.85
       in
-      (* H1 on comm-homogeneous platforms, the het splitting extension
-         otherwise — the same dispatch as /solve. *)
-      let sol =
-        if Platform.is_comm_homogeneous inst.Instance.platform then
-          Pipeline_core.Sp_mono_p.solve inst ~period:threshold
-        else
-          Pipeline_het.Het_heuristics.minimise_latency_under_period inst
-            ~period:threshold
-      in
-      match sol with
+      match Ureg.default_mapping inst ~period:threshold with
       | None -> reject 400 "no mapping achieves period %g" threshold
       | Some sol -> sol)
   in

@@ -2,7 +2,7 @@ open Pipeline_model
 
 type mode = One_port_no_overlap | Multi_port_overlap
 
-(* Boundary bandwidths, mirroring Metrics: interval 0 reads from the
+(* Boundary bandwidths, mirroring Cost: interval 0 reads from the
    outside world, interval m-1 writes to it, inner boundaries use the
    link between the two enrolled processors. *)
 let in_bandwidth platform mapping j =

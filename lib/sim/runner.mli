@@ -19,7 +19,7 @@
 
     Transfers of size 0 are executed as zero-duration rendezvous (they
     still synchronise sender and receiver). Works on any platform class:
-    boundary bandwidths follow {!Pipeline_model.Metrics}' conventions. *)
+    boundary bandwidths follow {!Pipeline_model.Cost}'s conventions. *)
 
 open Pipeline_model
 

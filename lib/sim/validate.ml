@@ -15,8 +15,9 @@ let rel_error ~reference v =
   else Float.abs (v -. reference) /. Float.abs reference
 
 let check ?(datasets = 200) (inst : Instance.t) mapping =
-  let analytic_period = Metrics.period inst.app inst.platform mapping in
-  let analytic_latency = Metrics.latency inst.app inst.platform mapping in
+  let cost = Cost.get inst.app inst.platform in
+  let analytic_period = Cost.period cost mapping in
+  let analytic_latency = Cost.latency cost mapping in
   let trace =
     Runner.run ~mode:Runner.One_port_no_overlap inst mapping ~datasets
   in

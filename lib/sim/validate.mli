@@ -21,7 +21,7 @@ type report = {
 
 val check : ?datasets:int -> Instance.t -> Mapping.t -> report
 (** Simulate [datasets] data sets (default 200) in the paper's model and
-    compare with {!Pipeline_model.Metrics}. *)
+    compare with {!Pipeline_model.Cost}. *)
 
 val agrees : ?tolerance:float -> report -> bool
 (** Both relative errors below [tolerance] (default 1e-6). *)

@@ -406,8 +406,9 @@ let test_to_mapping_period_equals_bottleneck () =
   let sol = Hetero.exact_dp a ~speeds in
   let mapping = To_mapping.mapping_of_solution sol in
   let period =
-    Pipeline_model.Metrics.period inst.Pipeline_model.Instance.app
-      inst.Pipeline_model.Instance.platform mapping
+    Pipeline_model.Cost.(
+      period (get inst.Pipeline_model.Instance.app inst.Pipeline_model.Instance.platform)
+        mapping)
   in
   Helpers.check_float "period = weighted bottleneck" sol.Hetero.bottleneck period
 

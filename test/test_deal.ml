@@ -49,8 +49,19 @@ let test_deal_replicate_rejects_used () =
     (fun () -> ignore (Deal_mapping.replicate d ~j:0 ~proc:1))
 
 (* ------------------------------------------------------------------ *)
-(* Deal_metrics                                                        *)
+(* Cost's deal layer                                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* Sanity bridge: on an unreplicated mapping the round-robin and
+   weighted deal periods and the deal latency agree with the plain cost
+   model. *)
+let consistent_with_plain (inst : Instance.t) plain =
+  let cost = Cost.get inst.app inst.platform in
+  let deal = Deal_mapping.of_mapping plain in
+  let eq a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1. (Float.abs a) in
+  eq (Cost.deal_period cost deal) (Cost.period cost plain)
+  && eq (Cost.deal_period_weighted cost deal) (Cost.period cost plain)
+  && eq (Cost.deal_latency cost deal) (Cost.latency cost plain)
 
 let test_metrics_consistent_with_plain () =
   List.iter
@@ -63,7 +74,7 @@ let test_metrics_consistent_with_plain () =
         else Mapping.single ~n ~proc:0
       in
       Alcotest.(check bool) "consistent" true
-        (Deal_metrics.consistent_with_plain inst mapping))
+        (consistent_with_plain inst mapping))
     (Helpers.seeds 20)
 
 let test_metrics_replication_divides_period () =
@@ -74,9 +85,9 @@ let test_metrics_replication_divides_period () =
   let inst = Instance.make app platform in
   let solo = Deal_mapping.make ~n:1 [ (Interval.singleton 1, [ 0 ]) ] in
   let dealt = Deal_mapping.make ~n:1 [ (Interval.singleton 1, [ 0; 1 ]) ] in
-  Helpers.check_float "solo period" 6. (Deal_metrics.period inst solo);
-  Helpers.check_float "dealt period" 3. (Deal_metrics.period inst dealt);
-  Helpers.check_float "latency unchanged" 6. (Deal_metrics.latency inst dealt)
+  Helpers.check_float "solo period" 6. (Cost.deal_period (Cost.get inst.Instance.app inst.Instance.platform) solo);
+  Helpers.check_float "dealt period" 3. (Cost.deal_period (Cost.get inst.Instance.app inst.Instance.platform) dealt);
+  Helpers.check_float "latency unchanged" 6. (Cost.deal_latency (Cost.get inst.Instance.app inst.Instance.platform) dealt)
 
 let test_metrics_round_robin_vs_weighted () =
   (* Heterogeneous replicas: round-robin is paced by the slow one, the
@@ -86,8 +97,8 @@ let test_metrics_round_robin_vs_weighted () =
   let inst = Instance.make app platform in
   let dealt = Deal_mapping.make ~n:1 [ (Interval.singleton 1, [ 0; 1 ]) ] in
   (* cycles: 2 and 6; round robin: 6/2 = 3; weighted: 1/(1/2 + 1/6) = 1.5 *)
-  Helpers.check_float "round robin" 3. (Deal_metrics.period inst dealt);
-  Helpers.check_float "weighted" 1.5 (Deal_metrics.period_weighted inst dealt)
+  Helpers.check_float "round robin" 3. (Cost.deal_period (Cost.get inst.Instance.app inst.Instance.platform) dealt);
+  Helpers.check_float "weighted" 1.5 (Cost.deal_period_weighted (Cost.get inst.Instance.app inst.Instance.platform) dealt)
 
 let prop_weighted_never_slower =
   Helpers.qtest "weighted deal period <= round-robin period" gen_seed
@@ -100,8 +111,8 @@ let prop_weighted_never_slower =
           Deal_mapping.make ~n [ (Interval.make ~first:1 ~last:n, [ 0; 1 ]) ]
         else Deal_mapping.make ~n [ (Interval.make ~first:1 ~last:n, [ 0 ]) ]
       in
-      Deal_metrics.period_weighted inst mapping
-      <= Deal_metrics.period inst mapping +. 1e-9)
+      Cost.deal_period_weighted (Cost.get inst.Instance.app inst.Instance.platform) mapping
+      <= Cost.deal_period (Cost.get inst.Instance.app inst.Instance.platform) mapping +. 1e-9)
 
 let prop_weighted_replication_never_hurts =
   (* Round-robin CAN get slower when the extra replica is much slower
@@ -116,8 +127,8 @@ let prop_weighted_replication_never_hurts =
       ||
       let solo = Deal_mapping.make ~n [ (Interval.make ~first:1 ~last:n, [ 0 ]) ] in
       let dealt = Deal_mapping.replicate solo ~j:0 ~proc:1 in
-      Deal_metrics.period_weighted inst dealt
-      <= Deal_metrics.period_weighted inst solo +. 1e-9)
+      Cost.deal_period_weighted (Cost.get inst.Instance.app inst.Instance.platform) dealt
+      <= Cost.deal_period_weighted (Cost.get inst.Instance.app inst.Instance.platform) solo +. 1e-9)
 
 let test_round_robin_slower_replica_can_hurt () =
   (* cycles 2 and 20: solo period 2, dealt round-robin period 10. *)
@@ -126,8 +137,8 @@ let test_round_robin_slower_replica_can_hurt () =
   let inst = Instance.make app platform in
   let solo = Deal_mapping.make ~n:1 [ (Interval.singleton 1, [ 0 ]) ] in
   let dealt = Deal_mapping.replicate solo ~j:0 ~proc:1 in
-  Helpers.check_float "solo" 2. (Deal_metrics.period inst solo);
-  Helpers.check_float "dealt is worse" 10. (Deal_metrics.period inst dealt)
+  Helpers.check_float "solo" 2. (Cost.deal_period (Cost.get inst.Instance.app inst.Instance.platform) solo);
+  Helpers.check_float "dealt is worse" 10. (Cost.deal_period (Cost.get inst.Instance.app inst.Instance.platform) dealt)
 
 (* ------------------------------------------------------------------ *)
 (* Deal_heuristic                                                      *)
@@ -215,10 +226,10 @@ let test_sim_matches_analytic_plain () =
   let deal = Deal_mapping.of_mapping plain in
   let result = Deal_sim.run inst deal ~datasets:200 in
   Helpers.check_float "plain deal sim = metrics period"
-    (Metrics.period inst.Instance.app inst.Instance.platform plain)
+    (Cost.period (Cost.get inst.Instance.app inst.Instance.platform) plain)
     result.Deal_sim.steady_period;
   Helpers.check_float "first latency = metrics latency"
-    (Metrics.latency inst.Instance.app inst.Instance.platform plain)
+    (Cost.latency (Cost.get inst.Instance.app inst.Instance.platform) plain)
     result.Deal_sim.first_latency
 
 let prop_sim_matches_analytic_deal =
@@ -250,7 +261,7 @@ let prop_sim_matches_analytic_deal =
           deal := Deal_mapping.replicate !deal ~j:(Rng.int rng m) ~proc:perm.(extra)
       done;
       let result = Deal_sim.run inst !deal ~datasets:800 in
-      let analytic = Deal_metrics.period inst !deal in
+      let analytic = Cost.deal_period (Cost.get inst.Instance.app inst.Instance.platform) !deal in
       (* The slope estimator reads the running-max completion over the
          second half; its granularity is one full deal round, so allow an
          O(r/K) sampling error. *)

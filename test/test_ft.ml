@@ -2,7 +2,6 @@ open Pipeline_model
 open Pipeline_ft
 module Rng = Pipeline_util.Rng
 module DM = Deal_mapping
-module DR = Pipeline_deal.Deal_reliability
 module Registry = Pipeline_core.Registry
 
 let gen_seed = QCheck2.Gen.int_range 0 100_000
@@ -57,14 +56,18 @@ let prop_deal_agrees_with_plain =
       let rng = Rng.create (seed + 13) in
       let rel = random_reliability rng (Platform.p inst.platform) in
       let mapping = Instance.single_proc_mapping inst in
-      DR.agrees_with_plain rel mapping)
+      (* Embedding a plain mapping and evaluating the deal failure
+         matches the plain model up to rounding. *)
+      let via_deal = Cost.failure rel (DM.of_mapping mapping) in
+      let direct = Reliability.mapping_failure rel mapping in
+      Float.abs (via_deal -. direct) <= 1e-12 *. Float.max 1. (Float.abs direct))
 
 let test_deal_replication_reduces_failure () =
   let rel = Reliability.make [| 0.2; 0.3; 0.4 |] in
   let plain = DM.of_mapping (Mapping.single ~n:3 ~proc:0) in
   let replicated = DM.replicate plain ~j:0 ~proc:2 in
-  let f_plain = DR.failure rel plain in
-  let f_repl = DR.failure rel replicated in
+  let f_plain = Cost.failure rel plain in
+  let f_repl = Cost.failure rel replicated in
   Helpers.check_float "plain" 0.2 f_plain;
   (* interval fails only if both replicas fail: 0.2 * 0.4 *)
   Helpers.check_float "replicated" 0.08 f_repl;

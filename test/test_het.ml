@@ -24,7 +24,7 @@ let single_proc_period (inst : Instance.t) =
   for u = 0 to Platform.p inst.platform - 1 do
     best :=
       Float.min !best
-        (Metrics.period inst.app inst.platform (Mapping.single ~n ~proc:u))
+        (Cost.period (Cost.get inst.app inst.platform) (Mapping.single ~n ~proc:u))
   done;
   !best
 

@@ -269,7 +269,7 @@ let test_mapping_valid_on () =
     (Mapping.valid_on m (Helpers.small_platform ()))
 
 (* ------------------------------------------------------------------ *)
-(* Metrics (hand-computed examples)                                   *)
+(* Cost (hand-computed examples)                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Instance: works [4;8;2;6], deltas [10;20;30;20;10], speeds [2;4;1], b=10. *)
@@ -278,30 +278,30 @@ let test_metrics_single_proc () =
   let inst = Helpers.small_instance () in
   let m = Mapping.single ~n:4 ~proc:1 in
   (* cycle = 10/10 + 20/4 + 10/10 = 7; latency identical. *)
-  Helpers.check_float "period" 7. (Metrics.period inst.app inst.platform m);
-  Helpers.check_float "latency" 7. (Metrics.latency inst.app inst.platform m)
+  Helpers.check_float "period" 7. (Cost.period (Cost.get inst.app inst.platform) m);
+  Helpers.check_float "latency" 7. (Cost.latency (Cost.get inst.app inst.platform) m)
 
 let test_metrics_two_intervals () =
   let inst = Helpers.small_instance () in
   let m = Mapping.of_cuts ~n:4 ~cuts:[ 2 ] ~procs:[ 1; 0 ] in
   (* I1=[1,2] on P1 (s=4): 10/10 + 12/4 + 30/10 = 7
      I2=[3,4] on P0 (s=2): 30/10 + 8/2 + 10/10 = 8 *)
-  Helpers.check_float "cycle 0" 7. (Metrics.cycle_time inst.app inst.platform m 0);
-  Helpers.check_float "cycle 1" 8. (Metrics.cycle_time inst.app inst.platform m 1);
-  Helpers.check_float "period" 8. (Metrics.period inst.app inst.platform m);
-  Alcotest.(check int) "bottleneck" 1 (Metrics.bottleneck inst.app inst.platform m);
+  Helpers.check_float "cycle 0" 7. (Cost.cycle_time (Cost.get inst.app inst.platform) m 0);
+  Helpers.check_float "cycle 1" 8. (Cost.cycle_time (Cost.get inst.app inst.platform) m 1);
+  Helpers.check_float "period" 8. (Cost.period (Cost.get inst.app inst.platform) m);
+  Alcotest.(check int) "bottleneck" 1 (Cost.bottleneck (Cost.get inst.app inst.platform) m);
   (* latency = (1+3) + (3+4) + 10/10 = 12 *)
-  Helpers.check_float "latency" 12. (Metrics.latency inst.app inst.platform m)
+  Helpers.check_float "latency" 12. (Cost.latency (Cost.get inst.app inst.platform) m)
 
 let test_metrics_summary_consistent () =
   let inst = Helpers.small_instance () in
   let m = Mapping.of_cuts ~n:4 ~cuts:[ 1; 2 ] ~procs:[ 2; 1; 0 ] in
-  let s = Metrics.summary inst.app inst.platform m in
-  Helpers.check_float "period" (Metrics.period inst.app inst.platform m)
-    s.Metrics.period;
-  Helpers.check_float "latency" (Metrics.latency inst.app inst.platform m)
-    s.Metrics.latency;
-  Alcotest.(check int) "intervals" 3 s.Metrics.intervals
+  let s = Cost.summary (Cost.get inst.app inst.platform) m in
+  Helpers.check_float "period" (Cost.period (Cost.get inst.app inst.platform) m)
+    s.Cost.period;
+  Helpers.check_float "latency" (Cost.latency (Cost.get inst.app inst.platform) m)
+    s.Cost.latency;
+  Alcotest.(check int) "intervals" 3 s.Cost.intervals
 
 let test_metrics_het_uses_links () =
   let bandwidths = [| [| 0.; 2. |]; [| 2.; 0. |] |] in
@@ -313,24 +313,24 @@ let test_metrics_het_uses_links () =
   let inst = Instance.make app pl in
   let m = Mapping.one_to_one ~procs:[| 0; 1 |] in
   (* I1: 10/10 + 2/1 + 4/2 = 5; I2: 4/2 + 2/1 + 10/10 = 5 *)
-  Helpers.check_float "period" 5. (Metrics.period inst.app inst.platform m);
+  Helpers.check_float "period" 5. (Cost.period (Cost.get inst.app inst.platform) m);
   (* latency = (1+2) + (2+2) + 1 = 8 *)
-  Helpers.check_float "latency" 8. (Metrics.latency inst.app inst.platform m)
+  Helpers.check_float "latency" 8. (Cost.latency (Cost.get inst.app inst.platform) m)
 
 let test_metrics_rejects_mismatch () =
   let inst = Helpers.small_instance () in
   let m = Mapping.single ~n:3 ~proc:0 in
   Alcotest.check_raises "wrong n"
-    (Invalid_argument "Metrics: mapping and application disagree on n") (fun () ->
-      ignore (Metrics.period inst.app inst.platform m))
+    (Invalid_argument "Cost: mapping and application disagree on n") (fun () ->
+      ignore (Cost.period (Cost.get inst.app inst.platform) m))
 
 let test_metrics_zero_deltas () =
   (* With δ = 0 and b = 1 the period reduces to the weighted bottleneck. *)
   let app = Application.make ~deltas:[| 0.; 0.; 0. |] [| 6.; 3. |] in
   let pl = Platform.comm_homogeneous ~bandwidth:1. [| 2.; 3. |] in
   let m = Mapping.one_to_one ~procs:[| 1; 0 |] in
-  Helpers.check_float "period" 2. (Metrics.period app pl m);
-  Helpers.check_float "latency" 3.5 (Metrics.latency app pl m)
+  Helpers.check_float "period" 2. (Cost.period (Cost.get app pl) m);
+  Helpers.check_float "latency" 3.5 (Cost.latency (Cost.get app pl) m)
 
 let prop_one_interval_period_equals_latency =
   Helpers.qtest "single-interval mapping: period = latency"
@@ -339,8 +339,8 @@ let prop_one_interval_period_equals_latency =
       let inst = Helpers.random_instance seed in
       let n = Application.n inst.app in
       let mapping = Mapping.single ~n ~proc:0 in
-      let s = Metrics.summary inst.app inst.platform mapping in
-      Helpers.feq s.Metrics.period s.Metrics.latency)
+      let s = Cost.summary (Cost.get inst.app inst.platform) mapping in
+      Helpers.feq s.Cost.period s.Cost.latency)
 
 let prop_period_at_most_latency_for_two_intervals =
   (* With identical in/out bandwidths, each cycle-time is a subset of the
@@ -356,8 +356,8 @@ let prop_period_at_most_latency_for_two_intervals =
         if n >= 2 && p >= 2 then Mapping.of_cuts ~n ~cuts:[ n / 2 ] ~procs:[ 0; 1 ]
         else Mapping.single ~n ~proc:0
       in
-      let s = Metrics.summary inst.app inst.platform mapping in
-      s.Metrics.period <= s.Metrics.latency +. 1e-9)
+      let s = Cost.summary (Cost.get inst.app inst.platform) mapping in
+      s.Cost.period <= s.Cost.latency +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Generators and Instance                                            *)
@@ -772,10 +772,10 @@ let prop_coarsen_preserves_metrics =
       in
       let coarse_mapping = Mapping.of_cuts ~n:groups ~cuts ~procs in
       let refined = Transform.refine_mapping ~factor ~n coarse_mapping in
-      let a = Metrics.summary coarse_app coarse_inst.Instance.platform coarse_mapping in
-      let b = Metrics.summary inst.Instance.app inst.Instance.platform refined in
-      Helpers.feq a.Metrics.period b.Metrics.period
-      && Helpers.feq a.Metrics.latency b.Metrics.latency)
+      let a = Cost.summary (Cost.get coarse_app coarse_inst.Instance.platform) coarse_mapping in
+      let b = Cost.summary (Cost.get inst.Instance.app inst.Instance.platform) refined in
+      Helpers.feq a.Cost.period b.Cost.period
+      && Helpers.feq a.Cost.latency b.Cost.latency)
 
 let test_coarse_solve_lifts () =
   let inst = Helpers.random_instance 909 in
@@ -910,7 +910,7 @@ let prop_scale_rates_scales_het_rows =
 let prop_drop_comm_collapses_to_comm_hom =
   (* With zero-size messages every comm term is exactly 0/b = 0, so the
      fully-het platform and any comm-homogenisation of it are the same
-     cost model bit-for-bit. Checked three ways: (a) Metrics of a random
+     cost model bit-for-bit. Checked three ways: (a) Cost of a random
      mapping agree on the het twin and the hom twin; (b) the candidate
      sets coincide; (c) end-to-end, the het-capable registry rows return
      identical outcomes on both twins, and every registry row — all
@@ -943,7 +943,7 @@ let prop_drop_comm_collapses_to_comm_hom =
       in
       let mapping = Mapping.of_cuts ~n ~cuts ~procs in
       let summary (i : Instance.t) =
-        Metrics.summary i.Instance.app i.Instance.platform mapping
+        Cost.summary (Cost.get i.Instance.app i.Instance.platform) mapping
       in
       let a = summary het and b = summary hom10 in
       let same_outcome (x : Ureg.outcome option) (y : Ureg.outcome option) =
@@ -956,8 +956,8 @@ let prop_drop_comm_collapses_to_comm_hom =
              = Deal_mapping.to_string y.Ureg.mapping
         | _ -> false
       in
-      a.Metrics.period = b.Metrics.period
-      && a.Metrics.latency = b.Metrics.latency
+      a.Cost.period = b.Cost.period
+      && a.Cost.latency = b.Cost.latency
       && Candidates.periods (Cost.get het.Instance.app het.Instance.platform)
          = Candidates.periods
              (Cost.get hom10.Instance.app hom10.Instance.platform)

@@ -220,7 +220,7 @@ let test_exhaustive_guard () =
      with Invalid_argument _ -> true)
 
 let test_exhaustive_works_on_het () =
-  (* The enumerator scores with the het-aware Metrics. *)
+  (* The enumerator scores with the het-aware Cost model. *)
   let bandwidths = [| [| 0.; 2.; 5. |]; [| 2.; 0.; 3. |]; [| 5.; 3.; 0. |] |] in
   let pl = Platform.fully_heterogeneous ~bandwidths [| 1.; 2.; 3. |] in
   let inst = Instance.make (Application.uniform ~n:3 ~work:6. ~delta:2.) pl in
@@ -353,10 +353,8 @@ let render_plain_oracles buf inst =
     (Digest.to_hex (Digest.string (Buffer.contents seq)))
 
 let deal_mapping_strings inst =
-  let acc = ref [] in
-  Pipeline_deal.Deal_exhaustive.iter inst (fun deal ->
-      acc := Deal_mapping.to_string deal :: !acc);
-  !acc
+  Pipeline_deal.Deal_exhaustive.fold inst ~init:[] ~merge:(fun acc l -> l @ acc)
+    ~step:(fun acc deal -> Deal_mapping.to_string deal :: acc)
 
 let render_deal_oracles buf (inst : Instance.t) =
   let module Rng = Pipeline_util.Rng in

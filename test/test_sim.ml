@@ -56,13 +56,13 @@ let test_trace_ops_sorted () =
 let test_trace_first_dataset_latency () =
   let inst, mapping, trace = run_small () in
   Helpers.check_float "dataset 0 = analytic latency"
-    (Metrics.latency inst.Instance.app inst.Instance.platform mapping)
+    (Cost.latency (Cost.get inst.Instance.app inst.Instance.platform) mapping)
     (Trace.latency trace 0)
 
 let test_trace_steady_period () =
   let inst, mapping, trace = run_small () in
   Helpers.check_float "steady period = analytic"
-    (Metrics.period inst.Instance.app inst.Instance.platform mapping)
+    (Cost.period (Cost.get inst.Instance.app inst.Instance.platform) mapping)
     (Trace.steady_period trace)
 
 let test_trace_monotone_completions () =
@@ -361,9 +361,9 @@ let prop_workload_sim_matches_runner =
       let stats =
         W.run ~config:{ W.default_config with W.datasets = 150 } inst mapping
       in
-      let analytic = Metrics.period inst.Instance.app inst.Instance.platform mapping in
+      let analytic = Cost.period (Cost.get inst.Instance.app inst.Instance.platform) mapping in
       let analytic_latency =
-        Metrics.latency inst.Instance.app inst.Instance.platform mapping
+        Cost.latency (Cost.get inst.Instance.app inst.Instance.platform) mapping
       in
       Helpers.feq ~eps:1e-6 stats.W.steady_period analytic
       && (* dataset 0 never waits: its latency is the analytic one, and it
@@ -378,7 +378,7 @@ let prop_noise_inflates_period =
         { W.default_config with W.noise = W.Uniform_factor 0.3; datasets = 300 }
       in
       let stats = W.run ~config inst mapping in
-      let analytic = Metrics.period inst.Instance.app inst.Instance.platform mapping in
+      let analytic = Cost.period (Cost.get inst.Instance.app inst.Instance.platform) mapping in
       (* Mean-1 multiplicative noise + rendezvous coupling: the achieved
          period can only sit above the analytic one, minus sampling
          slack. *)
