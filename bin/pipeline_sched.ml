@@ -1068,14 +1068,17 @@ let serve_cmd =
 let pareto_cmd =
   let run () obs inst =
     with_obs obs @@ fun () ->
-    Format.printf "%a@." pp_instance inst;
     match Ureg.exact_pareto inst with
     | Error diagnostic -> die "%s" diagnostic
     | Ok front ->
+      Format.printf "%a@." pp_instance inst;
       List.iter (fun (sol : Solution.t) -> Format.printf "%a@." Solution.pp sol) front
   in
   Cmd.v
-    (Cmd.info "pareto" ~doc:"Exact period/latency Pareto front (exponential in p).")
+    (Cmd.info "pareto"
+       ~doc:
+         "Exact period/latency Pareto front (exponential in p; the guarded \
+          exhaustive oracle on fully heterogeneous platforms).")
     Term.(const run $ jobs_setup $ obs_args $ instance_args)
 
 let () =

@@ -17,10 +17,10 @@ suites=()
 for f in test/test_*.ml; do
   suites+=("$(basename "$f" .ml)")
 done
-# The suites, and the golden files they read relative to their directory.
+# The suites, and every golden file they may read relative to their
+# directory.
 dune build --root . --display quiet \
-  $(printf 'test/%s.exe ' "${suites[@]}") test/golden-sim/* \
-  test/golden-threshold/*
+  $(printf 'test/%s.exe ' "${suites[@]}") test/golden-*/*
 
 logs=$(mktemp -d)
 trap 'rm -rf "$logs"' EXIT

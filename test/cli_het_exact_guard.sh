@@ -1,39 +1,49 @@
 #!/usr/bin/env bash
-# Exit-code contract of the fully-het exact path (`solve --exact` on a
-# het platform): an instance past the exhaustive enumeration guard is
+# Exit-code contract of the fully-het exact paths (`solve --exact` and
+# `pareto` on a het platform): an instance past the exhaustive
+# enumeration guard is
 #   - exit 2, one diagnostic line on stderr, empty stdout tail — and the
 #     diagnostic reports the ACTUAL mapping count next to the bound and
 #     says the bound is --jobs-independent (Exhaustive.oversized, the
 #     same wording the serve daemon returns as its HTTP 400 body);
 #   - an admissible size on the same path still exits 0.
+# `simulate` without --mapping on a het platform runs the het splitter's
+# mapping, as the daemon's /simulate does.
 set -u
 bin="$1"
 fail() { echo "cli_het_exact_guard: $1" >&2; exit 1; }
 
+expect_guard() {
+  "$bin" "$@" >/dev/null 2>/tmp/cli-het-err.$$
+  code=$?
+  err=$(cat /tmp/cli-het-err.$$); rm -f /tmp/cli-het-err.$$
+
+  [ "$code" -eq 2 ] || fail "$1: expected exit 2 past the enumeration guard, got $code"
+  [ "$(printf '%s' "$err" | wc -l)" -eq 0 ] || fail "$1: expected one-line stderr, got: $err"
+  case "$err" in
+    *"too large for the exact solver"*) ;;
+    *) fail "$1: diagnostic lost the guard wording: $err" ;;
+  esac
+  case "$err" in
+    *"interval mappings exceed the"*) ;;
+    *) fail "$1: diagnostic must report the actual mapping count: $err" ;;
+  esac
+  case "$err" in
+    *"--jobs-independent"*) ;;
+    *) fail "$1: diagnostic must state the bound is --jobs-independent: $err" ;;
+  esac
+}
 # n=30, p=8 on the fully-het e5 family: ~1e10 interval mappings, far
 # past the 1e7 guard; deterministic instance, no files needed.
-"$bin" solve --family e5 --stages 30 --procs 8 --period 100 --exact \
-  >/dev/null 2>/tmp/cli-het-err.$$
-code=$?
-err=$(cat /tmp/cli-het-err.$$); rm -f /tmp/cli-het-err.$$
+expect_guard solve --family e5 --stages 30 --procs 8 --period 100 --exact
+expect_guard pareto --family e5 --stages 30 --procs 8
 
-[ "$code" -eq 2 ] || fail "expected exit 2 past the enumeration guard, got $code"
-[ "$(printf '%s' "$err" | wc -l)" -eq 0 ] || fail "expected one-line stderr, got: $err"
-case "$err" in
-  *"too large for the exact solver"*) ;;
-  *) fail "diagnostic lost the guard wording: $err" ;;
-esac
-case "$err" in
-  *"interval mappings exceed the"*) ;;
-  *) fail "diagnostic must report the actual mapping count: $err" ;;
-esac
-case "$err" in
-  *"--jobs-independent"*) ;;
-  *) fail "diagnostic must state the bound is --jobs-independent: $err" ;;
-esac
-
-# Same path, admissible size: the oracle runs and the CLI exits 0.
+# Same paths, admissible size: the oracle runs and the CLI exits 0.
 "$bin" solve --family e5 --stages 5 --procs 3 --period 100 --exact \
   >/dev/null 2>&1 || fail "admissible het --exact solve should exit 0"
+"$bin" pareto --family e5 --stages 5 --procs 3 \
+  >/dev/null 2>&1 || fail "admissible het pareto should exit 0"
+"$bin" simulate --family e5 --stages 6 --procs 4 \
+  >/dev/null 2>&1 || fail "het simulate without --mapping should exit 0"
 
 echo "cli het-exact-guard contract: ok"

@@ -1153,9 +1153,20 @@ let cost_instance kind_choice seed =
 
 let prop_cost_plain_matches_reference =
   Helpers.qtest ~count:200 "Cost == pre-engine Metrics, bitwise, all platform kinds"
-    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 2))
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 3))
     (fun (seed, kind_choice) ->
-      let inst = cost_instance kind_choice seed in
+      (* One case in four at web scale: an E6 ladder instance with
+         1 000-50 000 stages on 64-1 000 processors, where Cost is the
+         only other evaluator of equations (1)-(2). *)
+      let inst =
+        if kind_choice = 3 then begin
+          let rng = Pipeline_util.Rng.create seed in
+          let n = Pipeline_util.Rng.int_in rng 1_000 50_000 in
+          Pipeline_experiments.Scaling.instance ~seed ~n
+            ~p:(Pipeline_util.Rng.int_in rng 64 1_000)
+        end
+        else cost_instance kind_choice seed
+      in
       let app = inst.Instance.app and platform = inst.Instance.platform in
       let rng = Pipeline_util.Rng.create (seed + 23) in
       let mapping = random_mapping rng inst in

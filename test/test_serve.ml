@@ -446,7 +446,17 @@ let test_protocol_rejects () =
     (* deltas length mismatch *);
   expect_status ~path:"/nope" 404 "";
   expect_status ~meth:"PUT" 405 (small_solve_body ());
-  expect_status ~meth:"POST" ~path:"/health" 405 ""
+  expect_status ~meth:"POST" ~path:"/health" 405 "";
+  (* A mapping that does not fit: Cost's own wording, as the CLI's eval
+     and simulate print it (test/cli_bad_mapping.sh). *)
+  let got, _, reply =
+    Protocol.handle p
+      (request ~path:"/simulate"
+         {|{"instance":{"works":[4,8,2,6],"deltas":[10,20,30,20,10],"platform":{"speeds":[2,4,1],"bandwidth":10}},"mapping":"1-2:0 3-4:7"}|})
+  in
+  Alcotest.(check int) "mapping outside the platform -> 400" 400 got;
+  Alcotest.(check string) "Cost's wording"
+    "Cost: mapping references processors outside the platform" (error_of reply)
 
 let test_protocol_simulate_and_pareto () =
   let p = Protocol.create () in
