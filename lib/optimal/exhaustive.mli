@@ -1,8 +1,8 @@
 (** Brute-force enumeration of every interval mapping, plain or dealt.
 
     Enumerates all partitions of [\[1..n\]] into [m] intervals and all
-    ways to give each interval what a {!rule} says it receives: one free
-    processor (a plain interval mapping) or a non-empty set of free
+    ways to give each interval what a {!type:rule} says it receives: one
+    free processor (a plain interval mapping) or a non-empty set of free
     processors (a deal mapping, arXiv 0711.1231). Plain mappings are
     scored with the full {!Pipeline_model.Cost} model — so, unlike
     {!Bicriteria}, the plain queries also work on fully heterogeneous
