@@ -12,7 +12,8 @@ let rule =
          "deal.exhaustive.branches")
 
 let fold inst ~init ~step ~merge =
-  Pipeline_optimal.Exhaustive.fold rule inst ~init ~step ~merge
+  Pipeline_optimal.Exhaustive.fold rule inst ~init ~merge ~step:(fun acc leaf ->
+      step acc (Pipeline_optimal.Exhaustive.mapping leaf))
 
 let min_period (inst : Instance.t) =
   (* First-seen-wins on (period, latency) ties, per task; merging the

@@ -1,7 +1,7 @@
 (** Exhaustive tri-criteria oracle (validation only).
 
     Enumerates every deal mapping via
-    {!Pipeline_deal.Deal_exhaustive.iter} and keeps the minimum-latency
+    {!Pipeline_deal.Deal_exhaustive.fold} and keeps the minimum-latency
     one among those meeting both the period bound and the failure bound
     (ties: lower period, then lower failure probability). The ground
     truth for [Ft_heuristic] on tiny instances; inherits the enumeration

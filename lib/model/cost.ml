@@ -185,8 +185,29 @@ let dout_u t e =
    per-engine table needed. *)
 let ws_u t d e = Application.work_sum t.app d e
 
-let contrib_u t d e u = din_u t d +. (ws_u t d e /. t.speeds.(u))
-let cycle_direct t d e u = din_u t d +. (ws_u t d e /. t.speeds.(u)) +. dout_u t e
+(* The three terms of interval [d, e] on processor [u], the only formula
+   of each: its input transfer from [prev], its computation, and its
+   output transfer to [next]. A neighbour is the processor of the
+   adjacent interval, or [io] for the pipeline's I/O port. Every
+   cycle-time is (input + compute) + output, and the latency adds input
+   then compute per interval, then the last output. *)
+let io = -1
+
+let link t a b =
+  if a = io then Platform.io_bandwidth t.platform b
+  else if b = io then Platform.io_bandwidth t.platform a
+  else Platform.bandwidth t.platform a b
+
+let[@inline] input_u t d ~prev u =
+  if t.comm_hom then din_u t d else Application.delta t.app (d - 1) /. link t prev u
+
+let[@inline] compute_u t d e u = ws_u t d e /. t.speeds.(u)
+
+let[@inline] output_u t e u ~next =
+  if t.comm_hom then dout_u t e else Application.delta t.app e /. link t u next
+
+let contrib_u t d e u = din_u t d +. compute_u t d e u
+let cycle_direct t d e u = din_u t d +. compute_u t d e u +. dout_u t e
 
 let cycle_u t d e u =
   if not t.cycle_memo then cycle_direct t d e u
@@ -276,7 +297,7 @@ let config_cycle_u t d e (c : config) =
   if t.comm_hom then cycle_u t d e c.proc
   else
     Application.delta t.app (d - 1) /. c.b_in
-    +. (ws_u t d e /. t.speeds.(c.proc))
+    +. compute_u t d e c.proc
     +. (Application.delta t.app e /. c.b_out)
 
 let config_cycle t ~d ~e config =
@@ -394,10 +415,24 @@ let work_sum t ~d ~e =
   check_interval t "Cost.work_sum" d e;
   ws_u t d e
 
+let check_neighbour t who v = if v <> io then check_proc t who v
+
+let input t ~d ~prev ~u =
+  check_interval t "Cost.input" d d;
+  check_proc t "Cost.input" u;
+  check_neighbour t "Cost.input" prev;
+  input_u t d ~prev u
+
 let compute t ~d ~e ~u =
   check_interval t "Cost.compute" d e;
   check_proc t "Cost.compute" u;
-  ws_u t d e /. t.speeds.(u)
+  compute_u t d e u
+
+let output t ~e ~u ~next =
+  check_interval t "Cost.output" e e;
+  check_proc t "Cost.output" u;
+  check_neighbour t "Cost.output" next;
+  output_u t e u ~next
 
 let contrib t ~d ~e ~u =
   require_comm_hom t "Cost.contrib";
@@ -446,29 +481,15 @@ let check t mapping =
   if not (Mapping.valid_on mapping t.platform) then
     invalid_arg "Cost: mapping references processors outside the platform"
 
-let in_bandwidth t mapping j =
-  if j = 0 then Platform.io_bandwidth t.platform (Mapping.proc mapping 0)
-  else
-    Platform.bandwidth t.platform
-      (Mapping.proc mapping (j - 1))
-      (Mapping.proc mapping j)
-
-let out_bandwidth t mapping j =
-  let m = Mapping.m mapping in
-  if j = m - 1 then Platform.io_bandwidth t.platform (Mapping.proc mapping j)
-  else
-    Platform.bandwidth t.platform (Mapping.proc mapping j)
-      (Mapping.proc mapping (j + 1))
-
 let cycle_time_u t mapping j =
   let iv = Mapping.interval mapping j in
   let u = Mapping.proc mapping j in
   let d = Interval.first iv and e = Interval.last iv in
   if t.comm_hom then cycle_u t d e u
   else
-    Application.delta t.app (d - 1) /. in_bandwidth t mapping j
-    +. (ws_u t d e /. t.speeds.(u))
-    +. (Application.delta t.app e /. out_bandwidth t mapping j)
+    let prev = if j = 0 then io else Mapping.proc mapping (j - 1) in
+    let next = if j = Mapping.m mapping - 1 then io else Mapping.proc mapping (j + 1) in
+    input_u t d ~prev u +. compute_u t d e u +. output_u t e u ~next
 
 let cycle_time t mapping j =
   check t mapping;
@@ -500,23 +521,16 @@ let bottleneck t mapping =
   !best_j
 
 let latency_u t mapping =
-  let m = Mapping.m mapping in
-  let total = ref 0. in
-  for j = 0 to m - 1 do
+  let total = ref 0. and prev = ref io in
+  for j = 0 to Mapping.m mapping - 1 do
     let iv = Mapping.interval mapping j in
     let u = Mapping.proc mapping j in
     let d = Interval.first iv and e = Interval.last iv in
-    let input =
-      if t.comm_hom then din_u t d
-      else Application.delta t.app (d - 1) /. in_bandwidth t mapping j
-    in
-    total := !total +. input +. (ws_u t d e /. t.speeds.(u))
+    let input = input_u t d ~prev:!prev u in
+    total := !total +. input +. compute_u t d e u;
+    prev := u
   done;
-  let output =
-    if t.comm_hom then dout_u t t.n
-    else Application.delta t.app t.n /. out_bandwidth t mapping (m - 1)
-  in
-  !total +. output
+  !total +. output_u t t.n !prev ~next:io
 
 let latency t mapping =
   check t mapping;

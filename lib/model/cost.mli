@@ -102,10 +102,6 @@ val dout : t -> e:int -> float
 val work_sum : t -> d:int -> e:int -> float
 (** [Σ_{k=d..e} w_k] (valid on every platform kind). *)
 
-val compute : t -> d:int -> e:int -> u:int -> float
-(** [W(d,e)/s_u] — the interval's computation time (valid on every
-    platform kind). *)
-
 val contrib : t -> d:int -> e:int -> u:int -> float
 (** [δ_{d-1}/b + W(d,e)/s_u] — the interval's latency contribution
     (input + compute, output charged to the successor). *)
@@ -176,6 +172,33 @@ val lattice_floor : t -> float -> float option
 val lattice_ceiling : t -> float -> float option
 (** The smallest candidate [>= v], or [None] when [v] is above them
     all. *)
+
+(** {2 The terms of one interval (any platform kind)}
+
+    The only formulas of equations (1)–(2)'s terms for an interval
+    [\[d, e\]] on processor [u], whose neighbours are the processors of
+    the adjacent intervals, or {!io} at the pipeline's ends.
+    {!cycle_time} is [(input + compute) + output]; {!latency} starts at
+    [0.], adds [input] then [compute] per interval, then the last
+    [output]; {!period} folds [Float.max] from [neg_infinity]. Adding
+    the terms in that association gives {!period} and {!latency} bit for
+    bit. All raise [Invalid_argument] on an invalid interval or
+    processor. *)
+
+val io : int
+(** The I/O port, as an interval's neighbour ([-1]). *)
+
+val input : t -> d:int -> prev:int -> u:int -> float
+(** [δ_{d-1}] sent from [prev] to [u]: over their link, or over [u]'s
+    I/O port when [prev = io]; [δ_{d-1}/b] on a comm-homogeneous
+    platform. *)
+
+val compute : t -> d:int -> e:int -> u:int -> float
+(** [W(d,e)/s_u] — the interval's computation time. *)
+
+val output : t -> e:int -> u:int -> next:int -> float
+(** [δ_e] sent from [u] to [next]: over their link, or over [u]'s I/O
+    port when [next = io]; [δ_e/b] on a comm-homogeneous platform. *)
 
 (** {2 Plain interval mappings (equations (1) and (2))}
 

@@ -76,25 +76,10 @@ let check_size (type m) (grant : m grant) ~n ~p =
       invalid_arg "Exhaustive.iter_mappings: instance too large to enumerate"
   | Procs ->
     if count_deal_mappings ~n ~p > 1e6 then
-      invalid_arg "Deal_exhaustive.iter: instance too large to enumerate"
+      invalid_arg "Deal_exhaustive.fold: instance too large to enumerate"
 
 (* The processors no mask of a deal prefix holds. *)
 let free_of ~p masks = List.fold_left (fun free g -> free land lnot g) ((1 lsl p) - 1) masks
-
-let build (type m) (grant : m grant) ~n ~cuts grants : m =
-  match grant with
-  | Proc -> Mapping.of_cuts ~n ~cuts ~procs:grants
-  | Procs ->
-    let rec intervals start = function
-      | [] -> [ Interval.make ~first:start ~last:n ]
-      | c :: rest -> Interval.make ~first:start ~last:c :: intervals (c + 1) rest
-    in
-    let rec members u mask =
-      if mask = 0 then []
-      else if mask land 1 = 1 then u :: members (u + 1) (mask lsr 1)
-      else members (u + 1) (mask lsr 1)
-    in
-    Deal_mapping.make ~n (List.combine (intervals 1 cuts) (List.map (members 0) grants))
 
 (* A task is a prefix of the enumeration tree: the interval count [m],
    the cuts chosen so far (all cuts precede any processor choice, as in
@@ -142,42 +127,125 @@ let children (type m) (grant : m grant) ~n ~p task =
   end
   else [||] (* a single fully-determined mapping *)
 
+(* The mapping a task's enumeration has reached, overwritten in place as
+   it moves on: interval j is [bounds.(j) + 1, bounds.(j + 1)] and
+   received [grants.(j)]. A plain leaf is scored along its path, so its
+   objectives cost O(1) per leaf: [lat.(j)] is the latency of intervals
+   before j without the final output, [per.(j)] their largest
+   cycle-time, [head.(j)] interval j's input + compute, and [score] the
+   complete leaf's period and latency. *)
+type 'm leaf = {
+  grant : 'm grant;
+  n : int;
+  m : int;
+  bounds : int array;
+  grants : int array;
+  lat : float array;
+  per : float array;
+  head : float array;
+  score : float array;
+}
+
+let mapping (type m) (leaf : m leaf) : m =
+  let interval j = Interval.make ~first:(leaf.bounds.(j) + 1) ~last:leaf.bounds.(j + 1) in
+  match leaf.grant with
+  | Proc -> Mapping.make ~n:leaf.n (List.init leaf.m (fun j -> (interval j, leaf.grants.(j))))
+  | Procs ->
+    let rec members u mask =
+      if mask = 0 then []
+      else if mask land 1 = 1 then u :: members (u + 1) (mask lsr 1)
+      else members (u + 1) (mask lsr 1)
+    in
+    Deal_mapping.make ~n:leaf.n
+      (List.init leaf.m (fun j -> (interval j, members 0 leaf.grants.(j))))
+
+let period (leaf : Mapping.t leaf) = leaf.score.(0)
+let latency (leaf : Mapping.t leaf) = leaf.score.(1)
+
+(* Interval j of a plain leaf has its processor: add its input and
+   computation to the latency, and close interval j - 1's cycle-time,
+   whose output goes to this processor. The terms are Cost's and the
+   association is Cost.cycle_time's and Cost.latency's, so the scores
+   are bit-identical to Cost.period and Cost.latency of the mapping. *)
+let enter cost (leaf : Mapping.t leaf) j =
+  let u = leaf.grants.(j) and d = leaf.bounds.(j) + 1 and e = leaf.bounds.(j + 1) in
+  let prev = if j = 0 then Cost.io else leaf.grants.(j - 1) in
+  let input = Cost.input cost ~d ~prev ~u and compute = Cost.compute cost ~d ~e ~u in
+  leaf.lat.(j + 1) <- leaf.lat.(j) +. input +. compute;
+  leaf.head.(j) <- input +. compute;
+  if j > 0 then
+    leaf.per.(j) <-
+      Float.max leaf.per.(j - 1)
+        (leaf.head.(j - 1) +. Cost.output cost ~e:(d - 1) ~u:prev ~next:u)
+
+(* The last interval's output goes to the I/O port: it closes the last
+   cycle-time and the latency. *)
+let close cost (leaf : Mapping.t leaf) =
+  let m = leaf.m in
+  let output = Cost.output cost ~e:leaf.n ~u:leaf.grants.(m - 1) ~next:Cost.io in
+  leaf.score.(0) <- Float.max leaf.per.(m - 1) (leaf.head.(m - 1) +. output);
+  leaf.score.(1) <- leaf.lat.(m) +. output
+
 (* Sequential enumeration of one task's subtree, in canonical order. The
    plain choice loop is a [for] over [used]: no closure per level and no
-   bit mask, so p is not capped by the word size. *)
-let run_task (type m) (grant : m grant) ~n ~p task (f : m -> unit) =
+   bit mask, so p is not capped by the word size. The engine is fetched
+   here, inside the task, because engines are domain-local. *)
+let run_task (type m) (grant : m grant) (inst : Instance.t) (task : task) (f : m leaf -> unit) =
+  let n = Application.n inst.app and p = Platform.p inst.platform in
+  let cost = Cost.get inst.app inst.platform in
+  let m = task.m in
+  let leaf =
+    { grant; n; m; bounds = Array.make (m + 1) n; grants = Array.make m 0;
+      lat = Array.make (m + 1) 0.; per = Array.make m neg_infinity;
+      head = Array.make m 0.; score = Array.make 2 0. }
+  in
+  leaf.bounds.(0) <- 0;
+  List.iteri (fun i c -> leaf.bounds.(task.k - i) <- c) task.cuts_rev;
   let used = Array.make p false in
-  (match grant with
-  | Proc -> List.iter (fun u -> used.(u) <- true) task.grants_rev
-  | Procs -> ());
-  let rec assign j grants_rev cuts =
-    if j = task.m then f (build grant ~n ~cuts (List.rev grants_rev))
+  let serve j g =
+    leaf.grants.(j) <- g;
+    match grant with Proc -> enter cost leaf j | Procs -> ()
+  in
+  (* [free]: the processors no deal mask holds yet. *)
+  let rec assign j free =
+    if j = m then begin
+      (match grant with Proc -> close cost leaf | Procs -> ());
+      f leaf
+    end
     else
       match grant with
       | Proc ->
         for u = 0 to p - 1 do
           if not used.(u) then begin
             used.(u) <- true;
-            assign (j + 1) (u :: grants_rev) cuts;
+            serve j u;
+            assign (j + 1) free;
             used.(u) <- false
           end
         done
       | Procs ->
-        let free = free_of ~p grants_rev in
         let s = ref (free land -free) in
         while !s <> 0 do
-          assign (j + 1) (!s :: grants_rev) cuts;
+          serve j !s;
+          assign (j + 1) (free land lnot !s);
           s := (!s - free) land free
         done
   in
-  let rec choose_cuts start chosen_rev remaining =
-    if remaining = 0 then assign task.j task.grants_rev (List.rev chosen_rev)
+  (* A task that already served intervals has chosen all its cuts. *)
+  List.iteri
+    (fun j g ->
+      (match grant with Proc -> used.(g) <- true | Procs -> ());
+      serve j g)
+    (List.rev task.grants_rev);
+  let rec choose_cuts i start =
+    if i = m then assign task.j (free_of ~p task.grants_rev)
     else
-      for c = start to n - 1 - (remaining - 1) do
-        choose_cuts (c + 1) (c :: chosen_rev) (remaining - 1)
+      for c = start to n - m + i do
+        leaf.bounds.(i) <- c;
+        choose_cuts (i + 1) (c + 1)
       done
   in
-  choose_cuts task.next_cut task.cuts_rev (task.m - 1 - task.k)
+  choose_cuts (task.k + 1) task.next_cut
 
 (* Count mappings task-locally and flush one sum per task: totals are
    order-independent, hence identical at any [--jobs N], and the enabled
@@ -186,13 +254,13 @@ let counted rule run f =
   if not (Obs.metrics_enabled ()) then run f
   else begin
     let local = ref 0 in
-    run (fun mapping ->
+    run (fun leaf ->
         incr local;
-        f mapping);
+        f leaf);
     Obs.Counter.add rule.mappings !local
   end
 
-let tasks rule (inst : Instance.t) =
+let frontier (rule : _ rule) (inst : Instance.t) =
   let n = Application.n inst.app and p = Platform.p inst.platform in
   check_size rule.grant ~n ~p;
   let roots =
@@ -201,65 +269,80 @@ let tasks rule (inst : Instance.t) =
   in
   let frontier = Pipeline_util.Pool.fan_out ~children:(children rule.grant ~n ~p) roots in
   Obs.Counter.add rule.branches (Array.length frontier);
-  (n, p, frontier)
+  frontier
 
 let iter_mappings inst f =
-  let n, p, frontier = tasks plain inst in
-  Array.iter (fun task -> counted plain (run_task Proc ~n ~p task) f) frontier
+  Array.iter
+    (fun task -> counted plain (run_task Proc inst task) (fun leaf -> f (mapping leaf)))
+    (frontier plain inst)
 
 (* Fan the frontier tasks out across the domain pool, folding each
    subtree locally; [merge] must combine two task-local accumulators
    such that index-ordered merging equals the sequential fold (true for
-   the first-seen-wins "best" folds below). *)
-let fold rule inst ~init ~step ~merge =
-  let n, p, frontier = tasks rule inst in
+   the first-seen-wins bests and the running fronts below). *)
+let fold (rule : _ rule) inst ~init ~step ~merge =
   let locals =
     Pipeline_util.Pool.map
       (fun task ->
         let acc = ref init in
-        counted rule (run_task rule.grant ~n ~p task) (fun m -> acc := step !acc m);
+        counted rule (run_task rule.grant inst task) (fun leaf -> acc := step !acc leaf);
         !acc)
-      frontier
+      (frontier rule inst)
   in
   Array.fold_left merge init locals
 
-(* First-seen-wins minimisation: the sequential fold keeps the earlier
-   solution on ties, so merging task bests left-to-right with the same
+(* The solution a query keeps: only now is the leaf's mapping built. *)
+let solution leaf = { Solution.mapping = mapping leaf; period = period leaf; latency = latency leaf }
+
+(* First-seen-wins minimisation: a leaf replaces the incumbent only when
+   it is strictly better, so the sequential fold keeps the earlier
+   solution on ties, and merging task bests left-to-right with the same
    rule reproduces it exactly. *)
-let keep_better measure acc candidate =
-  match (acc, candidate) with
-  | Some best, Some sol when measure best <= measure sol -> acc
-  | _, None -> acc
-  | _ -> candidate
+let constrained_best ~feasible ~by_period inst =
+  let measure (s : Solution.t) = if by_period then s.period else s.latency in
+  let beats value = function Some best -> not (measure best <= value) | None -> true in
+  fold plain inst ~init:None
+    ~merge:(fun acc -> function Some sol when beats (measure sol) acc -> Some sol | _ -> acc)
+    ~step:(fun acc leaf ->
+      if feasible leaf && beats (if by_period then period leaf else latency leaf) acc then
+        Some (solution leaf)
+      else acc)
 
-let constrained_best ~feasible ~measure inst =
-  fold plain inst ~init:None ~merge:(keep_better measure) ~step:(fun acc mapping ->
-      let sol = Solution.of_mapping inst mapping in
-      if feasible sol then keep_better measure acc (Some sol) else acc)
-
-let best_by measure inst =
-  match constrained_best ~feasible:(fun _ -> true) ~measure inst with
+let best_by ~by_period inst =
+  match constrained_best ~feasible:(fun _ -> true) ~by_period inst with
   | Some sol -> sol
   | None -> assert false (* at least the single-interval mappings exist *)
 
-let min_period inst = best_by (fun s -> s.Solution.period) inst
-let min_latency inst = best_by (fun s -> s.Solution.latency) inst
+let min_period inst = best_by ~by_period:true inst
+let min_latency inst = best_by ~by_period:false inst
 
-let min_latency_under_period inst ~period =
-  constrained_best inst
-    ~feasible:(fun sol -> Solution.respects_period sol period)
-    ~measure:(fun s -> s.Solution.latency)
+let min_latency_under_period inst ~period:bound =
+  constrained_best inst ~by_period:false ~feasible:(fun leaf ->
+      Pipeline_util.Tol.meets (period leaf) bound)
 
-let min_period_under_latency inst ~latency =
-  constrained_best inst
-    ~feasible:(fun sol -> Solution.respects_latency sol latency)
-    ~measure:(fun s -> s.Solution.period)
+let min_period_under_latency inst ~latency:bound =
+  constrained_best inst ~by_period:true ~feasible:(fun leaf ->
+      Pipeline_util.Tol.meets (latency leaf) bound)
 
-(* Task-local prepending reverses each subtree; prepending whole task
-   lists in index order then yields exactly the sequential
-   (reversed-global) list, so the sort sees identical input. *)
+(* The running front (DESIGN.md §14.1): [(p, l)] is weakly dominated by
+   a kept point that it does not tie exactly. *)
+let dominated front p l =
+  List.exists
+    (fun (s : Solution.t) -> s.period <= p && s.latency <= l && (s.period < p || s.latency < l))
+    front
+
+(* Keep [s], which no point dominates, and drop the points it weakly
+   dominates — an exact tie included, so the later point wins. *)
+let admit front (s : Solution.t) =
+  s :: List.filter (fun (t : Solution.t) -> not (s.period <= t.period && s.latency <= t.latency)) front
+
+let offer front (s : Solution.t) = if dominated front s.period s.latency then front else admit front s
+
+(* Each task keeps its non-dominated leaves, later ones winning exact
+   ties; merging task fronts in index order applies the same rule, and
+   Solution.front then sweeps the survivors. *)
 let pareto inst =
   Solution.front
-    (fold plain inst ~init:[]
-       ~step:(fun acc mapping -> Solution.of_mapping inst mapping :: acc)
-       ~merge:(fun acc task_points -> task_points @ acc))
+    (fold plain inst ~init:[] ~merge:(List.fold_left offer) ~step:(fun front leaf ->
+         if dominated front (period leaf) (latency leaf) then front
+         else admit front (solution leaf)))

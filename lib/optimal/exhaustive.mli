@@ -6,10 +6,19 @@
     processors (a deal mapping, arXiv 0711.1231). Plain mappings are
     scored with the full {!Pipeline_model.Cost} model — so, unlike
     {!Bicriteria}, the plain queries also work on fully heterogeneous
-    platforms. Plain enumeration cost grows as
-    [Σ_m C(n-1, m-1) · p!/(p-m)!]; a guard rejects instances whose
-    estimated enumeration exceeds [10^7] plain mappings or [10^6] deal
-    mappings. Validation only.
+    platforms, where they are the exact solver behind the CLI's
+    [solve --exact] and [pareto] and the serve daemon's [/solve] and
+    [/pareto]; elsewhere they validate the heuristics and the DP. Plain
+    enumeration cost grows as [Σ_m C(n-1, m-1) · p!/(p-m)!]; a guard
+    rejects instances whose estimated enumeration exceeds [10^7] plain
+    mappings or [10^6] deal mappings.
+
+    Plain mappings are scored along the enumeration tree with
+    {!Pipeline_model.Cost}'s interval terms, so a leaf's period and
+    latency cost O(1) and equal {!Pipeline_model.Cost.period} and
+    {!Pipeline_model.Cost.latency} bit for bit. A mapping is built only
+    when a query keeps its leaf, and {!pareto} holds a running front per
+    task: its memory is O(front), not O(mappings).
 
     The order is the interval count [m] ascending, then the cut
     positions in lexicographic order, then each interval's processor (or
@@ -17,11 +26,11 @@
     enumeration tree breadth-first into a deterministic frontier of
     independent subtree tasks ({!Pipeline_util.Pool.fan_out}) and run
     the frontier on the domain pool; task-local results merge in
-    frontier order with first-seen-wins tie-breaking, and the frontier
-    preserves the sequential enumeration order, so every answer —
-    including which of several equal-cost optima is returned — is
-    bit-identical to the sequential enumeration at any pool width and
-    any frontier size (DESIGN.md §14). *)
+    frontier order, and the frontier preserves the sequential
+    enumeration order, so every answer — including which of several
+    equal-cost optima is returned — is bit-identical to the sequential
+    enumeration at any pool width and any frontier size (DESIGN.md
+    §14). *)
 
 open Pipeline_model
 open Pipeline_core
@@ -49,11 +58,19 @@ val deal :
     enumerated mappings and frontier tasks are added to the given
     counters. Plain mappings count in [optimal.exhaustive.*]. *)
 
+type 'mapping leaf
+(** One enumerated mapping, seen from inside its task: the enumeration
+    overwrites it in place, so it is valid only during the [step] call
+    it is passed to. *)
+
+val mapping : 'm leaf -> 'm
+(** Builds the leaf's mapping. *)
+
 val fold :
   'm rule ->
   Instance.t ->
   init:'a ->
-  step:('a -> 'm -> 'a) ->
+  step:('a -> 'm leaf -> 'a) ->
   merge:('a -> 'a -> 'a) ->
   'a
 (** Fold [step] over every mapping, task-parallel over the enumeration
@@ -76,4 +93,14 @@ val min_period_under_latency : Instance.t -> latency:float -> Solution.t option
 val pareto : Instance.t -> Solution.t list
 (** Non-dominated (period, latency) mappings, sorted by increasing
     period; values within the acceptance slack tie
-    ({!Pipeline_core.Solution.front}). *)
+    ({!Pipeline_core.Solution.front}). Among mappings with exactly the
+    same (period, latency) the witness is the {e last} enumerated, where
+    {!min_period} and the other queries keep the first: [pareto] is
+    {!Pipeline_core.Solution.front} of the reversed enumeration. *)
+
+val offer : Solution.t list -> Solution.t -> Solution.t list
+(** The running front {!pareto} keeps. [offer kept s] is [kept] when a
+    point of [kept] weakly dominates [s] without tying it exactly;
+    otherwise [s] joins and every point it weakly dominates leaves, an
+    exact tie included. So [Solution.front (List.fold_left offer []
+    points) = Solution.front (List.rev points)] (DESIGN.md §14.1). *)

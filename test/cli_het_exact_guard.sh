@@ -46,4 +46,17 @@ expect_guard pareto --family e5 --stages 30 --procs 8
 "$bin" simulate --family e5 --stages 6 --procs 4 \
   >/dev/null 2>&1 || fail "het simulate without --mapping should exit 0"
 
+# Fully-het pareto keeps a running front, not one solution per mapping:
+# its 1.45 M mappings at 10 stages x 7 processors fit under a 600 MB
+# address-space cap, where holding every solution peaks near 940 MB
+# resident. OCaml 5 reserves ~250 MB of address space for minor heaps,
+# so caps below ~300 MB fail whatever the solver holds, and a second
+# domain (--jobs 4) cannot start at 300 MB: hence 600 MB and --jobs 1.
+big="pareto --family e5 --stages 10 --procs 7 --jobs 1"
+uncapped=$("$bin" $big) || fail "uncapped $big should exit 0"
+capped=$(ulimit -v 600000 && "$bin" $big) \
+  || fail "$big should exit 0 under a 600 MB address-space cap"
+[ "$capped" = "$uncapped" ] \
+  || fail "$big printed a different front under the 600 MB cap"
+
 echo "cli het-exact-guard contract: ok"

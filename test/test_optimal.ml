@@ -287,6 +287,154 @@ let prop_exhaustive_het_parallel_bit_identical =
       = 0)
 
 (* ------------------------------------------------------------------ *)
+(* Scored enumeration vs the build-every-mapping reference             *)
+(* ------------------------------------------------------------------ *)
+
+(* The five queries with every mapping built and evaluated by
+   Solution.of_mapping: each first-seen-wins query a fold over
+   iter_mappings, and pareto Solution.front over every solution in
+   reversed enumeration order. *)
+module Reference = struct
+  let solutions inst =
+    let all = ref [] in
+    Exhaustive.iter_mappings inst (fun mapping ->
+        all := Solution.of_mapping inst mapping :: !all);
+    !all (* reversed enumeration order *)
+
+  let best ~feasible ~measure reversed =
+    List.fold_left
+      (fun acc sol ->
+        if not (feasible sol) then acc
+        else
+          match acc with
+          | Some best when measure best <= measure sol -> acc
+          | _ -> Some sol)
+      None (List.rev reversed)
+
+  let period (s : Solution.t) = s.period
+  let latency (s : Solution.t) = s.latency
+  let always _ = true
+
+  let all inst ~period:p ~latency:l =
+    let reversed = solutions inst in
+    ( Option.get (best ~feasible:always ~measure:period reversed),
+      Option.get (best ~feasible:always ~measure:latency reversed),
+      best ~feasible:(fun s -> Solution.respects_period s p) ~measure:latency reversed,
+      best ~feasible:(fun s -> Solution.respects_latency s l) ~measure:period reversed,
+      Solution.front reversed )
+end
+
+(* Works 1-3, deltas 0-2, speeds 1-2 and links 1-2: many mappings tie
+   exactly on a period or a latency. *)
+let tie_heavy_draw ~het seed =
+  let module Rng = Pipeline_util.Rng in
+  let rng = Rng.create seed in
+  let n = Rng.int_in rng 1 8 and p = Rng.int_in rng 1 5 in
+  let works = Array.init n (fun _ -> float_of_int (Rng.int_in rng 1 3)) in
+  let deltas = Array.init (n + 1) (fun _ -> float_of_int (Rng.int_in rng 0 2)) in
+  let platform =
+    if het then
+      Platform_generator.fully_heterogeneous ~bandwidth_min:1 ~bandwidth_max:2
+        ~speed_min:1 ~speed_max:2 rng ~p
+    else
+      Platform.comm_homogeneous ~bandwidth:1.
+        (Array.init p (fun _ -> float_of_int (Rng.int_in rng 1 2)))
+  in
+  Instance.make ~seed (Application.make ~deltas works) platform
+
+let gen_reference_case =
+  let open QCheck2.Gen in
+  let instance =
+    map2
+      (fun kind seed ->
+        match kind with
+        | 0 -> Helpers.random_instance ~n_max:8 ~p_max:5 seed
+        | 1 -> Helpers.random_het_instance ~n_max:8 ~p_max:5 seed
+        | 2 -> tie_heavy_draw ~het:false seed
+        | _ -> tie_heavy_draw ~het:true seed)
+      (int_range 0 3) gen_seed
+  in
+  (* 0.99 of the optimum is usually infeasible; 1.0 sits on it. *)
+  triple instance (oneofl [ 0.99; 1.; 1.2; 1.5 ]) (oneofl [ 0.99; 1.; 1.2; 1.5 ])
+
+let prop_exhaustive_matches_reference =
+  Helpers.qtest ~count:60
+    "exhaustive queries = build-every-mapping reference (bit-for-bit)"
+    gen_reference_case
+    (fun (inst, period_scale, latency_scale) ->
+      let best = (Exhaustive.min_period inst).Solution.period in
+      let period = best *. period_scale
+      and latency = (Exhaustive.min_latency inst).Solution.latency *. latency_scale in
+      let reference = Reference.all inst ~period ~latency in
+      List.for_all
+        (fun cap ->
+          with_tree_cap cap (fun () ->
+              Stdlib.compare reference
+                ( Exhaustive.min_period inst,
+                  Exhaustive.min_latency inst,
+                  Exhaustive.min_latency_under_period inst ~period,
+                  Exhaustive.min_period_under_latency inst ~latency,
+                  Exhaustive.pareto inst )
+              = 0))
+        [ 1; Pipeline_util.Pool.default_tree_cap ])
+
+(* Point lists for the running-front rule: values on a small grid, so
+   exact ties are common, some nudged within the Tol.meets slack (1e-9
+   relative) and some just past it. Each point has its own witness, so a
+   moved witness shows. The list is also split in two, as the frontier
+   splits the enumeration, and the two running fronts merged. *)
+let gen_points =
+  let open QCheck2.Gen in
+  let value =
+    map2
+      (fun base nudge -> float_of_int base *. (1. +. nudge))
+      (int_range 1 6)
+      (oneofl [ 0.; 0.; 3e-10; -3e-10; 2e-9 ])
+  in
+  pair
+    (map
+       (List.mapi (fun i (period, latency) ->
+            { Solution.mapping = Mapping.single ~n:1 ~proc:i; period; latency }))
+       (list_size (int_range 0 30) (pair value value)))
+    (int_range 0 30)
+
+let prop_running_front_exact =
+  Helpers.qtest ~count:500
+    "running front: dropping weakly dominated points keeps Solution.front"
+    gen_points
+    (fun (points, split) ->
+      let expected = Solution.front (List.rev points) in
+      let run = List.fold_left Exhaustive.offer [] in
+      let early = List.filteri (fun i _ -> i < split) points
+      and late = List.filteri (fun i _ -> i >= split) points in
+      Stdlib.compare expected (Solution.front (run points)) = 0
+      && Stdlib.compare expected
+           (Solution.front (List.fold_left Exhaustive.offer (run early) (run late)))
+         = 0)
+
+(* Two mappings tie exactly at period 2 and latency 4. min_period keeps
+   the first enumerated; pareto keeps the last, because it is
+   Solution.front of the reversed enumeration. *)
+let test_pareto_tie_witness () =
+  let inst =
+    Instance.make
+      (Application.make ~deltas:[| 0.; 0.; 0. |] [| 2.; 2. |])
+      (Platform.comm_homogeneous ~bandwidth:1. [| 1.; 1. |])
+  in
+  let first = Mapping.of_cuts ~n:2 ~cuts:[ 1 ] ~procs:[ 0; 1 ]
+  and last = Mapping.of_cuts ~n:2 ~cuts:[ 1 ] ~procs:[ 1; 0 ] in
+  let witness (s : Solution.t) = Mapping.to_string s.mapping in
+  Alcotest.(check string)
+    "min_period: first enumerated" (Mapping.to_string first)
+    (witness (Exhaustive.min_period inst));
+  match Exhaustive.pareto inst with
+  | [ s ] ->
+    Alcotest.(check string) "pareto: last enumerated" (Mapping.to_string last) (witness s);
+    Helpers.check_float "period" 2. s.period;
+    Helpers.check_float "latency" 4. s.latency
+  | front -> Alcotest.failf "expected a one-point front, got %d points" (List.length front)
+
+(* ------------------------------------------------------------------ *)
 (* Golden exact oracles                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -855,6 +1003,9 @@ let () =
           Alcotest.test_case "het platform" `Quick test_exhaustive_works_on_het;
           prop_exhaustive_parallel_bit_identical;
           prop_exhaustive_het_parallel_bit_identical;
+          prop_exhaustive_matches_reference;
+          prop_running_front_exact;
+          Alcotest.test_case "pareto tie witness" `Quick test_pareto_tie_witness;
         ] );
       ("golden", [ Alcotest.test_case "exact oracles" `Quick test_oracles_golden ]);
     ]

@@ -920,6 +920,35 @@ let test_server_stalled_client () =
             (Str_find.contains reply
                {|{"error":"request not received within 2 s"}|})))
 
+(* A client that sends a complete fully-het /pareto and resets the
+   connection (SO_LINGER 0) without reading the answer: the daemon's
+   read or its write of the response fails. That must end this one
+   connection only: the next GET /health is answered 200 within 3 s. *)
+let test_server_hangup_mid_response () =
+  with_server (fun port ->
+      let body = het_body [] in
+      let gone =
+        client port
+          (Printf.sprintf
+             "POST /pareto HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: %d\r\n\r\n%s"
+             (String.length body) body)
+      in
+      Unix.setsockopt_optint gone Unix.SO_LINGER (Some 0);
+      Unix.close gone;
+      let t0 = Unix.gettimeofday () in
+      let healthy = client port (partial_head ^ "\r\n") in
+      let reply =
+        Fun.protect
+          ~finally:(fun () -> try Unix.close healthy with Unix.Unix_error _ -> ())
+          (fun () -> read_reply healthy)
+      in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) "the next /health gets a 200" true
+        (String.starts_with ~prefix:"HTTP/1.1 200" reply);
+      Alcotest.(check bool)
+        (Printf.sprintf "answered within 3 s (took %.2f s)" elapsed)
+        true (elapsed < 3.))
+
 (* Stop runs on its own thread, so a stop that never returns fails the
    test instead of hanging it. *)
 let test_server_stop_while_stalled () =
@@ -1039,6 +1068,8 @@ let () =
             test_server_reset_client;
           Alcotest.test_case "stalled client next to a healthy one" `Quick
             test_server_stalled_client;
+          Alcotest.test_case "client hangs up mid-response" `Quick
+            test_server_hangup_mid_response;
           Alcotest.test_case "stop while a client is stalled" `Quick
             test_server_stop_while_stalled;
           Alcotest.test_case "stop and restart" `Quick test_server_stop_restart;
