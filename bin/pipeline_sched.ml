@@ -332,10 +332,29 @@ let solve_reliability inst ~period ~failure fail_prob =
       sol.Pipeline_ft.Ft_heuristic.period sol.Pipeline_ft.Ft_heuristic.latency
       sol.Pipeline_ft.Ft_heuristic.failure
 
+(* Print a plain solution under [label] (and optionally local search on
+   top, within the threshold). *)
+let print_solution ~label ~kind ~threshold ~polish (inst : Instance.t) sol =
+  Format.printf "%-18s %a@." label pp_solution sol;
+  if polish then begin
+    let objective, feasible =
+      match kind with
+      | Ureg.Period_fixed ->
+        ( Pipeline_optimal.Local_search.Latency_then_period,
+          fun s -> Solution.respects_period s threshold )
+      | Ureg.Latency_fixed ->
+        ( Pipeline_optimal.Local_search.Period_then_latency,
+          fun s -> Solution.respects_latency s threshold )
+    in
+    let better =
+      Pipeline_optimal.Local_search.improve ~objective ~feasible inst sol
+    in
+    Format.printf "%-18s %a@." "  + local search" pp_solution better
+  end
+
 (* Print one unified-registry row in the historical formats: plain
-   mappings through [Solution.pp] (and optionally local search on top),
-   replicated ones in the deal notation, with the failure probability
-   when the row reports one. *)
+   mappings through [print_solution], replicated ones in the deal
+   notation, with the failure probability when the row reports one. *)
 let print_outcome ~kind ~threshold ~polish (inst : Instance.t)
     (info : Ureg.info) =
   match info.Ureg.solve inst ~threshold with
@@ -343,22 +362,8 @@ let print_outcome ~kind ~threshold ~polish (inst : Instance.t)
   | Some o -> (
     match Ureg.solution_of_outcome o with
     | Some sol ->
-      Format.printf "%-18s %a@." info.Ureg.paper_name pp_solution sol;
-      if polish then begin
-        let objective, feasible =
-          match kind with
-          | Registry.Period_fixed ->
-            ( Pipeline_optimal.Local_search.Latency_then_period,
-              fun s -> Solution.respects_period s threshold )
-          | Registry.Latency_fixed ->
-            ( Pipeline_optimal.Local_search.Period_then_latency,
-              fun s -> Solution.respects_latency s threshold )
-        in
-        let better =
-          Pipeline_optimal.Local_search.improve ~objective ~feasible inst sol
-        in
-        Format.printf "%-18s %a@." "  + local search" pp_solution better
-      end
+      print_solution ~label:info.Ureg.paper_name ~kind ~threshold ~polish inst
+        sol
     | None ->
       Format.printf "%-18s %s period=%g latency=%g%s@." info.Ureg.paper_name
         (Deal_mapping.to_string o.Ureg.mapping)
@@ -423,8 +428,8 @@ let solve_cmd =
     | None ->
     let kind, threshold =
       match (period, latency) with
-      | Some p, None -> (Registry.Period_fixed, p)
-      | None, Some l -> (Registry.Latency_fixed, l)
+      | Some p, None -> (Ureg.Period_fixed, p)
+      | None, Some l -> (Ureg.Latency_fixed, l)
       | _ -> die "exactly one of --period / --latency is required"
     in
     (match chosen with
@@ -449,22 +454,25 @@ let solve_cmd =
         die "heuristic %s requires a comm-homogeneous platform" name
       | Some (_, info) ->
         Format.printf "%a@." pp_instance inst;
-        print_outcome ~kind ~threshold ~polish inst info
+        print_outcome ~kind ~threshold ~polish inst info;
+        if exact then print_exact ()
       | None ->
         (* Fully heterogeneous platform: dispatch to the het extension. *)
         Format.printf "%a@." pp_instance inst;
         let result =
           match kind with
-          | Registry.Period_fixed ->
+          | Ureg.Period_fixed ->
             Pipeline_het.Het_heuristics.minimise_latency_under_period inst
               ~period:threshold
-          | Registry.Latency_fixed ->
+          | Ureg.Latency_fixed ->
             Pipeline_het.Het_heuristics.minimise_period_under_latency inst
               ~latency:threshold
         in
         (match result with
         | None -> Format.printf "%-18s FAILED@." "het splitting"
-        | Some sol -> Format.printf "%-18s %a@." "het splitting" pp_solution sol);
+        | Some sol ->
+          print_solution ~label:"het splitting" ~kind ~threshold ~polish inst
+            sol);
         if exact then print_exact ()
     end
     else begin
@@ -933,7 +941,8 @@ let simulate_cmd =
         | None -> die "no mapping achieves period %g" threshold
         | Some sol -> sol)
     in
-    Format.printf "%a@." pp_instance inst;
+    (* A bad churn trace, like a bad mapping, is rejected before
+       anything is printed. *)
     let trace_crashes, trace_slowdowns =
       match crash_trace with
       | None -> ([], [])
@@ -945,6 +954,7 @@ let simulate_cmd =
           ( Pipeline_stream.Churn.crashes ~p events,
             Pipeline_stream.Churn.slowdowns events ))
     in
+    Format.printf "%a@." pp_instance inst;
     let crashes = crashes @ trace_crashes in
     let module W = Pipeline_sim.Workload_sim in
     Format.printf "mapping: %a@." Solution.pp sol;

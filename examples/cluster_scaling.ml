@@ -12,7 +12,7 @@
    period at a common latency budget (latency-fixed family). *)
 
 open Pipeline_model
-open Pipeline_core
+module Registry = Pipeline_registry
 module Rng = Pipeline_util.Rng
 
 let trials = 20
@@ -40,16 +40,16 @@ let measure (info : Registry.info) batch =
     List.filter_map
       (fun inst ->
         let threshold =
-          match info.Registry.kind with
+          match info.kind with
           | Registry.Period_fixed -> Instance.single_proc_period inst *. 0.45
           | Registry.Latency_fixed -> Instance.optimal_latency inst *. 1.6
         in
         Option.map
-          (fun (sol : Solution.t) ->
-            match info.Registry.kind with
-            | Registry.Period_fixed -> sol.Solution.latency
-            | Registry.Latency_fixed -> sol.Solution.period)
-          (info.Registry.solve inst ~threshold))
+          (fun (o : Registry.outcome) ->
+            match info.kind with
+            | Registry.Period_fixed -> o.latency
+            | Registry.Latency_fixed -> o.period)
+          (info.solve inst ~threshold))
       batch
   in
   (average results, List.length results)
@@ -68,7 +68,7 @@ let () =
   let batches = List.map (fun p -> (p, instances p)) [ 5; 10; 50; 100 ] in
   List.iter
     (fun (info : Registry.info) ->
-      Format.printf "%-20s" info.Registry.paper_name;
+      Format.printf "%-20s" info.paper_name;
       List.iter
         (fun (_, batch) ->
           let avg, ok = measure info batch in
@@ -76,7 +76,7 @@ let () =
           else Format.printf "%11.1f/%02d" avg ok)
         batches;
       Format.printf "@.")
-    Registry.all;
+    Registry.paper;
   Format.printf
     "@.(value = average objective over successful runs / number of successes;@.";
   Format.printf

@@ -9,6 +9,7 @@
 
 open Pipeline_model
 open Pipeline_core
+module Registry = Pipeline_registry
 
 let () =
   (* A 6-stage pipeline: stage k performs w_k operations and passes a
@@ -44,14 +45,14 @@ let () =
   List.iter
     (fun (info : Registry.info) ->
       let t =
-        match info.Registry.kind with
+        match info.kind with
         | Registry.Period_fixed -> threshold
         | Registry.Latency_fixed -> latency_opt.Solution.latency *. 1.4
       in
-      match info.Registry.solve inst ~threshold:t with
-      | None -> Format.printf "%-18s FAILED at %g@." info.Registry.paper_name t
-      | Some sol -> Format.printf "%-18s %a@." info.Registry.paper_name Solution.pp sol)
-    Registry.all;
+      match Option.bind (info.solve inst ~threshold:t) Registry.solution_of_outcome with
+      | None -> Format.printf "%-18s FAILED at %g@." info.paper_name t
+      | Some sol -> Format.printf "%-18s %a@." info.paper_name Solution.pp sol)
+    Registry.paper;
 
   (* Ground truth (exponential in p; fine for p = 5). *)
   let exact = Pipeline_optimal.Bicriteria.min_latency_under_period inst ~period:threshold in

@@ -36,22 +36,17 @@ let ordered_targets (inst : Instance.t) mapping ~j free =
   match free with
   | [] | [ _ ] -> free
   | _ ->
-    let app = inst.Instance.app and platform = inst.Instance.platform in
+    let cost = Cost.get inst.app inst.platform in
     let iv = Mapping.interval mapping j in
     let d = Interval.first iv and e = Interval.last iv in
-    let m = Mapping.m mapping in
+    let prev = if j = 0 then Cost.io else Mapping.proc mapping (j - 1) in
+    let next =
+      if j = Mapping.m mapping - 1 then Cost.io else Mapping.proc mapping (j + 1)
+    in
     let proxy u =
-      let b_in =
-        if j = 0 then Platform.io_bandwidth platform u
-        else Platform.bandwidth platform (Mapping.proc mapping (j - 1)) u
-      in
-      let b_out =
-        if j = m - 1 then Platform.io_bandwidth platform u
-        else Platform.bandwidth platform u (Mapping.proc mapping (j + 1))
-      in
-      Application.delta app (d - 1) /. b_in
-      +. (Application.work_sum app d e /. Platform.speed platform u)
-      +. (Application.delta app e /. b_out)
+      Cost.input cost ~d ~prev ~u
+      +. Cost.compute cost ~d ~e ~u
+      +. Cost.output cost ~e ~u ~next
     in
     List.map (fun u -> (proxy u, u)) free
     |> List.stable_sort (fun (a, _) (b, _) -> compare (a : float) b)

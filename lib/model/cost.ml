@@ -104,7 +104,6 @@ let make ?(memo = true) app platform =
     deal_cands = [||];
   }
 
-let memoised t = t.memo
 let application t = t.app
 let platform t = t.platform
 

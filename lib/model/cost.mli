@@ -42,8 +42,8 @@ type t
 val make : ?memo:bool -> Application.t -> Platform.t -> t
 (** [make ?memo app platform] builds an engine. [~memo:false] disables
     every cache and recomputes each term from first principles — used by
-    the bench's [cost] group and the equivalence property tests; results
-    are bit-identical either way. Default [true]. *)
+    the equivalence property tests; results are bit-identical either
+    way. Default [true]. *)
 
 val get : Application.t -> Platform.t -> t
 (** The shared, memoising engine for this domain. Cached on physical
@@ -53,10 +53,6 @@ val get : Application.t -> Platform.t -> t
     between a handful of instances (the failure campaign's rows, the
     streaming resolver's live/survivor pair) never re-enumerate their
     candidate sets. *)
-
-val memoised : t -> bool
-(** Whether the engine serves cached tables (false for
-    [~memo:false]). *)
 
 type cache_stats = {
   engine_builds : int;  (** engines constructed by {!make} *)

@@ -24,23 +24,21 @@ let optimal inst ~alpha =
   | Some sol -> sol
   | None -> assert false (* the front is never empty *)
 
-let default_heuristic () = List.hd Registry.all (* H1, Sp mono P *)
+(* H1's sweep: 20 period thresholds between the trivial bounds. *)
+let points = 20
 
-let heuristic ?heuristic:info ?(points = 20) inst ~alpha =
+let heuristic inst ~alpha =
   check_alpha alpha;
-  let info = Option.value info ~default:(default_heuristic ()) in
-  if info.Registry.kind <> Registry.Period_fixed then
-    invalid_arg "Scalarised.heuristic: requires a period-fixed heuristic";
   let hi = Instance.single_proc_period inst in
   (* A generous lower anchor; infeasible thresholds simply yield no
      solution and drop out. *)
   let lo = hi /. float_of_int (max 1 (Platform.p inst.platform)) in
   let thresholds =
-    List.init (max 2 points) (fun i ->
-        lo +. ((hi -. lo) *. float_of_int i /. float_of_int (max 1 (points - 1))))
+    List.init points (fun i ->
+        lo +. ((hi -. lo) *. float_of_int i /. float_of_int (points - 1)))
   in
   let solutions =
-    List.filter_map (fun t -> info.Registry.solve inst ~threshold:t) thresholds
+    List.filter_map (fun t -> Sp_mono_p.solve inst ~period:t) thresholds
   in
   match best_of ~alpha solutions with
   | Some sol -> sol

@@ -4,8 +4,8 @@
     For a weight [alpha ∈ [0,1]] the objective is
     [alpha·period + (1-alpha)·latency]. Every minimiser of a positive
     weighted sum lies on the period/latency Pareto front, so the exact
-    solver scans the front; the heuristic one scans the solutions a
-    period-fixed heuristic produces along a threshold sweep. *)
+    solver scans the front; the heuristic one scans the solutions H1
+    produces along a threshold sweep. *)
 
 open Pipeline_model
 open Pipeline_core
@@ -20,10 +20,8 @@ val best_of : alpha:float -> Solution.t list -> Solution.t option
 val optimal : Instance.t -> alpha:float -> Solution.t
 (** Exact optimum (exponential in [p], via {!Bicriteria.pareto}). *)
 
-val heuristic :
-  ?heuristic:Registry.info -> ?points:int -> Instance.t -> alpha:float -> Solution.t
-(** Polynomial: sweep [points] (default 20) period thresholds between the
-    instance's trivial bounds with a period-fixed heuristic (default H1)
-    and keep the best scalarised solution. Always succeeds: the
-    single-processor threshold is feasible. Raises [Invalid_argument] on
-    a latency-fixed [heuristic]. *)
+val heuristic : Instance.t -> alpha:float -> Solution.t
+(** Polynomial: sweep 20 period thresholds between the instance's
+    trivial bounds with H1 ({!Pipeline_core.Sp_mono_p}) and keep the
+    best scalarised solution. Always succeeds: the single-processor
+    threshold is feasible. *)

@@ -1,7 +1,7 @@
 open Pipeline_model
-module Core_registry = Pipeline_core.Registry
+open Pipeline_core
 
-type kind = Pipeline_core.Registry.kind = Period_fixed | Latency_fixed
+type kind = Period_fixed | Latency_fixed
 type stack = Core | Extension | Het | Deal | Ft
 
 type outcome = {
@@ -11,9 +11,6 @@ type outcome = {
   failure : float option;
 }
 
-type context = { rel : Reliability.t option; failure_bound : float option }
-
-let default_context = { rel = None; failure_bound = None }
 let default_fail_prob = 0.05
 let default_failure_bound = 0.1
 
@@ -23,7 +20,7 @@ type info = {
   table_name : string;
   kind : kind;
   stack : stack;
-  solve : ?ctx:context -> Instance.t -> threshold:float -> outcome option;
+  solve : Instance.t -> threshold:float -> outcome option;
   reach : (Instance.t -> float) option;
 }
 
@@ -31,7 +28,7 @@ type info = {
    recomputed, so a unified row returns bit-identical floats to the
    pre-unification per-stack call. *)
 
-let outcome_of_solution (sol : Pipeline_core.Solution.t) =
+let outcome_of_solution (sol : Solution.t) =
   {
     mapping = Deal_mapping.of_mapping sol.mapping;
     period = sol.period;
@@ -41,27 +38,98 @@ let outcome_of_solution (sol : Pipeline_core.Solution.t) =
 
 let solution_of_outcome o =
   Option.map
-    (fun mapping ->
-      { Pipeline_core.Solution.mapping; period = o.period; latency = o.latency })
+    (fun mapping -> { Solution.mapping; period = o.period; latency = o.latency })
     (Deal_mapping.to_mapping o.mapping)
 
-let of_core (info : Core_registry.info) =
-  {
-    id = info.id;
-    paper_name = info.paper_name;
-    table_name = info.table_name;
-    kind = info.kind;
-    stack = Core;
-    solve =
-      (fun ?ctx:_ inst ~threshold ->
-        Option.map outcome_of_solution (info.solve inst ~threshold));
-    reach = Some info.reach;
-  }
+let plain = Option.map outcome_of_solution
 
-let of_core_extension info = { (of_core info) with stack = Extension }
+(* The latency-fixed loop succeeds iff its starting mapping meets the
+   budget. *)
+let start_latency inst = Split.latency (Split.initial inst)
 
-let paper = List.map of_core Core_registry.all
-let extended = List.map of_core_extension Core_registry.extended
+let paper =
+  [
+    {
+      id = "h1-sp-mono-p";
+      paper_name = "Sp mono, P fix";
+      table_name = "H1";
+      kind = Period_fixed;
+      stack = Core;
+      solve = (fun inst ~threshold -> plain (Sp_mono_p.solve inst ~period:threshold));
+      reach = Some Sp_mono_p.reach;
+    };
+    {
+      id = "h2-3explo-mono";
+      paper_name = "3-Explo mono";
+      table_name = "H2";
+      kind = Period_fixed;
+      stack = Core;
+      solve = (fun inst ~threshold -> plain (Explo_mono.solve inst ~period:threshold));
+      reach = Some (Loop.reach ~gen:Loop.gen_three ~select:Loop.select_mono);
+    };
+    {
+      id = "h3-3explo-bi";
+      paper_name = "3-Explo bi";
+      table_name = "H3";
+      kind = Period_fixed;
+      stack = Core;
+      solve = (fun inst ~threshold -> plain (Explo_bi.solve inst ~period:threshold));
+      reach = Some (Loop.reach ~gen:Loop.gen_three ~select:Loop.select_bi);
+    };
+    {
+      id = "h4-sp-bi-p";
+      paper_name = "Sp bi, P fix";
+      table_name = "H4";
+      kind = Period_fixed;
+      stack = Core;
+      solve = (fun inst ~threshold -> plain (Sp_bi_p.solve inst ~period:threshold));
+      reach = Some (Loop.reach ~gen:Loop.gen_two ~select:Loop.select_bi);
+    };
+    {
+      id = "h5-sp-mono-l";
+      paper_name = "Sp mono, L fix";
+      table_name = "H5";
+      kind = Latency_fixed;
+      stack = Core;
+      solve = (fun inst ~threshold -> plain (Sp_mono_l.solve inst ~latency:threshold));
+      reach = Some start_latency;
+    };
+    {
+      id = "h6-sp-bi-l";
+      paper_name = "Sp bi, L fix";
+      table_name = "H6";
+      kind = Latency_fixed;
+      stack = Core;
+      solve = (fun inst ~threshold -> plain (Sp_bi_l.solve inst ~latency:threshold));
+      reach = Some start_latency;
+    };
+  ]
+
+let extended =
+  [
+    {
+      id = "h2x-3explo-mono-fb";
+      paper_name = "3-Explo mono (+fb)";
+      table_name = "H2x";
+      kind = Period_fixed;
+      stack = Extension;
+      solve =
+        (fun inst ~threshold -> plain (Explo_fallback.solve_mono inst ~period:threshold));
+      reach =
+        Some (Loop.reach ~gen:Loop.gen_three_with_fallback ~select:Loop.select_mono);
+    };
+    {
+      id = "h3x-3explo-bi-fb";
+      paper_name = "3-Explo bi (+fb)";
+      table_name = "H3x";
+      kind = Period_fixed;
+      stack = Extension;
+      solve =
+        (fun inst ~threshold -> plain (Explo_fallback.solve_bi inst ~period:threshold));
+      reach =
+        Some (Loop.reach ~gen:Loop.gen_three_with_fallback ~select:Loop.select_bi);
+    };
+  ]
 
 let het_row ~id ~paper_name ~table_name ~kind ~select =
   {
@@ -71,7 +139,7 @@ let het_row ~id ~paper_name ~table_name ~kind ~select =
     kind;
     stack = Het;
     solve =
-      (fun ?ctx:_ inst ~threshold ->
+      (fun inst ~threshold ->
         let result =
           match kind with
           | Period_fixed ->
@@ -81,15 +149,14 @@ let het_row ~id ~paper_name ~table_name ~kind ~select =
             Pipeline_het.Het_heuristics.minimise_period_under_latency ~select
               inst ~latency:threshold
         in
-        Option.map outcome_of_solution result);
+        plain result);
     reach =
       Some
         (match kind with
         | Period_fixed -> Pipeline_het.Het_heuristics.reach ~select
         | Latency_fixed ->
           fun inst ->
-            (Pipeline_het.Het_heuristics.initial inst).Pipeline_core.Solution
-            .latency);
+            (Pipeline_het.Het_heuristics.initial inst).Solution.latency);
   }
 
 let het =
@@ -125,7 +192,7 @@ let deal =
       kind = Period_fixed;
       stack = Deal;
       solve =
-        (fun ?ctx:_ inst ~threshold ->
+        (fun inst ~threshold ->
           Option.map outcome_of_deal
             (Pipeline_deal.Deal_heuristic.minimise_latency_under_period inst
                ~period:threshold));
@@ -138,7 +205,7 @@ let deal =
       kind = Latency_fixed;
       stack = Deal;
       solve =
-        (fun ?ctx:_ inst ~threshold ->
+        (fun inst ~threshold ->
           Option.map outcome_of_deal
             (Pipeline_deal.Deal_heuristic.minimise_period_under_latency inst
                ~latency:threshold));
@@ -157,17 +224,9 @@ let ft =
       kind = Period_fixed;
       stack = Ft;
       solve =
-        (fun ?(ctx = default_context) (inst : Instance.t) ~threshold ->
+        (fun (inst : Instance.t) ~threshold ->
           let rel =
-            match ctx.rel with
-            | Some rel -> rel
-            | None ->
-              Reliability.uniform
-                ~p:(Platform.p inst.platform)
-                default_fail_prob
-          in
-          let failure =
-            Option.value ctx.failure_bound ~default:default_failure_bound
+            Reliability.uniform ~p:(Platform.p inst.platform) default_fail_prob
           in
           Option.map
             (fun (sol : Pipeline_ft.Ft_heuristic.solution) ->
@@ -178,7 +237,7 @@ let ft =
                 failure = Some sol.failure;
               })
             (Pipeline_ft.Ft_heuristic.minimise_latency inst rel
-               ~period:threshold ~failure));
+               ~period:threshold ~failure:default_failure_bound));
       (* The replication step reads the bound. *)
       reach = None;
     };
@@ -238,5 +297,5 @@ let exact inst kind ~threshold =
 let exact_pareto inst = exact_by inst Bicriteria.pareto Exhaustive.pareto
 
 let default_mapping (inst : Instance.t) ~period =
-  if Platform.is_comm_homogeneous inst.platform then Pipeline_core.Sp_mono_p.solve inst ~period
+  if Platform.is_comm_homogeneous inst.platform then Sp_mono_p.solve inst ~period
   else Pipeline_het.Het_heuristics.minimise_latency_under_period inst ~period

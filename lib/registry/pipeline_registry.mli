@@ -1,12 +1,12 @@
-(** The unified solver registry: every heuristic of every stack — the
-    paper's six, the fallback extensions, and the het / deal /
-    fault-tolerance extensions — as uniform rows with stable ids.
+(** The solver registry: every heuristic of every stack — the paper's
+    six, the fallback extensions, and the het / deal / fault-tolerance
+    extensions — as uniform rows with stable ids.
 
-    This is the single lookup surface for the CLI ([pipeline_sched solve
-    --heuristic ID], [list]), the experiment campaign and the bench.
-    {!Pipeline_core.Registry} remains the core stack's internal table
-    (and keeps its historical ids — they are embedded here unchanged);
-    the per-stack registries it used to coexist with are gone.
+    This is the one lookup surface for the CLI ([pipeline_sched solve
+    --heuristic ID], [list]), the serve daemon, the experiment campaign
+    and the bench. The comm-homogeneous rows call the paper's solvers
+    ({!Pipeline_core.Sp_mono_p} … {!Pipeline_core.Explo_fallback})
+    directly; their ids are the historical Table 1 ids.
 
     Every row answers the same question as the paper's heuristics: given
     a threshold on the fixed criterion, optimise the free one. Rows
@@ -16,7 +16,7 @@
 
 open Pipeline_model
 
-type kind = Pipeline_core.Registry.kind =
+type kind =
   | Period_fixed   (** the threshold is a period; the output minimises latency *)
   | Latency_fixed  (** the threshold is a latency; the output minimises period *)
 
@@ -32,27 +32,17 @@ type outcome = {
   period : float;
   latency : float;
   failure : float option;
-      (** failure probability, for rows run with a reliability context *)
+      (** failure probability, for the [Ft] row *)
 }
-
-type context = {
-  rel : Reliability.t option;
-      (** per-processor failure probabilities; default: uniform
-          {!default_fail_prob} over the platform *)
-  failure_bound : float option;
-      (** tri-criteria failure bound; default {!default_failure_bound} *)
-}
-
-val default_context : context
-(** [{ rel = None; failure_bound = None }]. *)
 
 val default_fail_prob : float
-(** Uniform per-processor failure probability assumed by [ft-rep-tri]
-    when the context supplies no reliability vector (0.05). *)
+(** Uniform per-processor failure probability the [ft-rep-tri] row
+    assumes (0.05). *)
 
 val default_failure_bound : float
-(** Failure bound assumed by [ft-rep-tri] when the context supplies none
-    (0.1). *)
+(** Failure bound the [ft-rep-tri] row solves under (0.1). The CLI's
+    [solve --reliability] calls {!Pipeline_ft.Ft_heuristic} with its own
+    vector and bound instead. *)
 
 type info = {
   id : string;          (** stable machine name, e.g. ["h1-sp-mono-p"] *)
@@ -60,10 +50,8 @@ type info = {
   table_name : string;  (** row name in Table 1 (H1 … H6) and reports *)
   kind : kind;
   stack : stack;
-  solve : ?ctx:context -> Instance.t -> threshold:float -> outcome option;
-      (** [None] when the heuristic cannot meet the threshold. The
-          context only affects the [Ft] row; every other stack ignores
-          it. *)
+  solve : Instance.t -> threshold:float -> outcome option;
+      (** [None] when the heuristic cannot meet the threshold. *)
   reach : (Instance.t -> float) option;
       (** For every [t], [solve inst ~threshold:t <> None] iff
           [Tol.meets (reach inst) t] (DESIGN.md §9). [None] only for the
@@ -71,10 +59,16 @@ type info = {
 }
 
 val paper : info list
-(** The six heuristics in Table 1 order (H1 … H6), stack [Core]. *)
+(** The six heuristics in Table 1 order, stack [Core]:
+    H1 [h1-sp-mono-p] (Sp mono, P fix), H2 [h2-3explo-mono]
+    (3-Explo mono), H3 [h3-3explo-bi] (3-Explo bi), H4 [h4-sp-bi-p]
+    (Sp bi, P fix), H5 [h5-sp-mono-l] (Sp mono, L fix), H6
+    [h6-sp-bi-l] (Sp bi, L fix). *)
 
 val extended : info list
-(** [h2x-3explo-mono-fb], [h3x-3explo-bi-fb] — stack [Extension]. *)
+(** The 3-exploration heuristics with a 2-way-split fallback, for the
+    ablation benches: [h2x-3explo-mono-fb] (H2x),
+    [h3x-3explo-bi-fb] (H3x) — stack [Extension]. *)
 
 val het : info list
 (** [het-sp-mono-p], [het-sp-bi-p], [het-sp-mono-l], [het-sp-bi-l] —
@@ -86,7 +80,8 @@ val deal : info list
 
 val ft : info list
 (** [ft-rep-tri] (FtTri, period fixed): minimise latency under the
-    period threshold and the context's failure bound. *)
+    period threshold and {!default_failure_bound}, with every processor
+    failing with probability {!default_fail_prob}. *)
 
 val all : info list
 (** [paper @ extended @ het @ deal @ ft]. *)

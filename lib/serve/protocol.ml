@@ -204,8 +204,8 @@ let instance_of_json body =
 (* Exactly one of "period" / "latency" — the CLI's wording. *)
 let threshold_of body =
   match (opt_number body "period", opt_number body "latency") with
-  | Some p, None -> (Pipeline_core.Registry.Period_fixed, p)
-  | None, Some l -> (Pipeline_core.Registry.Latency_fixed, l)
+  | Some p, None -> (Ureg.Period_fixed, p)
+  | None, Some l -> (Ureg.Latency_fixed, l)
   | _ -> reject 400 "exactly one of \"period\" / \"latency\" is required"
 
 (* ------------------------------------------------------------------ *)
@@ -305,10 +305,10 @@ let handle_solve t body =
          extension, as in the CLI. *)
       let sol =
         match kind with
-        | Pipeline_core.Registry.Period_fixed ->
+        | Ureg.Period_fixed ->
           Pipeline_het.Het_heuristics.minimise_latency_under_period inst
             ~period:threshold
-        | Pipeline_core.Registry.Latency_fixed ->
+        | Ureg.Latency_fixed ->
           Pipeline_het.Het_heuristics.minimise_period_under_latency inst
             ~latency:threshold
       in
@@ -331,8 +331,8 @@ let handle_solve t body =
          ( "kind",
            Json.String
              (match kind with
-             | Pipeline_core.Registry.Period_fixed -> "period"
-             | Pipeline_core.Registry.Latency_fixed -> "latency") );
+             | Ureg.Period_fixed -> "period"
+             | Ureg.Latency_fixed -> "latency") );
          ("threshold", Json.Number threshold);
          ("results", Json.List results);
        ])

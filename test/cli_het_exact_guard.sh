@@ -8,7 +8,9 @@
 #     same wording the serve daemon returns as its HTTP 400 body);
 #   - an admissible size on the same path still exits 0.
 # `simulate` without --mapping on a het platform runs the het splitter's
-# mapping, as the daemon's /simulate does.
+# mapping, as the daemon's /simulate does. On a het platform `solve`
+# honours --exact with a chosen het row and --polish on the default
+# het-splitting line.
 set -u
 bin="$1"
 fail() { echo "cli_het_exact_guard: $1" >&2; exit 1; }
@@ -45,6 +47,20 @@ expect_guard pareto --family e5 --stages 30 --procs 8
   >/dev/null 2>&1 || fail "admissible het pareto should exit 0"
 "$bin" simulate --family e5 --stages 6 --procs 4 \
   >/dev/null 2>&1 || fail "het simulate without --mapping should exit 0"
+
+# --exact with a chosen het row prints the exact row after it, as the
+# daemon's /solve answers the same request.
+out=$("$bin" solve --family e5 --stages 5 --procs 3 --period 30 --exact \
+  --heuristic het-sp-mono-p) || fail "het --exact --heuristic should exit 0"
+printf '%s\n' "$out" | grep -q '^exact ' \
+  || fail "het --exact --heuristic printed no exact line: $out"
+
+# --polish without --heuristic runs local search on the het-splitting
+# line, as it does for a chosen het row.
+out=$("$bin" solve --family e5 --stages 5 --procs 3 --period 30 --polish) \
+  || fail "het --polish should exit 0"
+printf '%s\n' "$out" | grep -q '^  + local search ' \
+  || fail "het --polish printed no local-search line: $out"
 
 # Fully-het pareto keeps a running front, not one solution per mapping:
 # its 1.45 M mappings at 10 stages x 7 processors fit under a 600 MB

@@ -124,7 +124,20 @@ let prop_split_candidate_metrics_exact =
 (* Heuristics: thresholds and validity                                 *)
 (* ------------------------------------------------------------------ *)
 
-let all_heuristics = Registry.all
+module Registry = Pipeline_registry
+
+let of_kind kind =
+  List.filter (fun (i : Registry.info) -> i.kind = kind) Registry.paper
+
+let period_fixed = of_kind Registry.Period_fixed
+let latency_fixed = of_kind Registry.Latency_fixed
+
+(* A comm-hom row's answer as the plain solution its solver returned;
+   a replicated outcome would fail the test. *)
+let solve (info : Registry.info) inst ~threshold =
+  Option.map
+    (fun o -> Option.get (Registry.solution_of_outcome o))
+    (info.solve inst ~threshold)
 
 let prop_respects_threshold =
   Helpers.qtest ~count:60 "solutions respect their threshold"
@@ -134,19 +147,19 @@ let prop_respects_threshold =
       List.for_all
         (fun (info : Registry.info) ->
           let threshold =
-            match info.Registry.kind with
+            match info.kind with
             | Registry.Period_fixed -> Instance.single_proc_period inst *. scale
             | Registry.Latency_fixed -> Instance.optimal_latency inst *. scale
           in
-          match info.Registry.solve inst ~threshold with
+          match solve info inst ~threshold with
           | None -> true
           | Some sol -> (
             Mapping.valid_on sol.Solution.mapping inst.Instance.platform
             &&
-            match info.Registry.kind with
+            match info.kind with
             | Registry.Period_fixed -> Solution.respects_period sol threshold
             | Registry.Latency_fixed -> Solution.respects_latency sol threshold))
-        all_heuristics)
+        Registry.paper)
 
 let prop_trivial_thresholds_always_succeed =
   Helpers.qtest "single-proc period / optimal latency are always feasible"
@@ -156,12 +169,12 @@ let prop_trivial_thresholds_always_succeed =
       List.for_all
         (fun (info : Registry.info) ->
           let threshold =
-            match info.Registry.kind with
+            match info.kind with
             | Registry.Period_fixed -> Instance.single_proc_period inst
             | Registry.Latency_fixed -> Instance.optimal_latency inst
           in
-          info.Registry.solve inst ~threshold <> None)
-        all_heuristics)
+          solve info inst ~threshold <> None)
+        Registry.paper)
 
 let prop_period_fixed_below_optimum_fails =
   Helpers.qtest ~count:40 "no heuristic beats the exact minimal period"
@@ -172,8 +185,8 @@ let prop_period_fixed_below_optimum_fails =
       let below = opt *. 0.99 -. 1e-6 in
       below <= 0.
       || List.for_all
-           (fun (info : Registry.info) -> info.Registry.solve inst ~threshold:below = None)
-           Registry.period_fixed)
+           (fun (info : Registry.info) -> solve info inst ~threshold:below = None)
+           period_fixed)
 
 let prop_latency_fixed_boundary_is_optimal_latency =
   Helpers.qtest "latency-fixed heuristics fail exactly below L_opt" gen_seed
@@ -182,9 +195,9 @@ let prop_latency_fixed_boundary_is_optimal_latency =
       let lopt = Instance.optimal_latency inst in
       List.for_all
         (fun (info : Registry.info) ->
-          info.Registry.solve inst ~threshold:(lopt *. 0.99 -. 1e-6) = None
-          && info.Registry.solve inst ~threshold:lopt <> None)
-        Registry.latency_fixed)
+          solve info inst ~threshold:(lopt *. 0.99 -. 1e-6) = None
+          && solve info inst ~threshold:lopt <> None)
+        latency_fixed)
 
 let prop_heuristic_latency_at_least_exact =
   Helpers.qtest ~count:30 "heuristic latency >= exact bi-criteria optimum"
@@ -198,10 +211,10 @@ let prop_heuristic_latency_at_least_exact =
       | Some exact ->
         List.for_all
           (fun (info : Registry.info) ->
-            match info.Registry.solve inst ~threshold with
+            match solve info inst ~threshold with
             | None -> true
             | Some sol -> sol.Solution.latency >= exact.Solution.latency -. 1e-9)
-          Registry.period_fixed)
+          period_fixed)
 
 let prop_heuristic_period_at_least_exact =
   Helpers.qtest ~count:30 "heuristic period >= exact period optimum under latency"
@@ -214,10 +227,10 @@ let prop_heuristic_period_at_least_exact =
       | Some exact ->
         List.for_all
           (fun (info : Registry.info) ->
-            match info.Registry.solve inst ~threshold with
+            match solve info inst ~threshold with
             | None -> true
             | Some sol -> sol.Solution.period >= exact.Solution.period -. 1e-9)
-          Registry.latency_fixed)
+          latency_fixed)
 
 let prop_deterministic =
   Helpers.qtest ~count:30 "heuristics are deterministic" gen_seed
@@ -226,14 +239,14 @@ let prop_deterministic =
       let threshold = Instance.single_proc_period inst *. 0.8 in
       List.for_all
         (fun (info : Registry.info) ->
-          let a = info.Registry.solve inst ~threshold in
-          let b = info.Registry.solve inst ~threshold in
+          let a = solve info inst ~threshold in
+          let b = solve info inst ~threshold in
           match (a, b) with
           | None, None -> true
           | Some x, Some y ->
             Mapping.equal x.Solution.mapping y.Solution.mapping
           | _ -> false)
-        Registry.period_fixed)
+        period_fixed)
 
 let test_huge_period_returns_latency_optimal () =
   (* With an easily-satisfied period the loop must not split at all,
@@ -336,29 +349,33 @@ let test_h1_uses_fastest_first () =
 (* ------------------------------------------------------------------ *)
 
 let test_registry_complete () =
-  Alcotest.(check int) "six heuristics" 6 (List.length Registry.all);
-  Alcotest.(check int) "four period-fixed" 4 (List.length Registry.period_fixed);
-  Alcotest.(check int) "two latency-fixed" 2 (List.length Registry.latency_fixed);
+  Alcotest.(check int) "six heuristics" 6 (List.length Registry.paper);
+  Alcotest.(check int) "four period-fixed" 4 (List.length period_fixed);
+  Alcotest.(check int) "two latency-fixed" 2 (List.length latency_fixed);
   Alcotest.(check int) "two extensions" 2 (List.length Registry.extended);
-  Alcotest.(check int) "eight with extensions" 8
-    (List.length Registry.with_extensions)
+  Alcotest.(check int) "eight comm-hom rows" 8
+    (List.length
+       (List.filter
+          (fun (i : Registry.info) ->
+            i.stack = Registry.Core || i.stack = Registry.Extension)
+          Registry.all))
 
 let test_registry_find () =
   (match Registry.find "H1" with
-  | Some info -> Alcotest.(check string) "by table name" "h1-sp-mono-p" info.Registry.id
+  | Some info -> Alcotest.(check string) "by table name" "h1-sp-mono-p" info.id
   | None -> Alcotest.fail "H1 not found");
   (match Registry.find "sp bi, l fix" with
-  | Some info -> Alcotest.(check string) "by paper name" "h6-sp-bi-l" info.Registry.id
+  | Some info -> Alcotest.(check string) "by paper name" "h6-sp-bi-l" info.id
   | None -> Alcotest.fail "paper name not found");
   (match Registry.find "h2x-3explo-mono-fb" with
-  | Some info -> Alcotest.(check string) "extension by id" "H2x" info.Registry.table_name
+  | Some info -> Alcotest.(check string) "extension by id" "H2x" info.table_name
   | None -> Alcotest.fail "extension not found");
   Alcotest.(check bool) "unknown" true (Registry.find "nope" = None)
 
 let test_registry_table_order () =
   Alcotest.(check (list string)) "Table 1 order"
     [ "H1"; "H2"; "H3"; "H4"; "H5"; "H6" ]
-    (List.map (fun (i : Registry.info) -> i.Registry.table_name) Registry.all)
+    (List.map (fun (i : Registry.info) -> i.table_name) Registry.paper)
 
 
 (* ------------------------------------------------------------------ *)
@@ -422,7 +439,7 @@ let prop_extended_registry_sound =
       let threshold = Instance.single_proc_period inst *. scale in
       List.for_all
         (fun (info : Registry.info) ->
-          match info.Registry.solve inst ~threshold with
+          match solve info inst ~threshold with
           | None -> true
           | Some sol -> Solution.respects_period sol threshold)
         Registry.extended)

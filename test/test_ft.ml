@@ -2,7 +2,6 @@ open Pipeline_model
 open Pipeline_ft
 module Rng = Pipeline_util.Rng
 module DM = Deal_mapping
-module Registry = Pipeline_core.Registry
 
 let gen_seed = QCheck2.Gen.int_range 0 100_000
 
@@ -196,18 +195,13 @@ let test_ft_rejects_bad_bounds () =
 (* Online remapping                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let h1 () =
-  match Registry.find "h1-sp-mono-p" with
-  | Some h -> h
-  | None -> Alcotest.fail "H1 missing from the registry"
-
 let test_remap_no_failure_is_stable () =
   (* With no failures and the same heuristic/threshold the controller
      re-derives the same mapping: zero migration. *)
   let inst = Helpers.small_instance () in
   let threshold = Instance.single_proc_period inst in
   let before =
-    match (h1 ()).Registry.solve inst ~threshold with
+    match Pipeline_core.Sp_mono_p.solve inst ~period:threshold with
     | Some sol -> sol.Pipeline_core.Solution.mapping
     | None -> Alcotest.fail "H1 infeasible at the single-processor period"
   in

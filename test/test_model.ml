@@ -848,9 +848,9 @@ let test_drop_comm_and_homogenise () =
 (* Per registry row, a deterministic threshold of the row's kind. *)
 let row_threshold (info : Ureg.info) (inst : Instance.t) =
   match info.Ureg.kind with
-  | Pipeline_core.Registry.Period_fixed ->
+  | Ureg.Period_fixed ->
     0.8 *. Instance.single_proc_period inst
-  | Pipeline_core.Registry.Latency_fixed ->
+  | Ureg.Latency_fixed ->
     1.5 *. Instance.optimal_latency inst
 
 let outcomes_equal ~factor (a : Ureg.outcome option) (b : Ureg.outcome option)

@@ -800,14 +800,6 @@ let test_scalarised_rejects_bad_alpha () =
     (Invalid_argument "Scalarised: alpha must be in [0,1]") (fun () ->
       ignore (Scalarised.optimal inst ~alpha:1.5))
 
-let test_scalarised_heuristic_requires_period_kind () =
-  let inst = Helpers.small_instance () in
-  let latency_info = List.nth Pipeline_core.Registry.all 4 in
-  Alcotest.check_raises "latency-fixed rejected"
-    (Invalid_argument "Scalarised.heuristic: requires a period-fixed heuristic")
-    (fun () ->
-      ignore (Scalarised.heuristic ~heuristic:latency_info inst ~alpha:0.5))
-
 
 (* ------------------------------------------------------------------ *)
 (* Local_search                                                        *)
@@ -973,8 +965,6 @@ let () =
           prop_scalarised_on_front;
           prop_scalarised_heuristic_dominated;
           Alcotest.test_case "bad alpha" `Quick test_scalarised_rejects_bad_alpha;
-          Alcotest.test_case "kind check" `Quick
-            test_scalarised_heuristic_requires_period_kind;
         ] );
       ( "local-search",
         [

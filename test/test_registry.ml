@@ -4,7 +4,6 @@
 
 open Pipeline_model
 module U = Pipeline_registry
-module Core_registry = Pipeline_core.Registry
 
 let het_instance seed =
   let rng = Pipeline_util.Rng.create seed in
@@ -35,9 +34,10 @@ let test_shape () =
   let ids = List.map (fun (i : U.info) -> i.U.id) U.all in
   Alcotest.(check int) "unique ids" (List.length ids)
     (List.length (List.sort_uniq compare ids));
-  (* Core ids survived the unification unchanged, in Table 1 order. *)
+  (* Core ids are Table 1's, in its order. *)
   Alcotest.(check (list string)) "core ids preserved"
-    (List.map (fun (i : Core_registry.info) -> i.Core_registry.id) Core_registry.all)
+    [ "h1-sp-mono-p"; "h2-3explo-mono"; "h3-3explo-bi"; "h4-sp-bi-p";
+      "h5-sp-mono-l"; "h6-sp-bi-l" ]
     (List.map (fun (i : U.info) -> i.U.id) U.paper)
 
 let test_find () =
@@ -93,24 +93,38 @@ let same_as_direct (o : U.outcome option) direct of_direct =
   | _ -> false
 
 let prop_core_rows_match =
-  Helpers.qtest ~count:60 "core rows == Pipeline_core.Registry, bitwise"
+  Helpers.qtest ~count:60 "core rows == Sp_*/Explo_* solvers, bitwise"
     QCheck2.Gen.(pair (int_range 0 100_000) (float_range 0.4 1.6))
     (fun (seed, scale) ->
       let inst = Helpers.random_instance seed in
+      let open Pipeline_core in
+      let rows =
+        [
+          ("h1-sp-mono-p", fun t -> Sp_mono_p.solve inst ~period:t);
+          ("h2-3explo-mono", fun t -> Explo_mono.solve inst ~period:t);
+          ("h3-3explo-bi", fun t -> Explo_bi.solve inst ~period:t);
+          ("h4-sp-bi-p", fun t -> Sp_bi_p.solve inst ~period:t);
+          ("h5-sp-mono-l", fun t -> Sp_mono_l.solve inst ~latency:t);
+          ("h6-sp-bi-l", fun t -> Sp_bi_l.solve inst ~latency:t);
+          ("h2x-3explo-mono-fb", fun t -> Explo_fallback.solve_mono inst ~period:t);
+          ("h3x-3explo-bi-fb", fun t -> Explo_fallback.solve_bi inst ~period:t);
+        ]
+      in
       List.for_all2
-        (fun (u : U.info) (c : Core_registry.info) ->
+        (fun (u : U.info) (id, direct) ->
           let threshold =
             match u.U.kind with
             | U.Period_fixed -> Instance.single_proc_period inst *. scale
             | U.Latency_fixed ->
               Instance.optimal_latency inst *. Float.max 1. scale
           in
-          same_as_direct
-            (u.U.solve inst ~threshold)
-            (c.Core_registry.solve inst ~threshold)
-            (fun (s : Pipeline_core.Solution.t) ->
-              (Deal_mapping.of_mapping s.mapping, s.period, s.latency, None)))
-        U.paper Core_registry.all)
+          u.U.id = id
+          && same_as_direct
+               (u.U.solve inst ~threshold)
+               (direct threshold)
+               (fun (s : Solution.t) ->
+                 (Deal_mapping.of_mapping s.mapping, s.period, s.latency, None)))
+        (U.paper @ U.extended) rows)
 
 let prop_het_rows_match =
   Helpers.qtest ~count:60 "het rows == Het_heuristics, bitwise"
@@ -177,10 +191,9 @@ let prop_deal_rows_match =
            of_deal)
 
 let prop_ft_row_matches =
-  Helpers.qtest ~count:60 "ft row == Ft_heuristic, bitwise (default + ctx)"
-    QCheck2.Gen.(triple (int_range 0 100_000) (float_range 0.4 1.6)
-                   (float_range 0.01 0.3))
-    (fun (seed, scale, bound) ->
+  Helpers.qtest ~count:60 "ft row == Ft_heuristic, bitwise"
+    QCheck2.Gen.(pair (int_range 0 100_000) (float_range 0.4 1.6))
+    (fun (seed, scale) ->
       let inst = Helpers.random_instance seed in
       let threshold = Instance.single_proc_period inst *. scale in
       let info = Option.get (U.find "ft-rep-tri") in
@@ -191,22 +204,12 @@ let prop_ft_row_matches =
          Some s.Pipeline_ft.Ft_heuristic.failure)
       in
       let p = Platform.p inst.Instance.platform in
-      (* Default context: uniform default_fail_prob, default bound. *)
+      (* Uniform default_fail_prob, default_failure_bound. *)
       same_as_direct
         (info.U.solve inst ~threshold)
         (Pipeline_ft.Ft_heuristic.minimise_latency inst
            (Reliability.uniform ~p U.default_fail_prob)
            ~period:threshold ~failure:U.default_failure_bound)
-        of_ft
-      &&
-      (* Explicit context threads through unchanged. *)
-      let rel = Reliability.uniform ~p (bound /. 2.) in
-      same_as_direct
-        (info.U.solve
-           ~ctx:{ U.rel = Some rel; failure_bound = Some bound }
-           inst ~threshold)
-        (Pipeline_ft.Ft_heuristic.minimise_latency inst rel ~period:threshold
-           ~failure:bound)
         of_ft)
 
 let () =

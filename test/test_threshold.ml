@@ -481,7 +481,7 @@ let test_widening_probes_each_top_once () =
       Registry.id = "counting";
       reach = None;
       solve =
-        (fun ?ctx:_ inst ~threshold ->
+        (fun inst ~threshold ->
           probed := threshold :: !probed;
           if threshold >= 3. *. single then h1.Registry.solve inst ~threshold
           else None);
