@@ -794,11 +794,23 @@ let prop_scalarised_heuristic_dominated =
       let heur = Scalarised.value ~alpha (Scalarised.heuristic inst ~alpha) in
       heur >= exact -. 1e-9)
 
+let prop_scalarised_heuristic_sound =
+  Helpers.qtest ~count:30 "heuristic solution carries its mapping's cost"
+    QCheck2.Gen.(pair gen_small (float_range 0. 1.))
+    (fun (inst, alpha) ->
+      let sol = Scalarised.heuristic inst ~alpha in
+      let recomputed = Solution.of_mapping inst sol.Solution.mapping in
+      Helpers.feq recomputed.Solution.period sol.Solution.period
+      && Helpers.feq recomputed.Solution.latency sol.Solution.latency)
+
 let test_scalarised_rejects_bad_alpha () =
   let inst = Helpers.small_instance () in
   Alcotest.check_raises "alpha > 1"
     (Invalid_argument "Scalarised: alpha must be in [0,1]") (fun () ->
-      ignore (Scalarised.optimal inst ~alpha:1.5))
+      ignore (Scalarised.optimal inst ~alpha:1.5));
+  Alcotest.check_raises "heuristic, alpha < 0"
+    (Invalid_argument "Scalarised: alpha must be in [0,1]") (fun () ->
+      ignore (Scalarised.heuristic inst ~alpha:(-0.5)))
 
 
 (* ------------------------------------------------------------------ *)
@@ -964,6 +976,7 @@ let () =
           prop_scalarised_extremes;
           prop_scalarised_on_front;
           prop_scalarised_heuristic_dominated;
+          prop_scalarised_heuristic_sound;
           Alcotest.test_case "bad alpha" `Quick test_scalarised_rejects_bad_alpha;
         ] );
       ( "local-search",
