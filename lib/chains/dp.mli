@@ -4,8 +4,8 @@
     at most [j] intervals; [f(k, j) = min_{i<k} max(f(i, j-1),
     sum(i+1..k))]. O(n²p) time, O(np) space — the textbook algorithm of
     Bokhari (1988) / Hansen & Lih (1992), used here as the reference
-    optimum against which {!Exact} (parametric search) and the heuristics
-    are validated. *)
+    optimum against which {!Exact} (parametric search) and {!Nicol} are
+    validated. *)
 
 val solve : float array -> p:int -> float * Partition.t
 (** [solve a ~p] minimises the largest interval sum over partitions of

@@ -6,7 +6,7 @@
     is optimal, so the greedy answer is exact. This is the classic
     building block of the parametric-search algorithms surveyed by Pinar
     & Aykanat (2004) — and the {e single} probe implementation behind
-    {!Exact}, {!Nicol}, {!Approx} and {!Bounds} (DESIGN.md §9).
+    {!Exact} and {!Nicol} (DESIGN.md §9).
 
     [from] defaults to 1 (the whole chain); suffix probes ([from > 1])
     serve {!Nicol}'s recursive scheme. *)

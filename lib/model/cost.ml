@@ -12,9 +12,8 @@ type t = {
   comm_hom : bool;
   b : float;  (* common bandwidth; nan on fully heterogeneous platforms *)
   speeds : float array;
-  memo : bool;
-  din_t : float array;  (* δ_{d-1}/b, indexed by d = 1..n; [||] off *)
-  dout_t : float array;  (* δ_e/b, indexed by e = 0..n; [||] off *)
+  din_t : float array;  (* δ_{d-1}/b, indexed by d = 1..n; [||] if fully het *)
+  dout_t : float array;  (* δ_e/b, indexed by e = 0..n; [||] if fully het *)
   cycle_memo : bool;
   mutable cycles : float array;  (* (d,e,u) cycle-times, lazy; NaN = unset *)
   mutable configs : config array;  (* candidate configs; [||] = unset *)
@@ -62,7 +61,7 @@ let tri n = n * (n + 1) / 2
 (* Index of interval (d, e), 1 <= d <= e <= n, rows in d, growing e. *)
 let idx n d e = ((d - 1) * n) - (((d - 1) * (d - 2)) / 2) + (e - d)
 
-let make ?(memo = true) app platform =
+let make app platform =
   let n = Application.n app in
   let p = Platform.p platform in
   let comm_hom = Platform.is_comm_homogeneous platform in
@@ -71,7 +70,7 @@ let make ?(memo = true) app platform =
   let entries = tri n in
   Atomic.incr n_engine_builds;
   let din_t, dout_t =
-    if not (memo && comm_hom) then ([||], [||])
+    if not comm_hom then ([||], [||])
     else begin
       let din = Array.make (n + 1) 0. and dout = Array.make (n + 1) 0. in
       for d = 1 to n do
@@ -84,7 +83,7 @@ let make ?(memo = true) app platform =
     end
   in
   let cycle_memo =
-    memo && comm_hom && entries <= max_cycle_entries
+    comm_hom && entries <= max_cycle_entries
     && entries * p <= max_cycle_entries
   in
   {
@@ -94,7 +93,6 @@ let make ?(memo = true) app platform =
     comm_hom;
     b;
     speeds;
-    memo;
     din_t;
     dout_t;
     cycle_memo;
@@ -172,11 +170,11 @@ let require_comm_hom t who =
 (* Unchecked primitives; [_u] = no validation. *)
 
 let din_u t d =
-  if t.memo && t.comm_hom then t.din_t.(d)
+  if t.comm_hom then t.din_t.(d)
   else Application.delta t.app (d - 1) /. t.b
 
 let dout_u t e =
-  if t.memo && t.comm_hom then t.dout_t.(e)
+  if t.comm_hom then t.dout_t.(e)
   else Application.delta t.app e /. t.b
 
 (* The application's prefix table already serves W(d,e) as an O(1)

@@ -33,17 +33,13 @@
     Engines are {e not} thread-safe: the lazy cycle table is mutated in
     place. {!get} hands out engines from a small per-domain LRU
     (domain-local storage), which is what every solver should use;
-    {!make} is for benchmarks and tests that want explicit control over
-    memoisation. *)
+    {!make} builds a private engine that the LRU does not hold. *)
 
 type t
 (** A cost engine for one [(application, platform)] pair. *)
 
-val make : ?memo:bool -> Application.t -> Platform.t -> t
-(** [make ?memo app platform] builds an engine. [~memo:false] disables
-    every cache and recomputes each term from first principles — used by
-    the equivalence property tests; results are bit-identical either
-    way. Default [true]. *)
+val make : Application.t -> Platform.t -> t
+(** [make app platform] builds an engine outside {!get}'s LRU. *)
 
 val get : Application.t -> Platform.t -> t
 (** The shared, memoising engine for this domain. Cached on physical

@@ -1,19 +1,12 @@
-(* Platform-fingerprint-keyed LRU of warm cost engines. See the .mli
-   and DESIGN.md §12 for the semantics. *)
+(* Platform-fingerprint-keyed LRU of representative instances. See the
+   .mli and DESIGN.md §12 for the semantics. *)
 
 open Pipeline_model
 
-(* Above this stage count the eager candidate-set priming is skipped:
-   enumeration is O(n² · |speeds|) and web-scale solvers go through the
-   lazy lattice (Candidates.Set) anyway (DESIGN.md §11). *)
-let candidate_prime_cap = 512
+let platform_cap = 64
+let app_cap = 16
 
-(* Fully-het candidate families are O(n² · |configs|) with |configs| up
-   to p³ (DESIGN.md §13), so het priming is bounded by the materialised
-   triple count rather than the stage count. *)
-let het_prime_triples_cap = 1 lsl 16
-
-type app_slot = { app_fp : string; instance : Instance.t; engine : Cost.t }
+type app_slot = { app_fp : string; instance : Instance.t }
 
 type entry = { platform : Platform.t; mutable apps : app_slot list (* MRU first *) }
 
@@ -26,8 +19,6 @@ type stats = {
 }
 
 type t = {
-  platform_cap : int;
-  app_cap : int;
   mutable entries : (string * entry) list; (* MRU first *)
   mutable platform_hits : int;
   mutable platform_misses : int;
@@ -36,12 +27,8 @@ type t = {
   mutable evictions : int;
 }
 
-let create ?(platforms = 64) ?(apps_per_platform = 16) () =
-  if platforms < 1 || apps_per_platform < 1 then
-    invalid_arg "Cache.create: caps must be >= 1";
+let create () =
   {
-    platform_cap = platforms;
-    app_cap = apps_per_platform;
     entries = [];
     platform_hits = 0;
     platform_misses = 0;
@@ -92,7 +79,6 @@ let app_fingerprint app =
 
 type lookup = {
   instance : Instance.t;
-  engine : Cost.t;
   platform_hit : bool;
   app_hit : bool;
 }
@@ -114,25 +100,17 @@ let truncate cap list =
   in
   take cap list
 
-let warm_slot ~app_fp (request : Instance.t) platform =
-  (* The representative instance: the entry's physical platform paired
-     with this request's application. Cost.get registers the engine in
-     the domain LRU under exactly these physical values, so the solvers'
-     internal Cost.get calls hit it. *)
+(* The representative instance: the entry's physical platform paired
+   with this request's application. Later requests with the same
+   fingerprints get these very values, and the engine LRU keys on
+   physical equality, so their solves reuse the engine the first one
+   built for as long as the domain's engine LRU still holds it. *)
+let new_slot ~app_fp (request : Instance.t) platform =
   let instance =
     Instance.make ~id:request.Instance.id ~seed:request.Instance.seed
       request.Instance.app platform
   in
-  let engine = Cost.get instance.Instance.app instance.Instance.platform in
-  let n = Application.n instance.Instance.app in
-  let prime =
-    if Platform.is_comm_homogeneous platform then n <= candidate_prime_cap
-    else
-      n * (n + 1) / 2 * Array.length (Cost.candidate_configs engine)
-      <= het_prime_triples_cap
-  in
-  if prime then ignore (Candidates.periods engine);
-  { app_fp; instance; engine }
+  { app_fp; instance }
 
 let canonical t (request : Instance.t) =
   let platform_fp = platform_fingerprint request.Instance.platform in
@@ -150,22 +128,22 @@ let canonical t (request : Instance.t) =
         (slot, true)
       | None ->
         t.app_misses <- t.app_misses + 1;
-        (warm_slot ~app_fp request entry.platform, false)
+        (new_slot ~app_fp request entry.platform, false)
     in
     let others = List.filter (fun s -> s.app_fp <> app_fp) entry.apps in
-    let kept, _ = truncate t.app_cap (slot :: others) in
+    let kept, _ = truncate app_cap (slot :: others) in
     entry.apps <- kept;
-    { instance = slot.instance; engine = slot.engine; platform_hit = true; app_hit }
+    { instance = slot.instance; platform_hit = true; app_hit }
   | None ->
     t.platform_misses <- t.platform_misses + 1;
     t.app_misses <- t.app_misses + 1;
     let platform = request.Instance.platform in
-    let slot = warm_slot ~app_fp request platform in
+    let slot = new_slot ~app_fp request platform in
     let entry = { platform; apps = [ slot ] } in
-    let kept, dropped = truncate t.platform_cap ((platform_fp, entry) :: t.entries) in
+    let kept, dropped = truncate platform_cap ((platform_fp, entry) :: t.entries) in
     t.entries <- kept;
     t.evictions <- t.evictions + dropped;
-    { instance = slot.instance; engine = slot.engine; platform_hit = false; app_hit = false }
+    { instance = slot.instance; platform_hit = false; app_hit = false }
 
 let stats t =
   {

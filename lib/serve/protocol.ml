@@ -71,9 +71,9 @@ let zero_stats =
     evictions = 0;
   }
 
-let create ?(cache = Cache.create ()) () =
+let create () =
   ignore (Lazy.force counters);
-  { cache; mirrored = zero_stats }
+  { cache = Cache.create (); mirrored = zero_stats }
 
 let cache_stats t = Cache.stats t.cache
 

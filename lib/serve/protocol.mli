@@ -22,12 +22,12 @@ type t
     Not thread-safe — the server drives it from its single request
     thread. *)
 
-val create : ?cache:Cache.t -> unit -> t
-(** A fresh protocol state ([cache] defaults to {!Cache.create}'s
-    defaults). The [serve.*] observability counters register on the
-    first [create] — not at module initialisation — so linking this
-    library does not change the metrics dump of programs that never
-    serve (the bench's [metrics.csv] golden). *)
+val create : unit -> t
+(** A fresh protocol state with an empty {!Cache}. The [serve.*]
+    observability counters register on the first [create] — not at
+    module initialisation — so linking this library does not change the
+    metrics dump of programs that never serve (the bench's
+    [metrics.csv] golden). *)
 
 val handle : t -> Http.request -> int * string * string
 (** [handle t req] is [(status, content_type, body)]. Never raises:

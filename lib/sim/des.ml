@@ -61,36 +61,3 @@ let cancel _t h =
   if h.live then Obs.Counter.incr c_cancelled;
   h.live <- false
 let cancelled h = not h.live
-
-module Resource = struct
-  type des = t
-
-  type t = {
-    des : des;
-    mutable busy : bool;
-    waiters : (des -> unit) Queue.t;
-  }
-
-  let create des = { des; busy = false; waiters = Queue.create () }
-
-  let grant r continuation =
-    (* Deliver through the event queue so continuations never run inside
-       the caller's stack frame (keeps ordering deterministic). *)
-    schedule r.des ~delay:0. continuation
-
-  let acquire r continuation =
-    if r.busy then Queue.add continuation r.waiters
-    else begin
-      r.busy <- true;
-      grant r continuation
-    end
-
-  let release r =
-    if not r.busy then invalid_arg "Des.Resource.release: not held";
-    match Queue.take_opt r.waiters with
-    | Some continuation -> grant r continuation
-    | None -> r.busy <- false
-
-  let held r = r.busy
-  let queue_length r = Queue.length r.waiters
-end

@@ -1,9 +1,7 @@
 (** A small discrete-event simulation kernel.
 
     Callback-style: handlers schedule further events; {!run} drains the
-    event queue in time order (FIFO on ties, so runs are deterministic).
-    {!Resource} provides unary FIFO servers — the one-port processors of
-    the stochastic pipeline simulator ({!Workload_sim}) are built on it. *)
+    event queue in time order (FIFO on ties, so runs are deterministic). *)
 
 type t
 
@@ -43,22 +41,3 @@ val cancel : t -> handle -> unit
 
 val cancelled : handle -> bool
 (** True once {!cancel} was called on the handle. *)
-
-(** Unary resource with a FIFO wait queue. *)
-module Resource : sig
-  type nonrec des = t
-  type t
-
-  val create : des -> t
-
-  val acquire : t -> (des -> unit) -> unit
-  (** Call the continuation (at the current time, via a zero-delay event)
-      once the resource is granted; waiters are served in request order. *)
-
-  val release : t -> unit
-  (** Hand the resource to the next waiter (or mark it free). Raises
-      [Invalid_argument] when the resource is not held. *)
-
-  val held : t -> bool
-  val queue_length : t -> int
-end

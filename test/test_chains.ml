@@ -214,23 +214,6 @@ let prop_dp_respects_interval_budget =
       let _, part = Dp.solve a ~p in
       Partition.size part <= p)
 
-let prop_heuristics_dominated_by_optimal =
-  Helpers.qtest "greedy/bisection >= optimal bottleneck"
-    QCheck2.Gen.(pair gen_chain (int_range 1 8))
-    (fun (xs, p) ->
-      let a = Array.of_list xs in
-      let n = Array.length a in
-      let prefix = Prefix.make a in
-      let opt, _ = Dp.solve a ~p in
-      let greedy = Heuristic.greedy_target a ~p in
-      let bisect = Heuristic.recursive_bisection a ~p in
-      Partition.is_valid ~n greedy
-      && Partition.is_valid ~n bisect
-      && Partition.size greedy <= p
-      && Partition.size bisect <= p
-      && Partition.bottleneck prefix greedy >= opt -. 1e-9
-      && Partition.bottleneck prefix bisect >= opt -. 1e-9)
-
 let test_candidates_sorted_unique () =
   let prefix = Prefix.make [| 2.; 2.; 3. |] in
   let c = Exact.candidates prefix in
@@ -423,60 +406,67 @@ let prop_to_mapping_roundtrip =
       Helpers.feq back.Hetero.bottleneck sol.Hetero.bottleneck
       && back.Hetero.assignment = sol.Hetero.assignment)
 
+(* ------------------------------------------------------------------ *)
+(* Bounds on the optimum                                               *)
+(* ------------------------------------------------------------------ *)
 
-(* ------------------------------------------------------------------ *)
-(* Bounds / Approx                                                     *)
-(* ------------------------------------------------------------------ *)
+(* No partition into p intervals beats max (total / p, max element). *)
+let lower_bound prefix ~p =
+  Float.max (Prefix.total prefix /. float_of_int p) (Prefix.max_element prefix)
 
 let prop_bounds_bracket_optimum =
+  (* The leftmost-greedy probe at [lower + max element] always succeeds:
+     each closed interval plus the next element overflows the bound, so
+     each holds more than [lower >= total / p] and at most p intervals
+     are cut. Its witness is an upper bound within twice the lower. *)
   Helpers.qtest "lower <= optimum <= upper <= 2 lower"
     QCheck2.Gen.(pair gen_chain (int_range 1 8))
     (fun (xs, p) ->
       let a = Array.of_list xs in
       let prefix = Prefix.make a in
-      let lo, hi = Bounds.span prefix ~p in
+      let lo = lower_bound prefix ~p in
       let opt, _ = Dp.solve a ~p in
-      lo <= opt +. 1e-9 && opt <= hi +. 1e-9 && hi <= (2. *. lo) +. 1e-9)
+      match Probe.partition prefix ~p ~bound:(lo +. Prefix.max_element prefix) with
+      | None -> false
+      | Some witness ->
+        let hi = Partition.bottleneck prefix witness in
+        Partition.size witness <= p
+        && lo <= opt +. 1e-9
+        && opt <= hi +. 1e-9
+        && hi <= (2. *. lo) +. 1e-9)
 
-let prop_approx_within_epsilon =
-  Helpers.qtest "bisection is (1+eps)-optimal"
+let test_bounds_known () =
+  let a = [| 4.; 4.; 4.; 4. |] in
+  let prefix = Prefix.make a in
+  Helpers.check_float "lower = total/p" 8. (lower_bound prefix ~p:2);
+  (* An even split meets the lower bound, so every solver reaches it. *)
+  Helpers.check_float "dp" 8. (fst (Dp.solve a ~p:2));
+  Helpers.check_float "exact" 8. (fst (Exact.solve a ~p:2));
+  Helpers.check_float "nicol" 8. (fst (Nicol.solve a ~p:2));
+  match Probe.partition prefix ~p:2 ~bound:12. with
+  | None -> Alcotest.fail "greedy at lower + max element must succeed"
+  | Some witness ->
+    let hi = Partition.bottleneck prefix witness in
+    Alcotest.(check bool) "upper feasible bound" true (hi >= 8. && hi <= 16.)
+
+let test_bounds_p_exceeds_n () =
+  let a = [| 3.; 9. |] in
+  let prefix = Prefix.make a in
+  (* With p >= n the optimum is the max element. *)
+  Helpers.check_float "lower = max element" 9. (lower_bound prefix ~p:5);
+  List.iter
+    (fun (name, solve) -> Helpers.check_float name 9. (fst (solve a ~p:5)))
+    [ ("dp", Dp.solve); ("exact", Exact.solve); ("nicol", Nicol.solve) ]
+
+let prop_optimum_is_candidate =
+  (* The finite-candidate argument behind Exact and Nicol: the optimal
+     bottleneck is one of the interval sums, bit for bit. *)
+  Helpers.qtest "DP optimum is an interval sum"
     QCheck2.Gen.(pair gen_chain (int_range 1 8))
     (fun (xs, p) ->
       let a = Array.of_list xs in
-      let n = Array.length a in
-      let epsilon = 1e-6 in
-      let approx, partition = Approx.solve ~epsilon a ~p in
       let opt, _ = Dp.solve a ~p in
-      Partition.is_valid ~n partition
-      && Partition.size partition <= p
-      && approx >= opt -. 1e-9
-      && approx <= (opt *. (1. +. epsilon)) +. 1e-6)
-
-let test_approx_rejects_bad_epsilon () =
-  Alcotest.check_raises "epsilon 0" (Invalid_argument "Approx.solve: epsilon must be > 0")
-    (fun () -> ignore (Approx.solve ~epsilon:0. [| 1. |] ~p:1))
-
-let test_bounds_known () =
-  let prefix = Prefix.make [| 4.; 4.; 4.; 4. |] in
-  Helpers.check_float "lower = total/p" 8. (Bounds.lower prefix ~p:2);
-  let _, hi = Bounds.span prefix ~p:2 in
-  Alcotest.(check bool) "upper feasible bound" true (hi >= 8. && hi <= 16.)
-
-
-let test_approx_huge_epsilon_still_valid () =
-  let _, part = Approx.solve ~epsilon:10. [| 5.; 1.; 4.; 2. |] ~p:2 in
-  Alcotest.(check bool) "valid partition" true (Partition.is_valid ~n:4 part);
-  Alcotest.(check bool) "within budget" true (Partition.size part <= 2)
-
-let test_bounds_p_exceeds_n () =
-  let prefix = Prefix.make [| 3.; 9. |] in
-  (* With p >= n the optimum is the max element. *)
-  Helpers.check_float "lower = max element" 9. (Bounds.lower prefix ~p:5);
-  let lo, hi = Bounds.span prefix ~p:5 in
-  (* The greedy witness may keep everything in one interval when the
-     probe bound allows it; only the 2x guarantee is promised. *)
-  Alcotest.(check bool) "lower <= upper <= 2 lower" true
-    (lo <= hi && hi <= 2. *. lo)
+      Array.exists (fun c -> c = opt) (Exact.candidates (Prefix.make a)))
 
 let () =
   Alcotest.run "chains"
@@ -516,16 +506,13 @@ let () =
           prop_nicol_equals_dp;
           Alcotest.test_case "nicol known" `Quick test_nicol_known;
           prop_dp_respects_interval_budget;
-          prop_heuristics_dominated_by_optimal;
         ] );
       ( "bounds-approx",
         [
           prop_bounds_bracket_optimum;
-          prop_approx_within_epsilon;
-          Alcotest.test_case "bad epsilon" `Quick test_approx_rejects_bad_epsilon;
           Alcotest.test_case "bounds known" `Quick test_bounds_known;
-          Alcotest.test_case "huge epsilon" `Quick test_approx_huge_epsilon_still_valid;
           Alcotest.test_case "bounds p > n" `Quick test_bounds_p_exceeds_n;
+          prop_optimum_is_candidate;
         ] );
       ( "hetero",
         [

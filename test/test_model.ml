@@ -1183,15 +1183,15 @@ let prop_cost_plain_matches_reference =
                = Ref.cycle_time app platform mapping j)
              (List.init (Mapping.m mapping) Fun.id)
       in
-      (* Memoised, shared, and memo-free engines must all reproduce the
-         reference bits. *)
-      check (Cost.make app platform)
-      && check (Cost.get app platform)
-      && check (Cost.make ~memo:false app platform))
+      (* Private and shared engines must both reproduce the reference
+         bits. The E6 case is past the cycle-table cap, so it checks the
+         direct-evaluation path. *)
+      check (Cost.make app platform) && check (Cost.get app platform))
 
 let prop_cost_tables_bit_identical =
   (* The O(n + p) flat layout (work-sum prefix differences, din/dout
-     tables, lazy cycle memo) vs a memo-free engine, on every (d, e, u)
+     tables, lazy cycle memo) vs a test-side evaluation in the engine's
+     association, (δ_{d-1}/b + W(d,e)/s_u) + δ_e/b, on every (d, e, u)
      triple and every platform kind. Each cycle is read twice so both
      the miss and the hit path are compared. *)
   Helpers.qtest ~count:100 "flat tables = direct evaluation on every (d,e,u)"
@@ -1200,25 +1200,29 @@ let prop_cost_tables_bit_identical =
       let inst = cost_instance kind_choice seed in
       let app = inst.Instance.app and platform = inst.Instance.platform in
       let cost = Cost.make app platform in
-      let direct = Cost.make ~memo:false app platform in
       let n = Application.n app and p = Platform.p platform in
       let comm_hom = Platform.is_comm_homogeneous platform in
+      let b = Platform.io_bandwidth platform 0 in
+      let din d = Application.delta app (d - 1) /. b in
+      let dout e = Application.delta app e /. b in
+      let compute d e u = Application.work_sum app d e /. Platform.speed platform u in
       let ok = ref true in
       for d = 1 to n do
         if comm_hom then begin
-          ok := !ok && Cost.din cost ~d = Cost.din direct ~d;
-          ok := !ok && Cost.dout cost ~e:d = Cost.dout direct ~e:d
+          ok := !ok && Cost.din cost ~d = din d;
+          ok := !ok && Cost.dout cost ~e:d = dout d
         end;
         for e = d to n do
           ok := !ok && Cost.work_sum cost ~d ~e = Application.work_sum app d e;
           if comm_hom then
             for u = 0 to p - 1 do
+              let cycle = din d +. compute d e u +. dout e in
               ok :=
                 !ok
-                && Cost.cycle cost ~d ~e ~u = Cost.cycle direct ~d ~e ~u
-                && Cost.cycle cost ~d ~e ~u = Cost.cycle direct ~d ~e ~u
-                && Cost.compute cost ~d ~e ~u = Cost.compute direct ~d ~e ~u
-                && Cost.contrib cost ~d ~e ~u = Cost.contrib direct ~d ~e ~u
+                && Cost.cycle cost ~d ~e ~u = cycle
+                && Cost.cycle cost ~d ~e ~u = cycle
+                && Cost.compute cost ~d ~e ~u = compute d e u
+                && Cost.contrib cost ~d ~e ~u = din d +. compute d e u
             done
         done
       done;
@@ -1241,8 +1245,7 @@ let prop_cost_deal_matches_reference =
         s.Cost.period = Ref.deal_period inst deal
         && s.Cost.latency = Ref.deal_latency inst deal
       in
-      check (Cost.get inst.Instance.app inst.Instance.platform)
-      && check (Cost.make ~memo:false inst.Instance.app inst.Instance.platform))
+      check (Cost.get inst.Instance.app inst.Instance.platform))
 
 let prop_cost_failure_matches_reference =
   Helpers.qtest ~count:200 "Cost reliability layer == pre-engine Deal_reliability"
@@ -1258,6 +1261,52 @@ let prop_cost_failure_matches_reference =
              Cost.interval_failure rel deal ~j
              = Reliability.group_failure rel (Deal_mapping.replicas deal j))
            (List.init (Deal_mapping.m deal) Fun.id))
+
+(* Cost.get's per-domain LRU is the one place shared engines live. It
+   keys on physical equality of both arguments, which is why the serve
+   cache hands solvers representative values. *)
+let test_cost_get_physical_key () =
+  let app = Helpers.small_app () and platform = Helpers.small_platform () in
+  let s0 = Cost.cache_stats () in
+  let e1 = Cost.get app platform in
+  let e2 = Cost.get app platform in
+  let copy = Cost.get (Helpers.small_app ()) platform in
+  let s1 = Cost.cache_stats () in
+  Alcotest.(check bool) "same values, same engine" true (e1 == e2);
+  Alcotest.(check bool) "equal copy, own engine" false (e1 == copy);
+  Alcotest.(check int) "two builds" 2 (s1.Cost.engine_builds - s0.Cost.engine_builds);
+  Alcotest.(check int) "one hit" 1 (s1.Cost.lru_hits - s0.Cost.lru_hits);
+  Alcotest.(check int) "two misses" 2 (s1.Cost.lru_misses - s0.Cost.lru_misses)
+
+let test_cost_get_lru_capacity () =
+  let platform = Helpers.small_platform () in
+  let apps = Array.init 9 (fun _ -> Helpers.small_app ()) in
+  let engines = Array.map (fun app -> Cost.get app platform) apps in
+  (* The ninth build pushed out the first; the other eight still hit. *)
+  let s0 = Cost.cache_stats () in
+  for i = 1 to 8 do
+    Alcotest.(check bool)
+      (Printf.sprintf "engine %d still shared" i)
+      true
+      (Cost.get apps.(i) platform == engines.(i))
+  done;
+  let s1 = Cost.cache_stats () in
+  Alcotest.(check int) "eight hits" 8 (s1.Cost.lru_hits - s0.Cost.lru_hits);
+  Alcotest.(check bool) "oldest engine evicted" false
+    (Cost.get apps.(0) platform == engines.(0))
+
+let test_cost_make_private () =
+  let app = Helpers.small_app () and platform = Helpers.small_platform () in
+  let shared = Cost.get app platform in
+  let s0 = Cost.cache_stats () in
+  let own = Cost.make app platform in
+  let s1 = Cost.cache_stats () in
+  Alcotest.(check bool) "a fresh engine" false (own == shared);
+  Alcotest.(check int) "one build" 1 (s1.Cost.engine_builds - s0.Cost.engine_builds);
+  Alcotest.(check int) "LRU not consulted" 0
+    (s1.Cost.lru_hits + s1.Cost.lru_misses - (s0.Cost.lru_hits + s0.Cost.lru_misses));
+  Alcotest.(check bool) "get keeps the shared engine" true
+    (Cost.get app platform == shared)
 
 let () =
   Alcotest.run "model"
@@ -1387,5 +1436,9 @@ let () =
           prop_cost_tables_bit_identical;
           prop_cost_deal_matches_reference;
           prop_cost_failure_matches_reference;
+          Alcotest.test_case "get keys on physical equality" `Quick
+            test_cost_get_physical_key;
+          Alcotest.test_case "get keeps 8 engines" `Quick test_cost_get_lru_capacity;
+          Alcotest.test_case "make builds outside the LRU" `Quick test_cost_make_private;
         ] );
     ]

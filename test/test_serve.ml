@@ -277,7 +277,9 @@ let test_cache_hits_and_canonicalisation () =
   Alcotest.(check bool) "second lookup hits app" true l2.Cache.app_hit;
   Alcotest.(check bool) "platform canonicalised to the representative" true
     (l2.Cache.instance.Instance.platform == l1.Cache.instance.Instance.platform);
-  Alcotest.(check bool) "engine shared" true (l2.Cache.engine == l1.Cache.engine);
+  (* Physical equality of both halves is what makes Cost.get hit. *)
+  Alcotest.(check bool) "application canonicalised to the representative" true
+    (l2.Cache.instance.Instance.app == l1.Cache.instance.Instance.app);
   (* Same platform, different application: platform hit, app miss. *)
   let other_app =
     Instance.make
@@ -294,24 +296,60 @@ let test_cache_hits_and_canonicalisation () =
   Alcotest.(check int) "app misses" 2 s.Cache.app_misses
 
 let test_cache_eviction () =
-  let cache = Cache.create ~platforms:2 ~apps_per_platform:1 () in
+  let cache = Cache.create () in
   let inst b =
     Instance.make (Helpers.small_app ())
-      (Platform.comm_homogeneous ~bandwidth:b [| 2.; 4.; 1. |])
+      (Platform.comm_homogeneous ~bandwidth:(float_of_int b) [| 2.; 4.; 1. |])
   in
-  ignore (Cache.canonical cache (inst 1.));
-  ignore (Cache.canonical cache (inst 2.));
-  ignore (Cache.canonical cache (inst 3.)); (* evicts bandwidth 1 (LRU) *)
-  let l = Cache.canonical cache (inst 1.) in
-  Alcotest.(check bool) "evicted entry misses again" false l.Cache.platform_hit;
-  let s = Cache.stats cache in
-  Alcotest.(check int) "two evictions" 2 s.Cache.evictions;
-  (* The bandwidth-1 re-insert evicted bandwidth 2 (then-LRU), so
-     bandwidth 3 is still resident. *)
-  let l3 = Cache.canonical cache (inst 3.) in
-  Alcotest.(check bool) "MRU survivor still hits" true l3.Cache.platform_hit;
-  let l2 = Cache.canonical cache (inst 2.) in
+  (* 64 platform entries fill the cache; re-touching bandwidth 1 makes
+     bandwidth 2 the LRU tail, which the 65th platform evicts. *)
+  for b = 1 to 64 do
+    ignore (Cache.canonical cache (inst b))
+  done;
+  Alcotest.(check int) "64 entries fit" 0 (Cache.stats cache).Cache.evictions;
+  ignore (Cache.canonical cache (inst 1));
+  ignore (Cache.canonical cache (inst 65));
+  Alcotest.(check int) "one eviction" 1 (Cache.stats cache).Cache.evictions;
+  let l1 = Cache.canonical cache (inst 1) in
+  Alcotest.(check bool) "re-touched entry survives" true l1.Cache.platform_hit;
+  let l2 = Cache.canonical cache (inst 2) in
   Alcotest.(check bool) "LRU tail went first" false l2.Cache.platform_hit
+
+let test_cache_app_eviction () =
+  let cache = Cache.create () in
+  let platform = Helpers.small_platform () in
+  let inst k =
+    Instance.make (Application.make ~deltas:[| 1.; 1. |] [| float_of_int k |]) platform
+  in
+  (* 16 applications fit under one platform; re-touching application 1
+     makes application 2 the LRU tail, which the 17th drops. *)
+  for k = 1 to 16 do
+    ignore (Cache.canonical cache (inst k))
+  done;
+  ignore (Cache.canonical cache (inst 1));
+  ignore (Cache.canonical cache (inst 17));
+  let l1 = Cache.canonical cache (inst 1) in
+  Alcotest.(check bool) "re-touched application survives" true l1.Cache.app_hit;
+  let l2 = Cache.canonical cache (inst 2) in
+  Alcotest.(check bool) "platform still cached" true l2.Cache.platform_hit;
+  Alcotest.(check bool) "LRU application went first" false l2.Cache.app_hit;
+  Alcotest.(check int) "no platform eviction" 0 (Cache.stats cache).Cache.evictions
+
+(* The cache builds no engine itself: a repeated request reaches the
+   engine its first parse built because both representative halves are
+   physically equal, which is what Cost.get keys on. *)
+let test_cache_reuses_engine () =
+  let cache = Cache.create () in
+  let engine () =
+    let l = Cache.canonical cache (Helpers.small_instance ()) in
+    Cost.get l.Cache.instance.Instance.app l.Cache.instance.Instance.platform
+  in
+  let builds () = (Cost.cache_stats ()).Cost.engine_builds in
+  let first = engine () in
+  let before = builds () in
+  let second = engine () in
+  Alcotest.(check bool) "same engine" true (first == second);
+  Alcotest.(check int) "no engine built" 0 (builds () - before)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -386,6 +424,42 @@ let test_protocol_solve () =
       "feasible" (Some true)
       (Option.bind (Json.member "feasible" row) Json.to_bool)
   | _ -> Alcotest.failf "unexpected results shape: %s" body)
+
+(* Only /pareto and exact /solve read candidate periods, and they build
+   them through the engine on first use: admitting a platform for a
+   heuristic /solve builds none. *)
+let test_cache_builds_no_candidates () =
+  with_jobs 1 @@ fun () ->
+  let p = Protocol.create () in
+  let body = small_solve_body ~heuristic:"h1-sp-mono-p" () in
+  let builds () = (Cost.cache_stats ()).Cost.candidate_builds in
+  let handle path =
+    let before = builds () in
+    let status, _, _ = Protocol.handle p (request ~path body) in
+    Alcotest.(check int) (path ^ " 200") 200 status;
+    builds () - before
+  in
+  Alcotest.(check int) "heuristic /solve on a new platform" 0 (handle "/solve");
+  Alcotest.(check int) "first /pareto builds the set" 1 (handle "/pareto");
+  Alcotest.(check int) "second /pareto reuses it" 0 (handle "/pareto")
+
+let test_protocol_own_cache () =
+  let p1 = Protocol.create () and p2 = Protocol.create () in
+  let body = small_solve_body ~heuristic:"h1-sp-mono-p" () in
+  let solve p =
+    let status, _, _ = Protocol.handle p (request body) in
+    Alcotest.(check int) "200" 200 status
+  in
+  solve p1;
+  Alcotest.(check int) "first protocol admitted the platform" 1
+    (Protocol.cache_stats p1).Cache.platform_misses;
+  let s2 = Protocol.cache_stats p2 in
+  Alcotest.(check int) "second protocol untouched" 0
+    (s2.Cache.platform_hits + s2.Cache.platform_misses);
+  (* The same request misses in the second protocol's own cache. *)
+  solve p2;
+  Alcotest.(check int) "second protocol misses" 1
+    (Protocol.cache_stats p2).Cache.platform_misses
 
 let test_protocol_solve_all_rows () =
   let p = Protocol.create () in
@@ -1031,6 +1105,14 @@ let () =
           Alcotest.test_case "hit/miss and canonicalisation" `Quick
             test_cache_hits_and_canonicalisation;
           Alcotest.test_case "LRU eviction" `Quick test_cache_eviction;
+          Alcotest.test_case "application LRU per platform" `Quick
+            test_cache_app_eviction;
+          Alcotest.test_case "a repeated request reuses its engine" `Quick
+            test_cache_reuses_engine;
+          Alcotest.test_case "a heuristic /solve builds no candidate set" `Quick
+            test_cache_builds_no_candidates;
+          Alcotest.test_case "each protocol owns its cache" `Quick
+            test_protocol_own_cache;
         ] );
       ( "protocol",
         [

@@ -315,38 +315,28 @@ let test_des_until () =
   Alcotest.(check int) "only the early event" 1 !fired;
   Alcotest.(check int) "one pending" 1 (Pipeline_sim.Des.pending des)
 
+let test_des_ties_fifo () =
+  (* Events due at the same time fire in the order they were queued; a
+     handler that schedules at the current time goes behind them. *)
+  let des = Pipeline_sim.Des.create () in
+  let log = ref [] in
+  let note name _ = log := name :: !log in
+  Pipeline_sim.Des.schedule des ~delay:1. (fun d ->
+      note "a" d;
+      Pipeline_sim.Des.schedule d ~delay:0. (note "e"));
+  Pipeline_sim.Des.schedule des ~delay:1. (note "b");
+  Pipeline_sim.Des.schedule des ~delay:1. (note "c");
+  Pipeline_sim.Des.schedule_at des ~time:1. (note "d");
+  Pipeline_sim.Des.run des;
+  Alcotest.(check (list string)) "queue order" [ "a"; "b"; "c"; "d"; "e" ]
+    (List.rev !log);
+  Helpers.check_float "clock" 1. (Pipeline_sim.Des.now des)
+
 let test_des_rejects_negative_delay () =
   let des = Pipeline_sim.Des.create () in
   Alcotest.check_raises "negative"
     (Invalid_argument "Des.schedule: delay must be finite and >= 0") (fun () ->
       Pipeline_sim.Des.schedule des ~delay:(-1.) (fun _ -> ()))
-
-let test_des_resource_fifo () =
-  let des = Pipeline_sim.Des.create () in
-  let r = Pipeline_sim.Des.Resource.create des in
-  let log = ref [] in
-  let job name hold =
-    Pipeline_sim.Des.Resource.acquire r (fun d ->
-        log := (name, Pipeline_sim.Des.now d) :: !log;
-        Pipeline_sim.Des.schedule d ~delay:hold (fun _ ->
-            Pipeline_sim.Des.Resource.release r))
-  in
-  job "first" 3.;
-  job "second" 2.;
-  job "third" 1.;
-  Pipeline_sim.Des.run des;
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "served in order with exclusive holds"
-    [ ("first", 0.); ("second", 3.); ("third", 5.) ]
-    (List.rev !log);
-  Alcotest.(check bool) "released" false (Pipeline_sim.Des.Resource.held r)
-
-let test_des_release_unheld () =
-  let des = Pipeline_sim.Des.create () in
-  let r = Pipeline_sim.Des.Resource.create des in
-  Alcotest.check_raises "not held"
-    (Invalid_argument "Des.Resource.release: not held") (fun () ->
-      Pipeline_sim.Des.Resource.release r)
 
 (* ------------------------------------------------------------------ *)
 (* Workload_sim                                                        *)
@@ -893,9 +883,8 @@ let () =
           Alcotest.test_case "heap nan" `Quick test_heap_rejects_nan;
           Alcotest.test_case "des ordering" `Quick test_des_ordering;
           Alcotest.test_case "des until" `Quick test_des_until;
+          Alcotest.test_case "des ties fifo" `Quick test_des_ties_fifo;
           Alcotest.test_case "des bad delay" `Quick test_des_rejects_negative_delay;
-          Alcotest.test_case "resource fifo" `Quick test_des_resource_fifo;
-          Alcotest.test_case "release unheld" `Quick test_des_release_unheld;
           Alcotest.test_case "cancel" `Quick test_des_cancel;
           Alcotest.test_case "cancel keeps clock" `Quick test_des_cancel_keeps_clock;
         ] );
