@@ -61,8 +61,6 @@ let longest_fitting t ~from ~budget =
     !lo
   end
 
-let max_element t = t.suffix_max.(1)
-
 let max_from t k =
   if k < 1 || k > n t then invalid_arg "Prefix.max_from: out of range";
   t.suffix_max.(k)

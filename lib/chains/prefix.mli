@@ -30,12 +30,8 @@ val longest_fitting : t -> from:int -> budget:float -> int
     overflows). O(log n) by binary search over the prefix table. Requires
     [1 ≤ from ≤ n] and [budget ≥ 0]. *)
 
-val max_element : t -> float
-(** Largest single element — a lower bound for any homogeneous bottleneck. *)
-
 val max_from : t -> int -> float
 (** [max_from t k] is [max (a_k, …, a_n)] (and [≥ 0.]), served O(1) from
-    a suffix table built once in {!make} — the suffix analogue of
-    {!max_element}, used by {!Probe} so that suffix probes ([from > 1])
-    stay O(log n) instead of rescanning the tail. Requires
-    [1 ≤ k ≤ n]. *)
+    a suffix table built once in {!make}, used by {!Probe} so that
+    suffix probes ([from > 1]) stay O(log n) instead of rescanning the
+    tail. Requires [1 ≤ k ≤ n]. *)

@@ -1,3 +1,3 @@
 let solve inst ~period =
-  Loop.minimise_latency_under_period ~gen:Loop.gen_three
-    ~select:Loop.select_bi inst ~period
+  Option.map Split.to_solution
+    (Loop.minimise_latency_under_period (Split.stack ~arity:Split.Three ~rule:Split.Bi inst) ~period)

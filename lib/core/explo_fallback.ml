@@ -1,7 +1,8 @@
-let solve_mono inst ~period =
-  Loop.minimise_latency_under_period ~gen:Loop.gen_three_with_fallback
-    ~select:Loop.select_mono inst ~period
+let solve rule inst ~period =
+  Option.map Split.to_solution
+    (Loop.minimise_latency_under_period
+       (Split.stack ~arity:Split.Three_or_two ~rule inst)
+       ~period)
 
-let solve_bi inst ~period =
-  Loop.minimise_latency_under_period ~gen:Loop.gen_three_with_fallback
-    ~select:Loop.select_bi inst ~period
+let solve_mono = solve Split.Mono
+let solve_bi = solve Split.Bi

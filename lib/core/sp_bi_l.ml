@@ -1,3 +1,3 @@
 let solve inst ~latency =
-  Loop.minimise_period_under_latency ~gen:Loop.gen_two ~select:Loop.select_bi
-    inst ~latency
+  Option.map Split.to_solution
+    (Loop.minimise_period_under_latency (Split.stack ~arity:Split.Two ~rule:Split.Bi inst) ~latency)

@@ -7,8 +7,10 @@ let c_bisect =
     "core.sp_bi_p.bisect_iters"
 
 let attempt inst ~period ~cap =
-  Loop.minimise_latency_under_period ~latency_cap:cap ~gen:Loop.gen_two
-    ~select:Loop.select_bi inst ~period
+  Option.map Split.to_solution
+    (Loop.minimise_latency_under_period ~latency_cap:cap
+       (Split.stack ~arity:Split.Two ~rule:Split.Bi inst)
+       ~period)
 
 let solve inst ~period =
   match attempt inst ~period ~cap:infinity with

@@ -1,5 +1,6 @@
-let solve inst ~period =
-  Loop.minimise_latency_under_period ~gen:Loop.gen_two ~select:Loop.select_mono
-    inst ~period
+let stack = Split.stack ~arity:Split.Two ~rule:Split.Mono
 
-let reach = Loop.reach ~gen:Loop.gen_two ~select:Loop.select_mono
+let solve inst ~period =
+  Option.map Split.to_solution (Loop.minimise_latency_under_period (stack inst) ~period)
+
+let reach inst = Loop.reach (stack inst)

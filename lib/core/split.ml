@@ -1,19 +1,6 @@
 open Pipeline_model
 
-type piece = { first : int; last : int; proc : int; cycle : float }
-
-type candidate = {
-  target : int;
-  pieces : piece list;
-  enrolled : int;
-  max_piece_cycle : float;
-  period : float;
-  latency : float;
-  dlatency : float;
-  ratio : float;
-}
-
-type part = { p_first : int; p_last : int; p_proc : int }
+type part = { first : int; last : int; proc : int }
 
 type t = {
   inst : Instance.t;
@@ -25,6 +12,9 @@ type t = {
   latency : float;
 }
 
+type arity = Two | Three | Three_or_two
+type rule = Mono | Bi
+
 let initial (inst : Instance.t) =
   if not (Platform.is_comm_homogeneous inst.platform) then
     invalid_arg "Split.initial: heuristics require a comm-homogeneous platform";
@@ -32,7 +22,6 @@ let initial (inst : Instance.t) =
   let order = Platform.by_decreasing_speed inst.platform in
   let n = Application.n inst.app in
   let u = order.(0) in
-  let part = { p_first = 1; p_last = n; p_proc = u } in
   let cycle = Cost.cycle cost ~d:1 ~e:n ~u in
   let latency = Cost.contrib cost ~d:1 ~e:n ~u +. Cost.dout cost ~e:n in
   {
@@ -40,12 +29,11 @@ let initial (inst : Instance.t) =
     cost;
     order;
     next_rank = 1;
-    parts = [| part |];
+    parts = [| { first = 1; last = n; proc = u } |];
     cycles = [| cycle |];
     latency;
   }
 
-let instance t = t.inst
 let latency t = t.latency
 let intervals t = Array.length t.parts
 let unused t = Array.length t.order - t.next_rank
@@ -58,145 +46,157 @@ let cycle t j =
 
 let length t j =
   if j < 0 || j >= intervals t then invalid_arg "Split.length: out of range";
-  t.parts.(j).p_last - t.parts.(j).p_first + 1
+  t.parts.(j).last - t.parts.(j).first + 1
 
 let bottleneck t =
   let best = ref 0 in
   Array.iteri (fun j c -> if c > t.cycles.(!best) then best := j) t.cycles;
   !best
 
-let max_cycle_excluding t j =
-  let worst = ref neg_infinity in
-  Array.iteri (fun i c -> if i <> j then worst := Float.max !worst c) t.cycles;
-  !worst
+(* The winner so far of a scan, with the keys its rule compares. *)
+type winner = {
+  pieces : part array;
+  piece_cycles : float array;
+  new_latency : float;
+  max_piece : float;
+  dlatency : float;
+  ratio : float;
+}
 
-(* Build a candidate from the replacement pieces of interval [j], if every
-   piece improves on the interval's current cycle-time. *)
-let candidate_of_pieces t ~j ~enrolled ~max_excl ~old_contrib pieces =
+let step ~arity ~rule t ~cap =
+  let j = bottleneck t in
+  let { first; last; proc = kept } = t.parts.(j) in
   let old_cycle = t.cycles.(j) in
-  let max_piece = List.fold_left (fun m p -> Float.max m p.cycle) neg_infinity pieces in
-  if max_piece >= old_cycle then None
-  else begin
-    let contrib =
-      List.fold_left
-        (fun acc p -> acc +. Cost.contrib t.cost ~d:p.first ~e:p.last ~u:p.proc)
-        0. pieces
-    in
-    let dlatency = contrib -. old_contrib in
-    let latency = t.latency +. dlatency in
-    let period = Float.max max_excl max_piece in
-    let ratio =
-      List.fold_left
-        (fun m p -> Float.max m (dlatency /. (old_cycle -. p.cycle)))
-        neg_infinity pieces
-    in
-    Some
-      {
-        target = j;
-        pieces;
-        enrolled;
-        max_piece_cycle = max_piece;
-        period;
-        latency;
-        dlatency;
-        ratio;
-      }
-  end
-
-let mk_piece t d e u =
-  { first = d; last = e; proc = u; cycle = Cost.cycle t.cost ~d ~e ~u }
-
-let two_split_candidates t ~j =
-  if j < 0 || j >= intervals t then
-    invalid_arg "Split.two_split_candidates: out of range";
-  let part = t.parts.(j) in
-  if part.p_last = part.p_first || unused t < 1 then []
-  else begin
-    let u = part.p_proc and u' = t.order.(t.next_rank) in
-    let max_excl = max_cycle_excluding t j in
-    let old_contrib = Cost.contrib t.cost ~d:part.p_first ~e:part.p_last ~u in
-    let acc = ref [] in
-    for c = part.p_first to part.p_last - 1 do
-      let try_assign left_proc right_proc =
-        let left = mk_piece t part.p_first c left_proc in
-        let right = mk_piece t (c + 1) part.p_last right_proc in
-        match
-          candidate_of_pieces t ~j ~enrolled:1 ~max_excl ~old_contrib
-            [ left; right ]
-        with
-        | Some cand -> acc := cand :: !acc
-        | None -> ()
-      in
-      try_assign u u';
-      try_assign u' u
+  let old_contrib = Cost.contrib t.cost ~d:first ~e:last ~u:kept in
+  (* The split under test: piece [i] is stages [d.(i)..e.(i)] on [u.(i)],
+     in pipeline order. *)
+  let d = Array.make 3 0 and e = Array.make 3 0 and u = Array.make 3 0 in
+  let cyc = Array.make 3 0. in
+  let improved = ref false and best = ref None in
+  (* Score the [k]-piece split: the largest piece, the contribution and
+     the ratio are folded over the pieces in pipeline order, from
+     [neg_infinity] or [0.]; keep it if it improves, meets [cap] and
+     beats the winner under [rule] (first split wins an exact tie). *)
+  let consider k =
+    let max_piece = ref neg_infinity in
+    for i = 0 to k - 1 do
+      cyc.(i) <- Cost.cycle t.cost ~d:d.(i) ~e:e.(i) ~u:u.(i);
+      max_piece := Float.max !max_piece cyc.(i)
     done;
-    List.rev !acc
-  end
-
-let three_split_candidates t ~j =
-  if j < 0 || j >= intervals t then
-    invalid_arg "Split.three_split_candidates: out of range";
-  let part = t.parts.(j) in
-  if part.p_last - part.p_first < 2 || unused t < 2 then []
-  else begin
-    let u = part.p_proc in
-    let u' = t.order.(t.next_rank) and u'' = t.order.(t.next_rank + 1) in
-    let max_excl = max_cycle_excluding t j in
-    let old_contrib = Cost.contrib t.cost ~d:part.p_first ~e:part.p_last ~u in
-    let acc = ref [] in
-    for c1 = part.p_first to part.p_last - 2 do
-      for c2 = c1 + 1 to part.p_last - 1 do
-        (* Processor j keeps one of the three parts; the other two go to
-           u' and u'' in both orders: six assignments per cut pair. *)
-        let assignments =
-          [
-            (u, u', u''); (u, u'', u');
-            (u', u, u''); (u'', u, u');
-            (u', u'', u); (u'', u', u);
-          ]
+    let max_piece = !max_piece in
+    if max_piece >= old_cycle then ()
+    else begin
+      improved := true;
+      let contrib = ref 0. in
+      for i = 0 to k - 1 do
+        contrib := !contrib +. Cost.contrib t.cost ~d:d.(i) ~e:e.(i) ~u:u.(i)
+      done;
+      let dlatency = !contrib -. old_contrib in
+      let new_latency = t.latency +. dlatency in
+      if Pipeline_util.Tol.meets new_latency cap then begin
+        let ratio = ref neg_infinity in
+        if rule = Bi then
+          for i = 0 to k - 1 do
+            ratio := Float.max !ratio (dlatency /. (old_cycle -. cyc.(i)))
+          done;
+        let ratio = !ratio in
+        let wins =
+          match (!best, rule) with
+          | None, _ -> true
+          | Some w, Mono -> (
+            match compare max_piece w.max_piece with
+            | 0 -> dlatency < w.dlatency
+            | c -> c < 0)
+          | Some w, Bi -> (
+            match compare ratio w.ratio with
+            | 0 -> max_piece < w.max_piece
+            | c -> c < 0)
         in
-        List.iter
-          (fun (pa, pb, pc) ->
-            let p1 = mk_piece t part.p_first c1 pa in
-            let p2 = mk_piece t (c1 + 1) c2 pb in
-            let p3 = mk_piece t (c2 + 1) part.p_last pc in
-            match
-              candidate_of_pieces t ~j ~enrolled:2 ~max_excl ~old_contrib
-                [ p1; p2; p3 ]
-            with
-            | Some cand -> acc := cand :: !acc
-            | None -> ())
-          assignments
-      done
-    done;
-    List.rev !acc
-  end
-
-let apply t cand =
-  let j = cand.target in
-  if j < 0 || j >= intervals t then invalid_arg "Split.apply: stale candidate";
-  let replacement =
-    List.map (fun p -> { p_first = p.first; p_last = p.last; p_proc = p.proc }) cand.pieces
+        if wins then
+          best :=
+            Some
+              {
+                pieces =
+                  Array.init k (fun i -> { first = d.(i); last = e.(i); proc = u.(i) });
+                piece_cycles = Array.sub cyc 0 k;
+                new_latency;
+                max_piece;
+                dlatency;
+                ratio;
+              }
+      end
+    end
   in
-  let replacement_cycles = List.map (fun p -> p.cycle) cand.pieces in
-  let before = Array.to_list (Array.sub t.parts 0 j) in
-  let after = Array.to_list (Array.sub t.parts (j + 1) (intervals t - j - 1)) in
-  let cycles_before = Array.to_list (Array.sub t.cycles 0 j) in
-  let cycles_after = Array.to_list (Array.sub t.cycles (j + 1) (intervals t - j - 1)) in
-  {
-    t with
-    next_rank = t.next_rank + cand.enrolled;
-    parts = Array.of_list (before @ replacement @ after);
-    cycles = Array.of_list (cycles_before @ replacement_cycles @ cycles_after);
-    latency = cand.latency;
-  }
+  let set i first last proc =
+    d.(i) <- first;
+    e.(i) <- last;
+    u.(i) <- proc
+  in
+  let two () =
+    if last > first && unused t >= 1 then begin
+      let given = t.order.(t.next_rank) in
+      for c = first to last - 1 do
+        set 0 first c kept;
+        set 1 (c + 1) last given;
+        consider 2;
+        set 0 first c given;
+        set 1 (c + 1) last kept;
+        consider 2
+      done
+    end
+  in
+  let three () =
+    if last - first >= 2 && unused t >= 2 then begin
+      let u' = t.order.(t.next_rank) and u'' = t.order.(t.next_rank + 1) in
+      (* The split processor keeps one of the three parts; the other two
+         go to u' and u'' in both orders: six assignments per cut pair. *)
+      let assignments =
+        [|
+          (kept, u', u''); (kept, u'', u');
+          (u', kept, u''); (u'', kept, u');
+          (u', u'', kept); (u'', u', kept);
+        |]
+      in
+      for c1 = first to last - 2 do
+        for c2 = c1 + 1 to last - 1 do
+          for a = 0 to 5 do
+            let pa, pb, pc = assignments.(a) in
+            set 0 first c1 pa;
+            set 1 (c1 + 1) c2 pb;
+            set 2 (c2 + 1) last pc;
+            consider 3
+          done
+        done
+      done
+    end
+  in
+  (match arity with
+  | Two -> two ()
+  | Three -> three ()
+  | Three_or_two ->
+    three ();
+    if not !improved then two ());
+  Option.map
+    (fun w ->
+      let splice a b =
+        Array.concat [ Array.sub a 0 j; b; Array.sub a (j + 1) (Array.length a - j - 1) ]
+      in
+      {
+        t with
+        next_rank = t.next_rank + Array.length w.pieces - 1;
+        parts = splice t.parts w.pieces;
+        cycles = splice t.cycles w.piece_cycles;
+        latency = w.new_latency;
+      })
+    !best
+
+let stack ~arity ~rule inst =
+  { Loop.start = initial inst; period; latency; step = step ~arity ~rule }
 
 let to_solution t =
   let pairs =
     Array.to_list
-      (Array.map
-         (fun p -> (Interval.make ~first:p.p_first ~last:p.p_last, p.p_proc))
-         t.parts)
+      (Array.map (fun p -> (Interval.make ~first:p.first ~last:p.last, p.proc)) t.parts)
   in
   let mapping = Mapping.make ~n:(Application.n t.inst.Instance.app) pairs in
   Solution.of_mapping t.inst mapping

@@ -1,22 +1,19 @@
-(** Shared machinery of the six splitting heuristics (paper §4).
+(** The comm-homogeneous stack of the splitting walk (paper §4, H1–H6).
 
-    Every heuristic maintains the same working state: processors sorted by
-    non-increasing speed, a current interval mapping that starts with all
-    stages on the fastest processor, and the cycle-time of each enrolled
-    processor. A step selects the enrolled processor with the largest
-    cycle-time ("largest period" in the paper) and splits its interval,
-    handing pieces to the next not-yet-used processor(s) in the speed
-    order. Heuristics differ only in how they split (2-way or 3-way) and
-    which candidate split they retain (pure period improvement, or the
-    latency-per-period-improvement ratio).
+    The working state holds the processors sorted by non-increasing
+    speed, the current interval mapping (all stages on the fastest
+    processor at the start) and the cycle-time of each enrolled
+    processor. A step splits the interval with the largest cycle-time
+    ("largest period" in the paper), handing pieces to the next unused
+    processor(s) in the speed order. The heuristics differ only in how
+    they split ({!arity}) and which split they keep ({!rule}).
 
-    This module generates, for a configuration and a target interval, all
-    {e improving} candidates — those whose every piece has a cycle-time
-    strictly below the interval's current cycle-time (a non-improving
-    piece makes both the period argument and the paper's
-    [Δlatency/Δperiod] ratio meaningless, cf. DESIGN.md) — with their
-    global period, latency and ratio precomputed in O(1) amortised per
-    candidate.
+    A split competes only if every piece's cycle-time is strictly below
+    the interval's: a non-improving piece makes both the period argument
+    and the paper's [Δlatency/Δperiod] ratio meaningless (DESIGN.md §2).
+    {!step} scans the bottleneck's splits once, scoring, filtering and
+    comparing each as it goes, and rebuilds only the winner (DESIGN.md
+    §9).
 
     Restricted to communication-homogeneous platforms (the paper's
     setting): the constructor rejects other platforms. *)
@@ -24,31 +21,30 @@
 open Pipeline_model
 
 type t
-(** A splitting configuration. Immutable: {!apply} returns a new one. *)
+(** A splitting configuration. Immutable: {!step} returns a new one. *)
 
-type piece = {
-  first : int;   (** first stage of the piece (1-based) *)
-  last : int;    (** last stage *)
-  proc : int;    (** processor assigned *)
-  cycle : float; (** its cycle-time under the piece assignment *)
-}
+type arity =
+  | Two    (** every cut, the kept and given halves in both orders;
+               the next unused processor takes the given half *)
+  | Three  (** every cut pair, the split processor keeping any one part,
+               the next two unused processors taking the other two in
+               both orders; none when the interval has fewer than 3
+               stages or fewer than 2 processors are left (H2, H3) *)
+  | Three_or_two
+      (** [Three], falling back to [Two] when no 3-way split improves.
+          Not in the paper: the H2x/H3x extension (DESIGN.md,
+          interpretation 2). *)
 
-type candidate = {
-  target : int;            (** index of the split interval *)
-  pieces : piece list;     (** replacement, in pipeline order *)
-  enrolled : int;          (** new processors consumed from the speed order *)
-  max_piece_cycle : float; (** largest piece cycle-time *)
-  period : float;          (** global period after the split *)
-  latency : float;         (** global latency after the split *)
-  dlatency : float;        (** latency increase w.r.t. the current config *)
-  ratio : float;           (** [max_i Δlatency/Δperiod(i)] over the pieces *)
-}
+type rule =
+  | Mono  (** smallest largest-piece cycle-time, ties by smaller latency
+              increase *)
+  | Bi    (** smallest [max_i Δlatency/Δperiod(i)] over the pieces, ties
+              by smaller largest-piece cycle-time *)
 
 val initial : Instance.t -> t
 (** All stages on the fastest processor. Raises [Invalid_argument] when
     the platform is not communication homogeneous. *)
 
-val instance : t -> Instance.t
 val period : t -> float
 val latency : t -> float
 val intervals : t -> int
@@ -66,20 +62,13 @@ val length : t -> int -> int
 val bottleneck : t -> int
 (** Interval with the largest cycle-time (first on ties). *)
 
-val two_split_candidates : t -> j:int -> candidate list
-(** All improving 2-way splits of interval [j]: every cut position, the
-    kept/given halves in both orders, the next unused processor taking the
-    given half. Empty when interval [j] is a singleton or no processor is
-    left. *)
+val step : arity:arity -> rule:rule -> t -> cap:float -> t option
+(** The bottleneck's improving split of [arity] whose latency meets
+    [cap] and that [rule] prefers, applied; the first split of the
+    enumeration wins an exact tie. [None] when there is none. *)
 
-val three_split_candidates : t -> j:int -> candidate list
-(** All improving 3-way splits: every cut pair, processor [j] keeping any
-    one of the three parts, the next two unused processors taking the
-    other two in both orders. Empty when the interval has fewer than 3
-    stages or fewer than 2 processors are left. *)
-
-val apply : t -> candidate -> t
-(** Commit a candidate (must have been generated from this configuration). *)
+val stack : arity:arity -> rule:rule -> Instance.t -> t Loop.stack
+(** {!step} from {!initial}, for {!Loop}'s drivers. *)
 
 val to_solution : t -> Solution.t
 (** Export the current mapping; objectives are recomputed independently

@@ -58,27 +58,26 @@ let select = function
   | first :: rest ->
     Some (List.fold_left (fun acc c -> if better c acc then c else acc) first rest)
 
-(* The one split/replicate loop: from [initial], apply the best
-   period-improving move until [stop] holds or none is left. *)
-let walk ?(latency_cap = infinity) ~stop inst =
-  let rec refine sol =
-    if stop sol then sol
-    else
-      let j = bottleneck inst sol in
-      let acceptable =
-        List.filter
-          (fun c -> c.period < sol.period && threshold_met c.latency latency_cap)
-          (candidates inst sol ~j)
-      in
-      match select acceptable with None -> sol | Some best -> refine best
-  in
-  refine (initial inst)
+(* The deal stack's step: the best move of the bottleneck that strictly
+   lowers the period and meets the latency cap. *)
+let step inst sol ~cap =
+  List.filter
+    (fun c -> c.period < sol.period && threshold_met c.latency cap)
+    (candidates inst sol ~j:(bottleneck inst sol))
+  |> select
+
+let stack inst =
+  {
+    Pipeline_core.Loop.start = initial inst;
+    period = (fun s -> s.period);
+    latency = (fun s -> s.latency);
+    step = step inst;
+  }
 
 let minimise_latency_under_period inst ~period =
-  let met sol = threshold_met sol.period period in
-  let sol = walk ~stop:met inst in
-  if met sol then Some sol
-  else
+  match Pipeline_core.Loop.minimise_latency_under_period (stack inst) ~period with
+  | Some _ as found -> found
+  | None ->
     (* Stuck: a replicated bottleneck cannot be split, and another
        replica may not pay for itself. Splits alone may still get there,
        so fall back on H1. *)
@@ -88,11 +87,9 @@ let minimise_latency_under_period inst ~period =
       (Pipeline_core.Sp_mono_p.solve inst ~period)
 
 let minimise_period_under_latency inst ~latency =
-  if threshold_met (initial inst).latency latency then
-    Some (walk ~latency_cap:latency ~stop:(Fun.const false) inst)
-  else None
+  Pipeline_core.Loop.minimise_period_under_latency (stack inst) ~latency
 
 let reach inst =
   Float.min
-    (walk ~stop:(Fun.const false) inst).period
+    (Pipeline_core.Loop.reach (stack inst))
     (Pipeline_core.Sp_mono_p.reach inst)

@@ -1,4 +1,4 @@
-(** Streaming churn campaign (ROADMAP item 3): trace-driven arrivals,
+(** Streaming churn campaign (DESIGN.md §10): trace-driven arrivals,
     platform churn, and the continuous controller — warm-started
     incremental re-solving measured against the cold re-solve oracle.
 

@@ -20,12 +20,12 @@ let unused_processors (inst : Instance.t) mapping =
   let p = Platform.p inst.platform in
   List.filter (fun u -> not (Mapping.uses mapping u)) (List.init p Fun.id)
 
-(* Comm-aware target ordering (ROADMAP item 3, the H1–H6-style
-   extension; DESIGN.md §13): free processors are ranked by the time
-   interval [j] would take if handed over whole — its input over the
-   link from the upstream processor, its computation at the target's
-   speed, its output over the link to the downstream processor (I/O
-   bandwidth at the pipeline ends). Every candidate is still scored
+(* Comm-aware target ordering (DESIGN.md §13, "Comm-aware splitting"):
+   free processors are ranked by the time interval [j] would take if
+   handed over whole — its input over the link from the upstream
+   processor, its computation at the target's speed, its output over the
+   link to the downstream processor (I/O bandwidth at the pipeline
+   ends). Every candidate is still scored
    with the full cost model; the rank decides enumeration order, hence
    which candidate wins among exact (period, latency) ties. On a
    comm-homogeneous platform the rank reduces to effective speed, and
@@ -111,36 +111,27 @@ let pick select current = function
 let bottleneck (inst : Instance.t) (sol : Solution.t) =
   Cost.bottleneck (Cost.get inst.app inst.platform) sol.Solution.mapping
 
-(* The one splitting loop: from [initial], apply the selected
-   period-improving candidate until [stop] holds or none is left. *)
-let walk ?(latency_cap = infinity) ~select ~stop (inst : Instance.t) =
-  let rec refine (sol : Solution.t) =
-    if stop sol then sol
-    else begin
-      let j = bottleneck inst sol in
-      let improving =
-        List.filter
-          (fun (c : Solution.t) ->
-            c.Solution.period < sol.Solution.period
-            && threshold_met c.Solution.latency latency_cap)
-          (candidates inst sol ~j)
-      in
-      match pick select sol improving with
-      | None -> sol
-      | Some best -> refine best
-    end
-  in
-  refine (initial inst)
+(* The het stack's step: the selected candidate of the bottleneck that
+   strictly lowers the period and meets the latency cap. *)
+let step ~select (inst : Instance.t) (sol : Solution.t) ~cap =
+  List.filter
+    (fun (c : Solution.t) ->
+      c.Solution.period < sol.Solution.period && threshold_met c.Solution.latency cap)
+    (candidates inst sol ~j:(bottleneck inst sol))
+  |> pick select sol
+
+let stack ~select inst =
+  {
+    Loop.start = initial inst;
+    period = (fun (s : Solution.t) -> s.period);
+    latency = (fun (s : Solution.t) -> s.latency);
+    step = step ~select inst;
+  }
 
 let minimise_latency_under_period ?(select = Min_period) inst ~period =
-  let met (sol : Solution.t) = threshold_met sol.Solution.period period in
-  let sol = walk ~select ~stop:met inst in
-  if met sol then Some sol else None
+  Loop.minimise_latency_under_period (stack ~select inst) ~period
 
 let minimise_period_under_latency ?(select = Min_period) inst ~latency =
-  if threshold_met (initial inst).Solution.latency latency then
-    Some (walk ~latency_cap:latency ~select ~stop:(Fun.const false) inst)
-  else None
+  Loop.minimise_period_under_latency (stack ~select inst) ~latency
 
-let reach ?(select = Min_period) inst =
-  (walk ~select ~stop:(Fun.const false) inst).Solution.period
+let reach ?(select = Min_period) inst = Loop.reach (stack ~select inst)

@@ -167,15 +167,12 @@ let require_comm_hom t who =
   if not t.comm_hom then
     invalid_arg (who ^ ": requires a comm-homogeneous platform")
 
-(* Unchecked primitives; [_u] = no validation. *)
+(* Unchecked primitives; [_u] = no validation. The transfer tables exist
+   on comm-homogeneous platforms only, and every caller of [din_u] and
+   [dout_u] has checked that the platform is one. *)
 
-let din_u t d =
-  if t.comm_hom then t.din_t.(d)
-  else Application.delta t.app (d - 1) /. t.b
-
-let dout_u t e =
-  if t.comm_hom then t.dout_t.(e)
-  else Application.delta t.app e /. t.b
+let din_u t d = t.din_t.(d)
+let dout_u t e = t.dout_t.(e)
 
 (* The application's prefix table already serves W(d,e) as an O(1)
    difference, in the exact float every historical call site saw — no

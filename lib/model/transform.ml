@@ -56,7 +56,7 @@ let scale ?(work = 1.) ?(data = 1.) app =
   in
   Application.make ~labels ~deltas works
 
-(* Metamorphic platform transformations (ROADMAP item 4, DESIGN.md §13):
+(* Metamorphic platform transformations (DESIGN.md §13):
    instance rewrites with known exact effects on the optima, used as
    scale-independent oracles by the registry-wide property tests. *)
 

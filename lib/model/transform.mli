@@ -14,9 +14,10 @@
     changing the mapping problem's structure.
 
     {!scale_rates}, {!drop_comm} and {!comm_homogenise} are the
-    metamorphic transformations of ROADMAP item 4: instance rewrites
-    with {e known exact} effects on every solver's output, checked
-    against the whole registry by the property suite (DESIGN.md §13). *)
+    metamorphic transformations: instance rewrites with {e known exact}
+    effects on every solver's output, checked against the whole registry
+    by the property suite (DESIGN.md §13, "Transform laws as
+    whole-registry oracles"). *)
 
 val coarsen : factor:int -> Application.t -> Application.t
 (** Fuse groups of [factor] consecutive stages (the last group may be

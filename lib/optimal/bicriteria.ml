@@ -1,34 +1,26 @@
 open Pipeline_model
 open Pipeline_core
 
+(* Equations (1)-(2) through the engine: Cost.cycle and Cost.contrib add
+   (δ_{d-1}/b + W/s) + δ_e/b, the association the DP has always used. *)
 let costs (inst : Instance.t) =
   if not (Platform.is_comm_homogeneous inst.platform) then
     invalid_arg "Bicriteria: requires a comm-homogeneous platform";
-  let b = Platform.io_bandwidth inst.platform 0 in
-  let app = inst.app in
-  let cycle ~d ~e ~u =
-    (Application.delta app (d - 1) /. b)
-    +. (Application.work_sum app d e /. Platform.speed inst.platform u)
-    +. (Application.delta app e /. b)
-  in
-  let contrib ~d ~e ~u =
-    (Application.delta app (d - 1) /. b)
-    +. (Application.work_sum app d e /. Platform.speed inst.platform u)
-  in
-  (b, cycle, contrib)
+  let cost = Cost.get inst.app inst.platform in
+  (Cost.cycle cost, Cost.contrib cost)
 
 let solution_of_assignment (inst : Instance.t) assignment =
   let mapping = Mapping.make ~n:(Application.n inst.app) assignment in
   Solution.of_mapping inst mapping
 
 let min_period (inst : Instance.t) =
-  let _, cycle, _ = costs inst in
+  let cycle, _ = costs inst in
   let n = Application.n inst.app and p = Platform.p inst.platform in
   let _, assignment = Subset_dp.minimise_bottleneck ~n ~p ~cost:cycle in
   solution_of_assignment inst assignment
 
 let min_latency_under_period (inst : Instance.t) ~period =
-  let _, cycle, contrib = costs inst in
+  let cycle, contrib = costs inst in
   let n = Application.n inst.app and p = Platform.p inst.platform in
   match
     Subset_dp.minimise_sum_under_cap ~n ~p ~cap_cost:cycle ~sum_cost:contrib
@@ -38,8 +30,7 @@ let min_latency_under_period (inst : Instance.t) ~period =
   | Some (_, assignment) -> Some (solution_of_assignment inst assignment)
 
 (* All values an interval cycle-time can take: the candidate periods,
-   served from the engine's cache (same floats as the local [cycle]
-   closure — both run the Cost expressions of DESIGN.md §8). *)
+   served from the engine's cache (same floats as [costs]' cycle). *)
 let candidate_periods (inst : Instance.t) =
   Candidates.periods (Cost.get inst.app inst.platform)
 

@@ -47,6 +47,9 @@ let plain = Option.map outcome_of_solution
    budget. *)
 let start_latency inst = Split.latency (Split.initial inst)
 
+(* A period-fixed row's reach: the final period of its uncapped walk. *)
+let walk_reach arity rule inst = Loop.reach (Split.stack ~arity ~rule inst)
+
 let paper =
   [
     {
@@ -65,7 +68,7 @@ let paper =
       kind = Period_fixed;
       stack = Core;
       solve = (fun inst ~threshold -> plain (Explo_mono.solve inst ~period:threshold));
-      reach = Some (Loop.reach ~gen:Loop.gen_three ~select:Loop.select_mono);
+      reach = Some (walk_reach Split.Three Split.Mono);
     };
     {
       id = "h3-3explo-bi";
@@ -74,7 +77,7 @@ let paper =
       kind = Period_fixed;
       stack = Core;
       solve = (fun inst ~threshold -> plain (Explo_bi.solve inst ~period:threshold));
-      reach = Some (Loop.reach ~gen:Loop.gen_three ~select:Loop.select_bi);
+      reach = Some (walk_reach Split.Three Split.Bi);
     };
     {
       id = "h4-sp-bi-p";
@@ -83,7 +86,7 @@ let paper =
       kind = Period_fixed;
       stack = Core;
       solve = (fun inst ~threshold -> plain (Sp_bi_p.solve inst ~period:threshold));
-      reach = Some (Loop.reach ~gen:Loop.gen_two ~select:Loop.select_bi);
+      reach = Some (walk_reach Split.Two Split.Bi);
     };
     {
       id = "h5-sp-mono-l";
@@ -115,8 +118,7 @@ let extended =
       stack = Extension;
       solve =
         (fun inst ~threshold -> plain (Explo_fallback.solve_mono inst ~period:threshold));
-      reach =
-        Some (Loop.reach ~gen:Loop.gen_three_with_fallback ~select:Loop.select_mono);
+      reach = Some (walk_reach Split.Three_or_two Split.Mono);
     };
     {
       id = "h3x-3explo-bi-fb";
@@ -126,8 +128,7 @@ let extended =
       stack = Extension;
       solve =
         (fun inst ~threshold -> plain (Explo_fallback.solve_bi inst ~period:threshold));
-      reach =
-        Some (Loop.reach ~gen:Loop.gen_three_with_fallback ~select:Loop.select_bi);
+      reach = Some (walk_reach Split.Three_or_two Split.Bi);
     };
   ]
 

@@ -14,7 +14,7 @@ let test_prefix_sums () =
   Helpers.check_float "sum mid" 5. (Prefix.sum p 2 3);
   Helpers.check_float "empty" 0. (Prefix.sum p 3 2);
   Helpers.check_float "total" 10. (Prefix.total p);
-  Helpers.check_float "max element" 4. (Prefix.max_element p)
+  Helpers.check_float "max element" 4. (Prefix.max_from p 1)
 
 let test_prefix_rejects () =
   Alcotest.check_raises "empty" (Invalid_argument "Prefix.make: empty chain")
@@ -410,9 +410,15 @@ let prop_to_mapping_roundtrip =
 (* Bounds on the optimum                                               *)
 (* ------------------------------------------------------------------ *)
 
+let max_element prefix =
+  List.fold_left
+    (fun m k -> Float.max m (Prefix.element prefix k))
+    0.
+    (List.init (Prefix.n prefix) (fun i -> i + 1))
+
 (* No partition into p intervals beats max (total / p, max element). *)
 let lower_bound prefix ~p =
-  Float.max (Prefix.total prefix /. float_of_int p) (Prefix.max_element prefix)
+  Float.max (Prefix.total prefix /. float_of_int p) (max_element prefix)
 
 let prop_bounds_bracket_optimum =
   (* The leftmost-greedy probe at [lower + max element] always succeeds:
@@ -426,7 +432,7 @@ let prop_bounds_bracket_optimum =
       let prefix = Prefix.make a in
       let lo = lower_bound prefix ~p in
       let opt, _ = Dp.solve a ~p in
-      match Probe.partition prefix ~p ~bound:(lo +. Prefix.max_element prefix) with
+      match Probe.partition prefix ~p ~bound:(lo +. max_element prefix) with
       | None -> false
       | Some witness ->
         let hi = Partition.bottleneck prefix witness in

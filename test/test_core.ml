@@ -44,28 +44,33 @@ let test_split_rejects_het_platform () =
     (Invalid_argument "Split.initial: heuristics require a comm-homogeneous platform")
     (fun () -> ignore (Split.initial inst))
 
+let arities = [ Split.Two; Split.Three; Split.Three_or_two ]
+let rules = [ Split.Mono; Split.Bi ]
+
 let test_split_two_candidates_improving () =
   let inst = Helpers.small_instance () in
   let config = Split.initial inst in
-  let candidates = Split.two_split_candidates config ~j:0 in
-  Alcotest.(check bool) "some candidates" true (candidates <> []);
   List.iter
-    (fun (c : Split.candidate) ->
-      Alcotest.(check bool) "improves the split interval" true
-        (c.Split.max_piece_cycle < Split.cycle config 0);
-      Alcotest.(check int) "enrolls one" 1 c.Split.enrolled;
-      Alcotest.(check int) "two pieces" 2 (List.length c.Split.pieces);
-      Alcotest.(check bool) "latency does not decrease" true
-        (c.Split.dlatency >= -1e-9))
-    candidates
+    (fun rule ->
+      match Split.step ~arity:Two ~rule config ~cap:infinity with
+      | None -> Alcotest.fail "expected a split"
+      | Some config' ->
+        Alcotest.(check int) "two pieces" 2 (Split.intervals config');
+        Alcotest.(check int) "enrolls one" 1 (Split.unused config - Split.unused config');
+        for j = 0 to 1 do
+          Alcotest.(check bool) "improves the split interval" true
+            (Split.cycle config' j < Split.cycle config 0)
+        done;
+        Alcotest.(check bool) "latency does not decrease" true
+          (Split.latency config' >= Split.latency config -. 1e-9))
+    rules
 
 let test_split_apply_consistent_with_metrics () =
   let inst = Helpers.small_instance () in
   let config = Split.initial inst in
-  match Split.two_split_candidates config ~j:0 with
-  | [] -> Alcotest.fail "expected candidates"
-  | cand :: _ ->
-    let config' = Split.apply config cand in
+  match Split.step ~arity:Two ~rule:Mono config ~cap:infinity with
+  | None -> Alcotest.fail "expected a split"
+  | Some config' ->
     let sol = Split.to_solution config' in
     Helpers.check_float "incremental period = metrics" sol.Solution.period
       (Split.period config');
@@ -78,10 +83,14 @@ let test_split_singleton_no_candidates () =
   let app = Application.uniform ~n:1 ~work:5. ~delta:1. in
   let inst = Instance.make app (Helpers.small_platform ()) in
   let config = Split.initial inst in
-  Alcotest.(check bool) "no 2-splits" true
-    (Split.two_split_candidates config ~j:0 = []);
-  Alcotest.(check bool) "no 3-splits" true
-    (Split.three_split_candidates config ~j:0 = [])
+  List.iter
+    (fun arity ->
+      List.iter
+        (fun rule ->
+          Alcotest.(check bool) "no split" true
+            (Split.step ~arity ~rule config ~cap:infinity = None))
+        rules)
+    arities
 
 let test_split_three_needs_two_procs () =
   let app = Application.uniform ~n:6 ~work:5. ~delta:1. in
@@ -90,35 +99,229 @@ let test_split_three_needs_two_procs () =
   let config = Split.initial inst in
   (* Only one unused processor: 3-split impossible, 2-split fine. *)
   Alcotest.(check bool) "no 3-splits" true
-    (Split.three_split_candidates config ~j:0 = []);
+    (Split.step ~arity:Three ~rule:Mono config ~cap:infinity = None);
   Alcotest.(check bool) "has 2-splits" true
-    (Split.two_split_candidates config ~j:0 <> [])
+    (Split.step ~arity:Two ~rule:Mono config ~cap:infinity <> None)
+
+(* Every step of the uncapped walk of each arity and rule, as
+   (configuration, next configuration) pairs. *)
+let walk_steps inst ~arity ~rule =
+  let rec go acc config =
+    match Split.step ~arity ~rule config ~cap:infinity with
+    | None -> List.rev acc
+    | Some config' -> go ((config, config') :: acc) config'
+  in
+  go [] (Split.initial inst)
+
+let every_step inst f =
+  List.for_all
+    (fun arity ->
+      List.for_all
+        (fun rule -> List.for_all (f ~arity) (walk_steps inst ~arity ~rule))
+        rules)
+    arities
 
 let prop_split_candidates_all_improve =
   Helpers.qtest "every generated candidate strictly improves its interval"
     gen_seed
     (fun seed ->
-      let inst = Helpers.random_instance seed in
-      let config = Split.initial inst in
-      let j = Split.bottleneck config in
-      let old_cycle = Split.cycle config j in
-      List.for_all
-        (fun (c : Split.candidate) -> c.Split.max_piece_cycle < old_cycle)
-        (Split.two_split_candidates config ~j
-        @ Split.three_split_candidates config ~j))
+      every_step (Helpers.random_instance seed) (fun ~arity (config, config') ->
+          let j = Split.bottleneck config in
+          let enrolled = Split.unused config - Split.unused config' in
+          let pieces = Split.intervals config' - Split.intervals config + 1 in
+          (match arity with
+          | Split.Two -> enrolled = 1
+          | Split.Three -> enrolled = 2
+          | Split.Three_or_two -> enrolled = 1 || enrolled = 2)
+          && pieces = enrolled + 1
+          && List.for_all
+               (fun i -> Split.cycle config' (j + i) < Split.cycle config j)
+               (List.init pieces Fun.id)))
 
 let prop_split_candidate_metrics_exact =
   Helpers.qtest "candidate period/latency match a full re-evaluation" gen_seed
     (fun seed ->
-      let inst = Helpers.random_instance seed in
-      let config = Split.initial inst in
-      let j = Split.bottleneck config in
+      every_step (Helpers.random_instance seed) (fun ~arity:_ (_, config') ->
+          let sol = Split.to_solution config' in
+          Helpers.feq ~eps:1e-9 sol.Solution.period (Split.period config')
+          && Helpers.feq ~eps:1e-9 sol.Solution.latency (Split.latency config')))
+
+(* The splitting walk as it was before Split.step scanned: every
+   improving split of the bottleneck is built as a candidate record in a
+   list, the list is filtered by the cap and folded down to one winner
+   under the rule. Split.step must pick the same split, bit for bit. *)
+module Ref_walk = struct
+  type piece = { first : int; last : int; proc : int; cycle : float }
+
+  type candidate = {
+    pieces : piece list;
+    max_piece : float;
+    latency : float;
+    dlatency : float;
+    ratio : float;
+  }
+
+  type state = { parts : piece list; next_rank : int; latency : float }
+
+  let cost (inst : Instance.t) = Cost.get inst.app inst.platform
+  let order (inst : Instance.t) = Platform.by_decreasing_speed inst.platform
+
+  let piece inst d e u = { first = d; last = e; proc = u; cycle = Cost.cycle (cost inst) ~d ~e ~u }
+
+  let initial inst =
+    let n = Application.n inst.Instance.app and u = (order inst).(0) in
+    {
+      parts = [ piece inst 1 n u ];
+      next_rank = 1;
+      latency = Cost.contrib (cost inst) ~d:1 ~e:n ~u +. Cost.dout (cost inst) ~e:n;
+    }
+
+  let period st = List.fold_left (fun m p -> Float.max m p.cycle) neg_infinity st.parts
+
+  let bottleneck st =
+    let cycles = Array.of_list (List.map (fun p -> p.cycle) st.parts) in
+    let best = ref 0 in
+    Array.iteri (fun j c -> if c > cycles.(!best) then best := j) cycles;
+    !best
+
+  let candidate inst st (old : piece) pieces =
+    let max_piece = List.fold_left (fun m p -> Float.max m p.cycle) neg_infinity pieces in
+    if max_piece >= old.cycle then None
+    else begin
+      let contrib p = Cost.contrib (cost inst) ~d:p.first ~e:p.last ~u:p.proc in
+      let dlatency = List.fold_left (fun acc p -> acc +. contrib p) 0. pieces -. contrib old in
+      let ratio =
+        List.fold_left
+          (fun m p -> Float.max m (dlatency /. (old.cycle -. p.cycle)))
+          neg_infinity pieces
+      in
+      Some { pieces; max_piece; latency = st.latency +. dlatency; dlatency; ratio }
+    end
+
+  let candidates inst st ~arity =
+    let old = List.nth st.parts (bottleneck st) in
+    let free = Array.length (order inst) - st.next_rank in
+    let next k = (order inst).(st.next_rank + k) in
+    let cuts lo hi = List.init (max 0 (hi - lo + 1)) (fun i -> lo + i) in
+    let two () =
+      if old.last = old.first || free < 1 then []
+      else
+        List.concat_map
+          (fun c ->
+            List.map
+              (fun (pa, pb) -> [ piece inst old.first c pa; piece inst (c + 1) old.last pb ])
+              [ (old.proc, next 0); (next 0, old.proc) ])
+          (cuts old.first (old.last - 1))
+        |> List.filter_map (candidate inst st old)
+    in
+    let three () =
+      if old.last - old.first < 2 || free < 2 then []
+      else begin
+        let u = old.proc and u' = next 0 and u'' = next 1 in
+        List.concat_map
+          (fun c1 ->
+            List.concat_map
+              (fun c2 ->
+                List.map
+                  (fun (pa, pb, pc) ->
+                    [
+                      piece inst old.first c1 pa;
+                      piece inst (c1 + 1) c2 pb;
+                      piece inst (c2 + 1) old.last pc;
+                    ])
+                  [
+                    (u, u', u''); (u, u'', u'); (u', u, u'');
+                    (u'', u, u'); (u', u'', u); (u'', u', u);
+                  ])
+              (cuts (c1 + 1) (old.last - 1)))
+          (cuts old.first (old.last - 2))
+        |> List.filter_map (candidate inst st old)
+      end
+    in
+    match (arity : Split.arity) with
+    | Two -> two ()
+    | Three -> three ()
+    | Three_or_two -> ( match three () with [] -> two () | cs -> cs)
+
+  let better (rule : Split.rule) a b =
+    match rule with
+    | Mono -> (
+      match compare a.max_piece b.max_piece with 0 -> a.dlatency < b.dlatency | c -> c < 0)
+    | Bi -> ( match compare a.ratio b.ratio with 0 -> a.max_piece < b.max_piece | c -> c < 0)
+
+  let select rule = function
+    | [] -> None
+    | first :: rest ->
+      Some (List.fold_left (fun acc c -> if better rule c acc then c else acc) first rest)
+
+  let rec walk inst ~arity ~rule ~cap st =
+    let j = bottleneck st in
+    let capped =
+      List.filter
+        (fun (c : candidate) -> Pipeline_util.Tol.meets c.latency cap)
+        (candidates inst st ~arity)
+    in
+    match select rule capped with
+    | None -> st
+    | Some c ->
+      let before = List.filteri (fun i _ -> i < j) st.parts
+      and after = List.filteri (fun i _ -> i > j) st.parts in
+      walk inst ~arity ~rule ~cap
+        {
+          parts = before @ c.pieces @ after;
+          next_rank = st.next_rank + List.length c.pieces - 1;
+          latency = c.latency;
+        }
+end
+
+let prop_split_step_matches_reference =
+  Helpers.qtest "scanned walk = list-and-select walk, bit for bit" gen_seed
+    (fun seed ->
+      (* n <= 8 keeps the 3-way caps (3 per candidate, up to 126
+         candidates) to a few hundred walks per draw. *)
+      let inst = Helpers.random_instance ~n_max:8 seed in
+      let start = Ref_walk.initial inst in
+      let bits x = Int64.bits_of_float x in
+      let parts_of (sol : Solution.t) =
+        List.init (Mapping.m sol.mapping) (fun j ->
+            let iv = Mapping.interval sol.mapping j in
+            (Interval.first iv, Interval.last iv, Mapping.proc sol.mapping j))
+      in
+      let same (got : Split.t) (want : Ref_walk.state) =
+        parts_of (Split.to_solution got)
+        = List.map (fun (p : Ref_walk.piece) -> (p.first, p.last, p.proc)) want.parts
+        && bits (Split.period got) = bits (Ref_walk.period want)
+        && bits (Split.latency got) = bits want.latency
+      in
       List.for_all
-        (fun (c : Split.candidate) ->
-          let sol = Split.to_solution (Split.apply config c) in
-          Helpers.feq ~eps:1e-9 sol.Solution.period c.Split.period
-          && Helpers.feq ~eps:1e-9 sol.Solution.latency c.Split.latency)
-        (Split.two_split_candidates config ~j))
+        (fun arity ->
+          let caps =
+            infinity
+            :: List.concat_map
+                 (fun (c : Ref_walk.candidate) ->
+                   [ Float.pred c.latency; c.latency; Float.succ c.latency ])
+                 (Ref_walk.candidates inst start ~arity)
+          in
+          List.for_all
+            (fun rule ->
+              List.for_all
+                (fun cap ->
+                  let got =
+                    Loop.minimise_period_under_latency (Split.stack ~arity ~rule inst)
+                      ~latency:cap
+                  in
+                  let want =
+                    if Pipeline_util.Tol.meets start.latency cap then
+                      Some (Ref_walk.walk inst ~arity ~rule ~cap start)
+                    else None
+                  in
+                  match (got, want) with
+                  | Some got, Some want -> same got want
+                  | None, None -> true
+                  | _ -> false)
+                caps)
+            rules)
+        arities)
 
 (* ------------------------------------------------------------------ *)
 (* Heuristics: thresholds and validity                                 *)
@@ -476,6 +679,7 @@ let () =
             test_split_three_needs_two_procs;
           prop_split_candidates_all_improve;
           prop_split_candidate_metrics_exact;
+          prop_split_step_matches_reference;
         ] );
       ( "heuristics",
         [

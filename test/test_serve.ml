@@ -1076,6 +1076,118 @@ let test_server_byte_identity () =
       let _, second = expect_ok "warm" (Http.post ~port "/solve" ~body) in
       Alcotest.(check string) "cold vs warm over HTTP" first second)
 
+(* ------------------------------------------------------------------ *)
+(* Fuzzing: every external input ends in an answer, never an exception *)
+(* ------------------------------------------------------------------ *)
+
+module Rng = Pipeline_util.Rng
+
+let fuzz_tokens = [| "1e308"; "-1e308"; "nan"; "inf"; "["; "]"; "{"; "\""; ","; "-"; "\n" |]
+
+(* One mutation of [s]: a byte flip, a deletion, an inserted token, a
+   duplicated chunk or a truncation. Deletions and chunks are short, so
+   that many mutants still parse and reach the code behind the parser. *)
+let mutate rng s =
+  let n = String.length s in
+  let at () = Rng.int rng (n + 1) in
+  let upto i m = Rng.int rng (min m (n - i) + 1) in
+  let insert i piece = String.sub s 0 i ^ piece ^ String.sub s i (n - i) in
+  match Rng.int rng 5 with
+  | 0 when n > 0 ->
+    let i = Rng.int rng n and bit = 1 lsl Rng.int rng 8 in
+    String.mapi (fun k c -> if k = i then Char.chr (Char.code c lxor bit) else c) s
+  | 1 ->
+    let i = at () in
+    let len = upto i 4 in
+    String.sub s 0 i ^ String.sub s (i + len) (n - i - len)
+  | 2 ->
+    let i = at () in
+    insert i fuzz_tokens.(Rng.int rng (Array.length fuzz_tokens))
+  | 3 ->
+    let i = at () in
+    let chunk = String.sub s i (upto i 12) in
+    insert (at ()) chunk
+  | _ -> String.sub s 0 (at ())
+
+(* One or two mutations of one of [seeds], drawn from a seeded Rng so
+   that a failure prints the mutant itself. *)
+let gen_mutant seeds =
+  QCheck2.Gen.map
+    (fun (k, seed) ->
+      let rng = Rng.create seed in
+      let rec go s m = if m = 0 then s else go (mutate rng s) (m - 1) in
+      go seeds.(k) (1 + Rng.int rng 2))
+    QCheck2.Gen.(pair (int_bound (Array.length seeds - 1)) (int_bound 1_000_000_000))
+
+let fuzz ?(count = 2000) name seeds prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count ~name ~print:(Printf.sprintf "%S") (gen_mutant seeds) prop)
+
+let no_raise name seeds parse =
+  fuzz (name ^ " never raises") seeds (fun text ->
+      match parse text with
+      | _ -> true
+      | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let no_500 path seeds =
+  let p = Protocol.create () in
+  fuzz ~count:1000 ("POST " ^ path ^ " never answers 500") seeds (fun body ->
+      match Protocol.handle p (request ~path body) with
+      | 500, _, reply -> QCheck2.Test.fail_reportf "500: %s" reply
+      | _ -> true
+      | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+(* Seed inputs: n <= 5 stages, p <= 3 processors. *)
+let fuzz_tests =
+  let with_fields body fields =
+    match parse_ok body with
+    | Json.Obj members -> Json.to_string (Json.Obj (members @ fields))
+    | _ -> assert false
+  in
+  let solves =
+    [|
+      small_solve_body ();
+      small_solve_body ~heuristic:"h3-3explo-bi" ();
+      small_solve_body ~threshold:("latency", 40.) ();
+      het_body [ ("period", Json.Number 9.); ("exact", Json.Bool true) ];
+    |]
+  in
+  let simulates =
+    [|
+      with_fields (small_solve_body ())
+        [ ("mapping", Json.String "1-2:1 3-4:0"); ("datasets", Json.Number 5.) ];
+      het_body [ ("period", Json.Number 9.); ("datasets", Json.Number 5.) ];
+    |]
+  in
+  let instances =
+    [|
+      Instance_io.to_string (Helpers.small_instance ());
+      Instance_io.to_string (het_library_instance ());
+    |]
+  in
+  let arrivals = [| Pipeline_stream.Arrival_trace.to_csv [| 0.; 0.5; 1.25; 3. |] |] in
+  let churn =
+    [|
+      Pipeline_stream.Churn.to_csv
+        [
+          { at = 1.; proc = 0; kind = Crash };
+          { at = 2.; proc = 0; kind = Recover };
+          { at = 3.; proc = 1; kind = Speed 0.5 };
+          { at = 4.; proc = 2; kind = Join };
+        ];
+    |]
+  in
+  [
+    no_raise "Json.of_string" (Array.concat [ solves; simulates ]) Json.of_string;
+    no_raise "Instance_io.of_string" instances Instance_io.of_string;
+    no_raise "Mapping_io.of_string" [| "1-2:1 3-4:0"; "1:0 2-3:2 4-5:1" |] Mapping_io.of_string;
+    no_raise "Arrival_trace.of_csv_string" arrivals Pipeline_stream.Arrival_trace.of_csv_string;
+    no_raise "Churn.of_csv_string" churn Pipeline_stream.Churn.of_csv_string;
+    no_500 "/solve" solves;
+    no_500 "/pareto" [| small_solve_body (); het_body [] |];
+    no_500 "/simulate" simulates;
+  ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -1158,4 +1270,5 @@ let () =
           Alcotest.test_case "byte-identical over HTTP" `Quick
             test_server_byte_identity;
         ] );
+      ("fuzz", fuzz_tests);
     ]

@@ -583,9 +583,10 @@ let prop_reach_lazy_lattice =
    25 iterations, each skipped once the bracket converged at 1e-12. *)
 let legacy_sp_bi_p inst ~period =
   let attempt cap =
-    Pipeline_core.Loop.minimise_latency_under_period ~latency_cap:cap
-      ~gen:Pipeline_core.Loop.gen_two ~select:Pipeline_core.Loop.select_bi inst
-      ~period
+    Option.map Pipeline_core.Split.to_solution
+      (Pipeline_core.Loop.minimise_latency_under_period ~latency_cap:cap
+         (Pipeline_core.Split.stack ~arity:Two ~rule:Bi inst)
+         ~period)
   in
   match attempt infinity with
   | None -> None
