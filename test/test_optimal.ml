@@ -759,6 +759,77 @@ let prop_one_to_one_pareto_sorted =
     gen_one_to_one
     (fun inst -> is_sorted_non_dominated (One_to_one.pareto inst))
 
+(* Every One_to_one answer pinned across versions, witnesses included:
+   60 paper-style draws (E1-E4 applications in turn, speeds 1-20,
+   bandwidth 10, n <= 6, n <= p <= n + 3) and 40 tie-heavy ones (works
+   1-3, deltas 0-2, speeds 1-2, bandwidth 1, n <= 5, n <= p <= n + 2).
+   Per instance: min_period, min_latency, min_latency_under_period at
+   0.9, 1, 1.25 and 2 times the optimal period, and the front, each as
+   mapping, period and latency in hex. Compared with
+   test/golden-one-to-one/solutions.txt; on a mismatch the rendering is
+   written to solutions.txt.actual in the test's working directory. *)
+let one_to_one_golden_instance k =
+  let module Rng = Pipeline_util.Rng in
+  if k < 60 then begin
+    let rng = Rng.create (13000 + k) in
+    let n = Rng.int_in rng 1 6 in
+    let p = n + Rng.int_in rng 0 3 in
+    let spec =
+      [| App_generator.e1; App_generator.e2; App_generator.e3; App_generator.e4 |].(k mod 4)
+        ~n
+    in
+    let app = App_generator.generate rng spec in
+    Instance.make ~seed:k app (Platform_generator.comm_homogeneous rng ~p)
+  end
+  else begin
+    let rng = Rng.create (14000 + k) in
+    let n = Rng.int_in rng 1 5 in
+    let p = n + Rng.int_in rng 0 2 in
+    let works = Array.init n (fun _ -> float_of_int (Rng.int_in rng 1 3)) in
+    let deltas = Array.init (n + 1) (fun _ -> float_of_int (Rng.int_in rng 0 2)) in
+    let speeds = Array.init p (fun _ -> float_of_int (Rng.int_in rng 1 2)) in
+    Instance.make ~seed:k
+      (Application.make ~deltas works)
+      (Platform.comm_homogeneous ~bandwidth:1. speeds)
+  end
+
+let render_one_to_one () =
+  let buf = Buffer.create 65536 in
+  let line name sols =
+    Buffer.add_string buf name;
+    List.iter (render_solution buf) sols;
+    Buffer.add_char buf '\n'
+  in
+  for k = 0 to 99 do
+    let inst = one_to_one_golden_instance k in
+    Printf.bprintf buf "#%d n=%d p=%d\n" k (Application.n inst.app)
+      (Platform.p inst.platform);
+    let best = One_to_one.min_period inst in
+    line "  min_period" [ best ];
+    line "  min_latency" [ One_to_one.min_latency inst ];
+    List.iter
+      (fun scale ->
+        let period = best.Solution.period *. scale in
+        line
+          (Printf.sprintf "  min_latency_under_period x%g" scale)
+          (Option.to_list (One_to_one.min_latency_under_period inst ~period)))
+      [ 0.9; 1.; 1.25; 2. ];
+    line "  pareto" (One_to_one.pareto inst)
+  done;
+  Buffer.contents buf
+
+let test_one_to_one_golden () =
+  let expected =
+    In_channel.with_open_bin "golden-one-to-one/solutions.txt" In_channel.input_all
+  in
+  let actual = render_one_to_one () in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "solutions.txt.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+    Alcotest.failf "one-to-one solutions moved; full rendering in %s"
+      (Filename.concat (Sys.getcwd ()) "solutions.txt.actual")
+  end
+
 
 (* ------------------------------------------------------------------ *)
 (* Scalarised objective                                                *)
@@ -1010,5 +1081,9 @@ let () =
           prop_running_front_exact;
           Alcotest.test_case "pareto tie witness" `Quick test_pareto_tie_witness;
         ] );
-      ("golden", [ Alcotest.test_case "exact oracles" `Quick test_oracles_golden ]);
+      ( "golden",
+        [
+          Alcotest.test_case "exact oracles" `Quick test_oracles_golden;
+          Alcotest.test_case "one-to-one solutions" `Quick test_one_to_one_golden;
+        ] );
     ]
