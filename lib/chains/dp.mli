@@ -4,7 +4,7 @@
     at most [j] intervals; [f(k, j) = min_{i<k} max(f(i, j-1),
     sum(i+1..k))]. O(n²p) time, O(np) space — the textbook algorithm of
     Bokhari (1988) / Hansen & Lih (1992), used here as the reference
-    optimum against which {!Exact} (parametric search) and {!Nicol} are
+    optimum against which {!Nicol} and the unit-speed {!Subset_dp} are
     validated. *)
 
 val solve : float array -> p:int -> float * Partition.t

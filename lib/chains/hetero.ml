@@ -1,5 +1,3 @@
-module Interval = Pipeline_model.Interval
-
 type solution = {
   bottleneck : float;
   partition : Partition.t;
@@ -37,178 +35,15 @@ let is_valid ~n ~speeds sol =
       end)
     sol.assignment
 
-let max_subset_procs = 16
-
-(* Shared subset DP. [bound], when finite, prunes transitions whose cost
-   exceeds it (the decision variant). Returns the best bottleneck over all
-   processor subsets together with the reconstruction tables. *)
-let subset_dp a speeds ~bound =
-  check_inputs a speeds;
-  let p = Array.length speeds in
-  if p > max_subset_procs then
-    invalid_arg
-      (Printf.sprintf "Hetero.exact_dp: at most %d speeds (got %d)"
-         max_subset_procs p);
-  let prefix = Prefix.make a in
-  let n = Prefix.n prefix in
-  let size = 1 lsl p in
-  let best = Array.make_matrix size (n + 1) infinity in
-  let parent_cut = Array.make_matrix size (n + 1) (-1) in
-  let parent_proc = Array.make_matrix size (n + 1) (-1) in
-  best.(0).(0) <- 0.;
-  (* Process subsets in increasing popcount order implicitly: any S is
-     reached from S \ {u}, whose integer value is smaller, so a plain
-     ascending loop respects the dependency order. *)
-  for set = 1 to size - 1 do
-    let count = ref 0 in
-    for u = 0 to p - 1 do
-      if set land (1 lsl u) <> 0 then incr count
-    done;
-    let intervals = !count in
-    if intervals <= n then
-      for k = intervals to n do
-        (* Last interval is (i+1 .. k) on some processor u of the set. *)
-        for u = 0 to p - 1 do
-          if set land (1 lsl u) <> 0 then begin
-            let rest = set lxor (1 lsl u) in
-            for i = intervals - 1 to k - 1 do
-              let prev = best.(rest).(i) in
-              if prev < infinity then begin
-                let load = Prefix.sum prefix (i + 1) k /. speeds.(u) in
-                let cost = Float.max prev load in
-                if cost < best.(set).(k) && cost <= bound then begin
-                  best.(set).(k) <- cost;
-                  parent_cut.(set).(k) <- i;
-                  parent_proc.(set).(k) <- u
-                end
-              end
-            done
-          end
-        done
-      done
-  done;
-  (best, parent_cut, parent_proc)
-
-let reconstruct best parent_cut parent_proc ~n =
-  (* Pick the best subset at k = n, then walk parents back to (∅, 0). *)
-  let size = Array.length best in
-  let best_set = ref (-1) and best_val = ref infinity in
-  for set = 1 to size - 1 do
-    if best.(set).(n) < !best_val then begin
-      best_val := best.(set).(n);
-      best_set := set
-    end
-  done;
-  if !best_set < 0 then None
-  else begin
-    let rec walk set k acc_iv acc_proc =
-      if k = 0 then (acc_iv, acc_proc)
-      else
-        let i = parent_cut.(set).(k) and u = parent_proc.(set).(k) in
-        let iv = Interval.make ~first:(i + 1) ~last:k in
-        walk (set lxor (1 lsl u)) i (iv :: acc_iv) (u :: acc_proc)
-    in
-    let ivs, procs = walk !best_set n [] [] in
-    Some
-      {
-        bottleneck = !best_val;
-        partition = Array.of_list ivs;
-        assignment = Array.of_list procs;
-      }
-  end
-
 let exact_dp a ~speeds =
-  let best, pc, pp = subset_dp a speeds ~bound:infinity in
-  match reconstruct best pc pp ~n:(Array.length a) with
-  | Some sol -> sol
-  | None -> assert false (* a single interval on any speed is feasible *)
-
-let decision a ~speeds ~bound =
-  if bound < 0. then None
-  else
-    let best, pc, pp = subset_dp a speeds ~bound in
-    match reconstruct best pc pp ~n:(Array.length a) with
-    | Some sol when sol.bottleneck <= bound -> Some sol
-    | _ -> None
-
-let by_decreasing_speed speeds =
-  let idx = Array.init (Array.length speeds) (fun u -> u) in
-  Array.stable_sort
-    (fun u v ->
-      match compare speeds.(v) speeds.(u) with 0 -> compare u v | c -> c)
-    idx;
-  idx
-
-let greedy a ~speeds ~bound =
-  check_inputs a speeds;
-  if bound < 0. then None
-  else begin
-    let prefix = Prefix.make a in
-    let n = Prefix.n prefix in
-    let order = by_decreasing_speed speeds in
-    let rec consume rank from acc_iv acc_proc =
-      if from > n then
-        Some
-          {
-            bottleneck = 0.; (* recomputed below *)
-            partition = Array.of_list (List.rev acc_iv);
-            assignment = Array.of_list (List.rev acc_proc);
-          }
-      else if rank >= Array.length order then None
-      else begin
-        let u = order.(rank) in
-        let budget = bound *. speeds.(u) in
-        let e = Prefix.longest_fitting prefix ~from ~budget in
-        if e < from then
-          (* Even one element overflows the fastest remaining speed:
-             slower speeds cannot do better. *)
-          None
-        else
-          consume (rank + 1) (e + 1)
-            (Interval.make ~first:from ~last:e :: acc_iv)
-            (u :: acc_proc)
-      end
-    in
-    match consume 0 1 [] [] with
-    | None -> None
-    | Some sol ->
-      let per_interval = Array.map (fun u -> speeds.(u)) sol.assignment in
-      let bottleneck =
-        Partition.weighted_bottleneck prefix ~speeds:per_interval sol.partition
-      in
-      Some { sol with bottleneck }
-  end
-
-let binary_search_greedy a ~speeds =
   check_inputs a speeds;
   let prefix = Prefix.make a in
-  let n = Prefix.n prefix in
-  (* Candidate bottlenecks: every interval sum divided by every speed. *)
-  let sums = Exact.candidates prefix in
-  let cand =
-    Array.concat
-      (List.map
-         (fun s -> Array.map (fun v -> v /. s) sums)
-         (Array.to_list speeds))
+  let bottleneck, intervals =
+    Subset_dp.minimise_bottleneck ~n:(Prefix.n prefix) ~p:(Array.length speeds)
+      ~cost:(fun ~d ~e ~u -> Prefix.sum prefix d e /. speeds.(u))
   in
-  Array.sort compare cand;
-  let feasible bound = greedy a ~speeds ~bound <> None in
-  let lo = ref 0 and hi = ref (Array.length cand - 1) in
-  (* The largest candidate is total/min-speed, which the greedy always
-     accepts (the fastest processor alone fits); still, guard with a
-     fallback below. *)
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if feasible cand.(mid) then hi := mid else lo := mid + 1
-  done;
-  match greedy a ~speeds ~bound:cand.(!lo) with
-  | Some sol -> sol
-  | None ->
-    (* Fallback: single interval on the fastest speed. *)
-    let order = by_decreasing_speed speeds in
-    let u = order.(0) in
-    {
-      bottleneck = Prefix.total prefix /. speeds.(u);
-      partition = [| Interval.make ~first:1 ~last:n |];
-      assignment = [| u |];
-    }
+  {
+    bottleneck;
+    partition = Array.of_list (List.map fst intervals);
+    assignment = Array.of_list (List.map snd intervals);
+  }

@@ -3,10 +3,9 @@
     Partition [a_1 … a_n] into at most [p] consecutive intervals and
     injectively assign each interval a processor speed, minimising
     [max_k (Σ_{i∈I_k} a_i) / s_σ(k)]. Theorem 1 proves the decision
-    version NP-complete, so the exact solvers here are exponential in [p]
-    — a processor-subset dynamic program — and are meant for the modest
-    [p] of the validation suite, while {!greedy} and
-    {!binary_search_greedy} are the polynomial heuristics.
+    version NP-complete, so the exact solver here is exponential in [p]
+    — the processor-subset dynamic program {!Subset_dp} — and is meant
+    for the modest [p] of the validation suite.
 
     Speeds are identified by their index in the [speeds] array; a
     {!solution} reports which speed serves each interval. *)
@@ -27,24 +26,9 @@ val is_valid : n:int -> speeds:float array -> solution -> bool
     injective, one speed per interval. *)
 
 val exact_dp : float array -> speeds:float array -> solution
-(** Optimal solution by dynamic programming over (prefix length,
-    processor subset): O(2^p · n² · p) time, O(2^p · n) space. Raises
-    [Invalid_argument] when [speeds] has more than 16 entries (the table
-    would not fit) or either input is empty. *)
-
-val decision : float array -> speeds:float array -> bound:float -> solution option
-(** Exact decision procedure: a solution with bottleneck [≤ bound], or
-    [None]. Subset DP specialised to the bound (prunes states whose
-    partial bottleneck already exceeds it). *)
-
-val greedy : float array -> speeds:float array -> bound:float -> solution option
-(** Polynomial heuristic probe: consume speeds from fastest to slowest,
-    each taking the longest prefix with [load/speed ≤ bound]. Sound (a
-    returned solution is valid and meets the bound) but incomplete — it
-    can miss feasible instances, as NP-hardness demands. *)
-
-val binary_search_greedy : float array -> speeds:float array -> solution
-(** Heuristic optimiser: binary search on the bound over the candidate
-    interval sums scaled by each speed, using {!greedy} as the probe.
-    Always returns a valid solution (the single-interval fallback on the
-    fastest speed is feasible for a large enough bound). *)
+(** Optimal solution by {!Subset_dp.minimise_bottleneck} over (prefix
+    length, processor subset), interval [d..e] on speed [u] costing
+    [Prefix.sum d e /. speeds.(u)]: O(2^p · n² · p) time, O(2^p · n)
+    space. Raises [Invalid_argument] when either input is empty, a speed
+    is not finite and positive, or [speeds] has more than
+    {!Subset_dp.max_procs} entries (the table would not fit). *)

@@ -5,7 +5,7 @@
    achievable candidate bottleneck; the optimum with a shorter first
    interval is realised further right, so the scan advances with one
    processor fewer. All feasibility questions go through the shared
-   {!Probe} — the same implementation {!Exact} searches with. *)
+   {!Probe}. *)
 
 let solve a ~p =
   if p < 1 then invalid_arg "Nicol.solve: p must be >= 1";

@@ -1,7 +1,7 @@
 (** Nicol's exact algorithm for homogeneous chains-to-chains.
 
-    A third, independently-derived exact solver (after {!Dp} and the
-    candidate search of {!Exact}), following Nicol's probe-based scheme
+    A second, independently-derived exact solver (after {!Dp}),
+    following Nicol's probe-based scheme
     as described by Pinar & Aykanat (2004): walking left to right,
     processor [k] starting at element [i] binary-searches the smallest
     interval end [e] whose sum — used as a bound for the shared greedy
@@ -13,8 +13,8 @@
     past [p] intervals, and the tail maximum is a suffix-table lookup —
     [O(p² log² n)] overall, independent of the [O(n)] chain length after
     the prefix build. Every
-    candidate is a {!Prefix.sum} value, so the test suite can check all
-    three solvers agree bit-for-bit (DESIGN.md §9). *)
+    candidate is a {!Prefix.sum} value, so the test suite can check that
+    it agrees with {!Dp} bit-for-bit (DESIGN.md §9). *)
 
 val solve : float array -> p:int -> float * Partition.t
 (** Same contract as {!Dp.solve}. *)

@@ -5,8 +5,7 @@
     elements are non-negative, cutting each interval as late as possible
     is optimal, so the greedy answer is exact. This is the classic
     building block of the parametric-search algorithms surveyed by Pinar
-    & Aykanat (2004) — and the {e single} probe implementation behind
-    {!Exact} and {!Nicol} (DESIGN.md §9).
+    & Aykanat (2004) — and the probe behind {!Nicol} (DESIGN.md §9).
 
     [from] defaults to 1 (the whole chain); suffix probes ([from > 1])
     serve {!Nicol}'s recursive scheme. *)

@@ -27,18 +27,6 @@ let validate (inst : Instance.t) before failed ~threshold =
         invalid_arg "Ft_remap.remap: failed processor out of range")
     failed
 
-(* Renumber a mapping solved on the survivor sub-platform back to the
-   original processor indices. *)
-let translate ~n ~survivors mapping =
-  let cuts =
-    List.init (Mapping.m mapping - 1) (fun j ->
-        Interval.last (Mapping.interval mapping j))
-  in
-  let procs =
-    Array.to_list (Array.map (fun u -> survivors.(u)) (Mapping.procs mapping))
-  in
-  Mapping.of_cuts ~n ~cuts ~procs
-
 let c_calls = Obs.Counter.make ~doc:"Ft_remap.remap invocations" "ft.remap.calls"
 
 let c_kept =
@@ -87,22 +75,13 @@ let remap (inst : Instance.t) ~before ~failed ~threshold =
         }
     end
     else begin
-    let sub_platform =
-      let speeds = Array.map (Platform.speed platform) survivors in
-      let bandwidth =
-        if p > 1 then Platform.bandwidth platform 0 1
-        else Platform.io_bandwidth platform 0
-      in
-      Platform.comm_homogeneous
-        ~io_bandwidth:(Platform.io_bandwidth platform 0)
-        ~bandwidth speeds
-    in
+    let sub_platform = Platform.restrict platform survivors in
     let sub_inst =
       Instance.make ~id:inst.id ~seed:inst.seed app sub_platform
     in
     let solved, fallback =
       match Pipeline_core.Sp_mono_p.solve sub_inst ~period:threshold with
-      | Some sol -> (translate ~n ~survivors sol.Solution.mapping, false)
+      | Some sol -> (Mapping.renumber survivors sol.Solution.mapping, false)
       | None ->
         (* Online systems need some mapping: fastest survivor. *)
         let u = survivors.(Platform.fastest sub_platform) in
@@ -110,16 +89,11 @@ let remap (inst : Instance.t) ~before ~failed ~threshold =
     in
     let sol = Solution.of_mapping inst solved in
     let met_threshold = met sol in
-    let migrated_stages = ref 0 and migration_volume = ref 0. in
-    for k = 1 to n do
-      if Mapping.proc_of_stage before k <> Mapping.proc_of_stage solved k
-      then begin
-        incr migrated_stages;
-        migration_volume := !migration_volume +. Application.delta app (k - 1)
-      end
-    done;
+    let migrated_stages, migration_volume =
+      Mapping.migration app ~before ~after:solved
+    in
     if fallback then Obs.Counter.incr c_fallbacks;
-    Obs.Counter.add c_migrated !migrated_stages;
+    Obs.Counter.add c_migrated migrated_stages;
     Some
       {
         mapping = solved;
@@ -127,8 +101,8 @@ let remap (inst : Instance.t) ~before ~failed ~threshold =
         latency = sol.Solution.latency;
         met_threshold;
         fallback;
-        migrated_stages = !migrated_stages;
-        migration_volume = !migration_volume;
+        migrated_stages;
+        migration_volume;
       }
     end
   end

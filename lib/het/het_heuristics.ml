@@ -3,19 +3,6 @@ open Pipeline_core
 
 let threshold_met = Pipeline_util.Tol.meets
 
-(* Best single-processor mapping by latency (on het platforms speed alone
-   does not decide: I/O bandwidths matter). *)
-let initial (inst : Instance.t) =
-  let n = Application.n inst.app in
-  let best = ref None in
-  for u = 0 to Platform.p inst.platform - 1 do
-    let sol = Solution.of_mapping inst (Mapping.single ~n ~proc:u) in
-    match !best with
-    | Some b when b.Solution.latency <= sol.Solution.latency -> ()
-    | _ -> best := Some sol
-  done;
-  Option.get !best
-
 let unused_processors (inst : Instance.t) mapping =
   let p = Platform.p inst.platform in
   List.filter (fun u -> not (Mapping.uses mapping u)) (List.init p Fun.id)
@@ -122,7 +109,7 @@ let step ~select (inst : Instance.t) (sol : Solution.t) ~cap =
 
 let stack ~select inst =
   {
-    Loop.start = initial inst;
+    Loop.start = Pipeline_optimal.Latency.solve inst;
     period = (fun (s : Solution.t) -> s.period);
     latency = (fun (s : Solution.t) -> s.latency);
     step = step ~select inst;

@@ -20,7 +20,8 @@
     latency) the one on the best-connected target wins. On a
     comm-homogeneous platform the rank reduces to effective speed.
 
-    Both drivers start from the best single-processor mapping and split
+    Both drivers start from the best single-processor mapping
+    ({!Pipeline_optimal.Latency.solve}, Lemma 1) and split
     the current bottleneck interval greedily, like the paper's H1/H5
     pair. They accept any platform (on a communication-homogeneous one
     they behave like a generalised H1/H5 with free processor choice).
@@ -38,9 +39,6 @@ type select =
   | Min_period  (** smallest resulting period, ties by latency (mono) *)
   | Min_ratio   (** smallest latency increase per unit of period gained
                     (the paper's bi-criteria rule, on global values) *)
-
-val initial : Instance.t -> Solution.t
-(** Best single-processor mapping by latency, where both drivers start. *)
 
 val minimise_latency_under_period :
   ?select:select -> Instance.t -> period:float -> Solution.t option

@@ -48,11 +48,3 @@ let generate rng spec =
   let works = Array.init spec.n (fun _ -> draw rng spec.work) in
   let deltas = Array.init (spec.n + 1) (fun _ -> draw rng spec.delta) in
   Application.make ~deltas works
-
-let pp_dist fmt = function
-  | Fixed v -> Format.fprintf fmt "fixed %g" v
-  | Int_uniform (lo, hi) -> Format.fprintf fmt "int[%d,%d]" lo hi
-  | Float_uniform (lo, hi) -> Format.fprintf fmt "float[%g,%g]" lo hi
-
-let pp_spec fmt s =
-  Format.fprintf fmt "spec[n=%d; w=%a; d=%a]" s.n pp_dist s.work pp_dist s.delta

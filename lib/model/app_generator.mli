@@ -51,5 +51,3 @@ val draw : Pipeline_util.Rng.t -> value_dist -> float
 
 val generate : Pipeline_util.Rng.t -> spec -> Application.t
 (** Draw the [n] weights and [n+1] message sizes. *)
-
-val pp_spec : Format.formatter -> spec -> unit

@@ -85,6 +85,19 @@ let replace t ~j parts =
   in
   make ~n:t.n (before @ parts @ after)
 
+let renumber procs t =
+  make ~n:t.n (List.map (fun (iv, u) -> (iv, procs.(u))) (intervals t))
+
+let migration app ~before ~after =
+  let stages = ref 0 and volume = ref 0. in
+  for k = 1 to Application.n app do
+    if proc_of_stage before k <> proc_of_stage after k then begin
+      incr stages;
+      volume := !volume +. Application.delta app (k - 1)
+    end
+  done;
+  (!stages, !volume)
+
 let valid_on t platform =
   Array.for_all (fun (_, u) -> u >= 0 && u < Platform.p platform) t.assignment
 

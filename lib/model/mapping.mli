@@ -65,6 +65,16 @@ val replace : t -> j:int -> (Interval.t * int) list -> t
     exactly cover [interval t j] in order, and newly enrolled processors
     must not collide with processors used elsewhere. *)
 
+val renumber : int array -> t -> t
+(** [renumber procs t] runs each interval of [t] on [procs.(u)] instead
+    of [u]: a mapping solved on [Platform.restrict platform procs]
+    carried back to [platform]'s indices. *)
+
+val migration : Application.t -> before:t -> after:t -> int * float
+(** The number of stages whose processor differs between [before] and
+    [after], and the sum of their input sizes [δ_{k-1}] (the data each
+    moved stage must re-stage), added in stage order. *)
+
 val valid_on : t -> Platform.t -> bool
 (** All assigned processor indices exist on the platform. *)
 

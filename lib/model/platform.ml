@@ -121,6 +121,12 @@ let is_comm_homogeneous t =
       done;
       !ok && Array.for_all (fun io -> io = b0) t.io
 
+let with_speeds t speeds =
+  let bandwidth = if p t > 1 then bandwidth t 0 1 else io_bandwidth t 0 in
+  comm_homogeneous ~io_bandwidth:(io_bandwidth t 0) ~bandwidth speeds
+
+let restrict t procs = with_speeds t (Array.map (speed t) procs)
+
 let fastest t =
   let best = ref 0 in
   Array.iteri (fun u s -> if s > t.speeds.(!best) then best := u) t.speeds;

@@ -72,6 +72,16 @@ val io_bandwidth : t -> int -> float
 val is_comm_homogeneous : t -> bool
 (** True when all (inter-processor and I/O) bandwidths are equal. *)
 
+val with_speeds : t -> float array -> t
+(** [with_speeds t speeds] is the communication-homogeneous platform of
+    [speeds] on [t]'s links: bandwidth [bandwidth t 0 1] ([io_bandwidth
+    t 0] when [p t = 1]) and I/O bandwidth [io_bandwidth t 0]. The
+    degraded and survivor platforms of the online controllers. *)
+
+val restrict : t -> int array -> t
+(** [restrict t procs] is [with_speeds t] of the speeds of [procs]:
+    processor [i] of the result is processor [procs.(i)] of [t]. *)
+
 val fastest : t -> int
 (** Index of a fastest processor (smallest index on ties). *)
 

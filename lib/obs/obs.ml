@@ -7,7 +7,6 @@ let metrics_on = Atomic.make false
 let tracing_on = Atomic.make false
 
 let metrics_enabled () = Atomic.get metrics_on
-let tracing_enabled () = Atomic.get tracing_on
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
@@ -139,17 +138,6 @@ let json_escape s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
-
-let write_jsonl path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun e ->
-          Printf.fprintf oc "{\"metric\":\"%s\",\"value\":%d,\"doc\":\"%s\"}\n"
-            (json_escape e.name) (Atomic.get e.cell) (json_escape e.doc))
-        (entries ()))
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)

@@ -39,9 +39,6 @@ val set_tracing : bool -> unit
     the trace epoch: span timestamps are microseconds since the last
     [set_tracing true]. *)
 
-val tracing_enabled : unit -> bool
-(** Current state of the tracing switch. *)
-
 val reset : unit -> unit
 (** Zero every registered counter and gauge and drop every recorded
     span. Registrations survive (a {!Counter.t} stays valid). *)
@@ -102,10 +99,6 @@ val metrics_csv : unit -> string
 (** CSV sink ([metric,value] rows, name-sorted) — written into the
     bench's artefact directory so the CI determinism gate diffs counter
     values along with every other artefact. *)
-
-val write_jsonl : string -> unit
-(** JSONL sink: one [{"metric":...,"value":...,"doc":...}] object per
-    line, name-sorted, written to the given file. *)
 
 val exposition : unit -> string
 (** Prometheus text-format sink (exposition format 0.0.4), served by the

@@ -16,14 +16,14 @@ let solution_of_assignment (inst : Instance.t) assignment =
 let min_period (inst : Instance.t) =
   let cycle, _ = costs inst in
   let n = Application.n inst.app and p = Platform.p inst.platform in
-  let _, assignment = Subset_dp.minimise_bottleneck ~n ~p ~cost:cycle in
+  let _, assignment = Chains.Subset_dp.minimise_bottleneck ~n ~p ~cost:cycle in
   solution_of_assignment inst assignment
 
 let min_latency_under_period (inst : Instance.t) ~period =
   let cycle, contrib = costs inst in
   let n = Application.n inst.app and p = Platform.p inst.platform in
   match
-    Subset_dp.minimise_sum_under_cap ~n ~p ~cap_cost:cycle ~sum_cost:contrib
+    Chains.Subset_dp.minimise_sum_under_cap ~n ~p ~cap_cost:cycle ~sum_cost:contrib
       ~cap:period
   with
   | None -> None

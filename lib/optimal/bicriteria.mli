@@ -1,10 +1,11 @@
 (** Exact bi-criteria solvers for communication-homogeneous platforms.
 
-    Exponential in [p] (processor-subset DP, see {!Subset_dp}); intended
-    as ground truth for validation-sized instances — the problems are
-    NP-hard (Theorem 2), so no polynomial exact algorithm is expected.
+    Exponential in [p] (processor-subset DP, see {!Chains.Subset_dp});
+    intended as ground truth for validation-sized instances — the
+    problems are NP-hard (Theorem 2), so no polynomial exact algorithm is
+    expected.
     All functions raise [Invalid_argument] on non-communication-
-    homogeneous platforms or [p > Subset_dp.max_procs]. *)
+    homogeneous platforms or [p > Chains.Subset_dp.max_procs]. *)
 
 open Pipeline_model
 open Pipeline_core

@@ -77,8 +77,10 @@ let neighbours (inst : Instance.t) mapping =
   done;
   !acc
 
-let improve ?(objective = Period_then_latency) ?(max_steps = 1000)
-    ?(feasible = fun _ -> true) (inst : Instance.t) start =
+let max_steps = 1000
+
+let improve ?(objective = Period_then_latency) ?(feasible = fun _ -> true)
+    (inst : Instance.t) start =
   let rec descend steps (current : Solution.t) =
     if steps >= max_steps then current
     else begin

@@ -30,13 +30,12 @@ val neighbours : Instance.t -> Mapping.t -> Mapping.t list
 
 val improve :
   ?objective:objective ->
-  ?max_steps:int ->
   ?feasible:(Solution.t -> bool) ->
   Instance.t ->
   Solution.t ->
   Solution.t
-(** Steepest descent from a solution. [feasible] (default: accept all)
-    filters candidate moves — e.g. keep [respects_period] while polishing
-    latency. [max_steps] (default 1000) bounds the descent. The result is
-    never worse than the input under the chosen objective and satisfies
-    [feasible] whenever the input does. *)
+(** Steepest descent from a solution, for at most 1000 moves. [feasible]
+    (default: accept all) filters candidate moves — e.g. keep
+    [respects_period] while polishing latency. The result is never worse
+    than the input under the chosen objective and satisfies [feasible]
+    whenever the input does. *)

@@ -8,17 +8,10 @@ let costs (inst : Instance.t) =
     invalid_arg "One_to_one: requires a comm-homogeneous platform";
   let n = Application.n inst.app and p = Platform.p inst.platform in
   if n > p then invalid_arg "One_to_one: requires n <= p";
-  let b = Platform.io_bandwidth inst.platform 0 in
-  let app = inst.app in
-  let cycle k u =
-    ((Application.delta app (k - 1) +. Application.delta app k) /. b)
-    +. (Application.work app k /. Platform.speed inst.platform u)
-  in
-  let contrib k u =
-    (Application.delta app (k - 1) /. b)
-    +. (Application.work app k /. Platform.speed inst.platform u)
-  in
-  (n, p, b, cycle, contrib)
+  let cost = Cost.get inst.app inst.platform in
+  let cycle k u = Cost.cycle cost ~d:k ~e:k ~u in
+  let contrib k u = Cost.contrib cost ~d:k ~e:k ~u in
+  (n, p, cycle, contrib)
 
 let solution_of_assignment (inst : Instance.t) assignment =
   Solution.of_mapping inst (Mapping.one_to_one ~procs:assignment)
@@ -26,7 +19,7 @@ let solution_of_assignment (inst : Instance.t) assignment =
 (* Perfect matching of stages to processors using only pairs with
    cycle-time <= threshold. *)
 let feasible_assignment (inst : Instance.t) ~threshold =
-  let n, p, _, cycle, _ = costs inst in
+  let n, p, cycle, _ = costs inst in
   let adjacency =
     Array.init n (fun k0 ->
         List.filter
@@ -38,17 +31,17 @@ let feasible_assignment (inst : Instance.t) ~threshold =
   else None
 
 let min_period (inst : Instance.t) =
-  let n, p, _, cycle, _ = costs inst in
+  let n, p, cycle, _ = costs inst in
   let candidates = ref [] in
   for k = 1 to n do
     for u = 0 to p - 1 do
       candidates := cycle k u :: !candidates
     done
   done;
-  (* One-to-one candidates pair each stage's input and output transfer
-     ((δ_{d-1} + δ_d)/b), so the set differs from Candidates.periods and
-     stays local. The largest candidate admits a perfect matching (every
-     edge open, and n <= p guarantees one). *)
+  (* One-to-one candidates are the singleton intervals' cycle-times, a
+     small subset of Candidates.periods, so the set stays local. The
+     largest candidate admits a perfect matching (every edge open, and
+     n <= p guarantees one). *)
   match
     Threshold.search
       ~candidates:(Candidates.of_values !candidates)
@@ -59,7 +52,7 @@ let min_period (inst : Instance.t) =
   | None -> assert false
 
 let hungarian_under_period (inst : Instance.t) ~period =
-  let n, p, _, cycle, contrib = costs inst in
+  let n, p, cycle, contrib = costs inst in
   let cost k0 u =
     if Pipeline_util.Tol.meets (cycle (k0 + 1) u) period then contrib (k0 + 1) u
     else infinity
@@ -77,7 +70,7 @@ let min_latency_under_period (inst : Instance.t) ~period =
   hungarian_under_period inst ~period
 
 let pareto (inst : Instance.t) =
-  let n, p, _, cycle, _ = costs inst in
+  let n, p, cycle, _ = costs inst in
   let candidates = ref [] in
   for k = 1 to n do
     for u = 0 to p - 1 do

@@ -156,8 +156,7 @@ let het_row ~id ~paper_name ~table_name ~kind ~select =
         (match kind with
         | Period_fixed -> Pipeline_het.Het_heuristics.reach ~select
         | Latency_fixed ->
-          fun inst ->
-            (Pipeline_het.Het_heuristics.initial inst).Solution.latency);
+          fun inst -> (Pipeline_optimal.Latency.solve inst).Solution.latency);
   }
 
 let het =

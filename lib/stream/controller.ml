@@ -78,7 +78,6 @@ let create ?config (inst : Instance.t) ~initial ~threshold =
   }
 
 let mapping t = t.current
-let budget_left t = t.budget
 let config t = t.cfg
 
 let period t state =

@@ -79,7 +79,6 @@ val create : ?config:config -> Instance.t -> initial:Mapping.t -> threshold:floa
     communication-homogeneous. *)
 
 val mapping : t -> Mapping.t
-val budget_left : t -> float
 val config : t -> config
 
 val period : t -> Churn.state -> float

@@ -68,17 +68,12 @@ let build_entry (inst : Instance.t) state =
   let p = Platform.p platform in
   let survivors = Churn.survivors state in
   let live_speeds = Array.init p (fun u -> effective_speed inst state u) in
-  let bandwidth =
-    if p > 1 then Platform.bandwidth platform 0 1 else Platform.io_bandwidth platform 0
-  in
-  let io_bandwidth = Platform.io_bandwidth platform 0 in
-  let live_platform = Platform.comm_homogeneous ~io_bandwidth ~bandwidth live_speeds in
+  let live_platform = Platform.with_speeds platform live_speeds in
   let live_engine = Cost.make app live_platform in
   let sub_inst, sub_engine =
     if Array.length survivors = 0 then (None, None)
     else begin
-      let speeds = Array.map (fun u -> live_speeds.(u)) survivors in
-      let sub_platform = Platform.comm_homogeneous ~io_bandwidth ~bandwidth speeds in
+      let sub_platform = Platform.restrict live_platform survivors in
       let sub = Instance.make ~id:inst.id ~seed:inst.seed app sub_platform in
       (Some sub, Some (Cost.make app sub_platform))
     end
@@ -128,33 +123,13 @@ let check_heuristic (h : Pipeline_registry.info) =
     invalid_arg
       "Resolver.resolve: heuristic must be a plain-mapping (core or extension) row"
 
-(* Renumber a mapping solved on the survivor sub-platform back to the
-   original processor indices (same shape as [Ft_remap.translate]). *)
-let translate ~n ~survivors mapping =
-  let cuts =
-    List.init (Mapping.m mapping - 1) (fun j -> Interval.last (Mapping.interval mapping j))
-  in
-  let procs =
-    Array.to_list (Array.map (fun u -> survivors.(u)) (Mapping.procs mapping))
-  in
-  Mapping.of_cuts ~n ~cuts ~procs
-
-let migration (app : Application.t) ~before ~after =
-  let n = Application.n app in
-  let stages = ref 0 and volume = ref 0. in
-  for k = 1 to n do
-    if Mapping.proc_of_stage before k <> Mapping.proc_of_stage after k then begin
-      incr stages;
-      volume := !volume +. Application.delta app (k - 1)
-    end
-  done;
-  (!stages, !volume)
-
 let plan_of (inst : Instance.t) engine state ~before ~threshold ~mode mapping =
   match evaluate_on engine state mapping with
   | None -> assert false (* resolver plans only enrol live processors *)
   | Some s ->
-    let migrated_stages, migration_volume = migration inst.app ~before ~after:mapping in
+    let migrated_stages, migration_volume =
+      Mapping.migration inst.app ~before ~after:mapping
+    in
     Obs.Counter.add c_migrated migrated_stages;
     {
       mapping;
@@ -285,8 +260,7 @@ let resolve ?heuristic ~strategy cache state ~before ~threshold =
                   Obs.Counter.incr c_solved;
                   Some
                     (finish ~mode:Solved
-                       (translate ~n ~survivors:e.survivors
-                          sol.Pipeline_core.Solution.mapping))
+                       (Mapping.renumber e.survivors sol.Pipeline_core.Solution.mapping))
                 | None -> None)
               | None -> None
           in
@@ -315,7 +289,7 @@ let resolve ?heuristic ~strategy cache state ~before ~threshold =
         | Some sol ->
           Some
             (finish ~mode:Solved
-               (translate ~n ~survivors:e.survivors sol.Pipeline_core.Solution.mapping))
+               (Mapping.renumber e.survivors sol.Pipeline_core.Solution.mapping))
         | None ->
           Obs.Counter.incr c_fallbacks;
           let u = fastest_survivor inst state e.survivors in

@@ -148,7 +148,7 @@ let prop_probe_consistent_with_dp =
          || opt = 0.))
 
 (* ------------------------------------------------------------------ *)
-(* Dp / Exact equivalence and optimality                                *)
+(* Dp, Nicol and the unit-speed subset DP                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_dp_known_instance () =
@@ -170,23 +170,39 @@ let test_dp_more_procs_than_elements () =
   Helpers.check_float "max element" 7. opt;
   Alcotest.(check int) "three intervals" 3 (Partition.size part)
 
-let test_exact_known_instance () =
-  let opt, _ = Exact.solve [| 1.; 2.; 3.; 4.; 5. |] ~p:3 in
-  Helpers.check_float "optimum" 6. opt
+let test_subset_dp_known_instance () =
+  (* The known instance above on three unit speeds: the subset DP reaches
+     the same optimum 6 with [1,2,3][4][5]. The processors are alike, so
+     the first strict improvement picks the witness: the last interval
+     is tried on processor 0 first and keeps it. *)
+  let sol = Hetero.exact_dp [| 1.; 2.; 3.; 4.; 5. |] ~speeds:[| 1.; 1.; 1. |] in
+  Helpers.check_float "optimum" 6. sol.Hetero.bottleneck;
+  Alcotest.(check (list int)) "cuts" [ 3; 4 ] (Partition.cuts sol.Hetero.partition);
+  Alcotest.(check (array int)) "processors" [| 2; 1; 0 |] sol.Hetero.assignment
 
-let prop_dp_equals_exact =
-  Helpers.qtest "DP and parametric search agree"
+let prop_unit_speeds_equal_dp =
+  (* With every speed at 1.0 each interval costs [Prefix.sum d e /. 1.],
+     the sum itself, and the processors are interchangeable: the subset
+     DP solves the homogeneous problem and must reach Dp's optimum, bit
+     for bit. *)
+  Helpers.qtest "unit speeds: subset DP = DP bitwise"
+    QCheck2.Gen.(pair gen_chain (int_range 1 6))
+    (fun (xs, p) ->
+      let a = Array.of_list xs in
+      let dp_opt, _ = Dp.solve a ~p in
+      let sol = Hetero.exact_dp a ~speeds:(Array.make p 1.) in
+      Int64.bits_of_float sol.Hetero.bottleneck = Int64.bits_of_float dp_opt)
+
+let prop_nicol_bitwise_dp =
+  (* Dp and Nicol both return the largest of some partition's
+     [Prefix.sum] values, and on prefix-difference sums the greedy probe
+     behind Nicol is exact, so the two optima agree bit for bit. *)
+  Helpers.qtest "Nicol = DP, bit for bit"
     QCheck2.Gen.(pair gen_chain (int_range 1 8))
     (fun (xs, p) ->
       let a = Array.of_list xs in
-      let dp_opt, dp_part = Dp.solve a ~p in
-      let ex_opt, ex_part = Exact.solve a ~p in
-      let prefix = Prefix.make a in
-      Helpers.feq ~eps:1e-9 dp_opt ex_opt
-      && Partition.is_valid ~n:(Array.length a) dp_part
-      && Partition.is_valid ~n:(Array.length a) ex_part
-      && Helpers.feq (Partition.bottleneck prefix dp_part) dp_opt
-      && Partition.bottleneck prefix ex_part <= ex_opt +. 1e-9)
+      Int64.bits_of_float (fst (Dp.solve a ~p))
+      = Int64.bits_of_float (fst (Nicol.solve a ~p)))
 
 let prop_nicol_equals_dp =
   Helpers.qtest "Nicol's algorithm agrees with the DP"
@@ -213,12 +229,6 @@ let prop_dp_respects_interval_budget =
       let a = Array.of_list xs in
       let _, part = Dp.solve a ~p in
       Partition.size part <= p)
-
-let test_candidates_sorted_unique () =
-  let prefix = Prefix.make [| 2.; 2.; 3. |] in
-  let c = Exact.candidates prefix in
-  (* interval sums: 2,2,3,4,5,7 -> dedup {2,3,4,5,7} *)
-  Alcotest.(check (array (float 1e-9))) "candidates" [| 2.; 3.; 4.; 5.; 7. |] c
 
 (* ------------------------------------------------------------------ *)
 (* Hetero                                                              *)
@@ -258,38 +268,83 @@ let prop_hetero_exact_matches_exhaustive =
       && Hetero.is_valid ~n:(Array.length a) ~speeds:s sol
       && Helpers.feq (Hetero.objective a ~speeds:s sol) sol.Hetero.bottleneck)
 
-let prop_hetero_decision_consistent =
-  Helpers.qtest ~count:40 "decision agrees with the optimum" gen_hetero
-    (fun (tasks, speeds) ->
-      let a = Array.of_list tasks and s = Array.of_list speeds in
-      let opt = (Hetero.exact_dp a ~speeds:s).Hetero.bottleneck in
-      let yes = Hetero.decision a ~speeds:s ~bound:opt in
-      let no = Hetero.decision a ~speeds:s ~bound:(opt /. 2. -. 1e-6) in
-      (match yes with
-      | Some sol -> sol.Hetero.bottleneck <= opt +. 1e-9
-      | None -> false)
-      && (no = None || opt <= 0.))
+(* The processor-subset DP as Hetero carried it privately before it
+   called Subset_dp: the same table fill, in the same order, keeping the
+   first strict improvement, and the same parent walk from the first
+   best subset. Hetero.exact_dp must reproduce it bit for bit. *)
+let reference_exact_dp a ~speeds =
+  let prefix = Prefix.make a in
+  let n = Prefix.n prefix and p = Array.length speeds in
+  let size = 1 lsl p in
+  let best = Array.make_matrix size (n + 1) infinity in
+  let parent_cut = Array.make_matrix size (n + 1) (-1) in
+  let parent_proc = Array.make_matrix size (n + 1) (-1) in
+  best.(0).(0) <- 0.;
+  for set = 1 to size - 1 do
+    let count = ref 0 in
+    for u = 0 to p - 1 do
+      if set land (1 lsl u) <> 0 then incr count
+    done;
+    let intervals = !count in
+    if intervals <= n then
+      for k = intervals to n do
+        for u = 0 to p - 1 do
+          if set land (1 lsl u) <> 0 then begin
+            let rest = set lxor (1 lsl u) in
+            for i = intervals - 1 to k - 1 do
+              let prev = best.(rest).(i) in
+              if prev < infinity then begin
+                let load = Prefix.sum prefix (i + 1) k /. speeds.(u) in
+                let cost = Float.max prev load in
+                if cost < best.(set).(k) then begin
+                  best.(set).(k) <- cost;
+                  parent_cut.(set).(k) <- i;
+                  parent_proc.(set).(k) <- u
+                end
+              end
+            done
+          end
+        done
+      done
+  done;
+  let best_set = ref (-1) and best_val = ref infinity in
+  for set = 1 to size - 1 do
+    if best.(set).(n) < !best_val then begin
+      best_val := best.(set).(n);
+      best_set := set
+    end
+  done;
+  let rec walk set k acc_iv acc_proc =
+    if k = 0 then (acc_iv, acc_proc)
+    else
+      let i = parent_cut.(set).(k) and u = parent_proc.(set).(k) in
+      let iv = Pipeline_model.Interval.make ~first:(i + 1) ~last:k in
+      walk (set lxor (1 lsl u)) i (iv :: acc_iv) (u :: acc_proc)
+  in
+  let ivs, procs = walk !best_set n [] [] in
+  (!best_val, Array.of_list ivs, Array.of_list procs)
 
-let prop_hetero_greedy_sound =
-  Helpers.qtest "greedy solutions are valid and meet their bound"
-    QCheck2.Gen.(pair gen_hetero (float_range 0.1 50.))
-    (fun ((tasks, speeds), bound) ->
-      let a = Array.of_list tasks and s = Array.of_list speeds in
-      match Hetero.greedy a ~speeds:s ~bound with
-      | None -> true
-      | Some sol ->
-        Hetero.is_valid ~n:(Array.length a) ~speeds:s sol
-        && sol.Hetero.bottleneck <= bound +. 1e-9)
+let same_as_reference (tasks, speeds) =
+  let a = Array.of_list tasks and s = Array.of_list speeds in
+  let sol = Hetero.exact_dp a ~speeds:s in
+  let bottleneck, partition, assignment = reference_exact_dp a ~speeds:s in
+  Int64.bits_of_float sol.Hetero.bottleneck = Int64.bits_of_float bottleneck
+  && sol.Hetero.partition = partition
+  && sol.Hetero.assignment = assignment
 
-let prop_hetero_binary_search_sound =
-  Helpers.qtest "binary-search greedy is valid and >= optimum" gen_hetero
-    (fun (tasks, speeds) ->
-      let a = Array.of_list tasks and s = Array.of_list speeds in
-      let sol = Hetero.binary_search_greedy a ~speeds:s in
-      let opt = (Hetero.exact_dp a ~speeds:s).Hetero.bottleneck in
-      Hetero.is_valid ~n:(Array.length a) ~speeds:s sol
-      && sol.Hetero.bottleneck >= opt -. 1e-9
-      && Helpers.feq (Hetero.objective a ~speeds:s sol) sol.Hetero.bottleneck)
+let prop_hetero_exact_matches_reference =
+  Helpers.qtest "exact_dp = reference DP, bitwise" gen_hetero
+    same_as_reference
+
+let prop_hetero_exact_matches_reference_ties =
+  (* Small integer weights and speeds make equal bottlenecks common, so
+     the tie rule (first strict improvement) decides the witness. *)
+  Helpers.qtest "exact_dp = reference DP on ties"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 10) (map float_of_int (int_range 1 5)))
+        (list_size (int_range 1 6) (map float_of_int (int_range 1 3))))
+    same_as_reference
 
 let test_hetero_rejects_large_p () =
   Alcotest.(check bool) "raises" true
@@ -297,6 +352,11 @@ let test_hetero_rejects_large_p () =
        ignore (Hetero.exact_dp [| 1. |] ~speeds:(Array.make 17 1.));
        false
      with Invalid_argument _ -> true)
+
+let test_hetero_rejects_17_speeds () =
+  Alcotest.check_raises "Subset_dp's wording"
+    (Invalid_argument "Subset_dp: p must be <= 16 (got 17)") (fun () ->
+      ignore (Hetero.exact_dp [| 1. |] ~speeds:(Array.make 17 1.)))
 
 (* ------------------------------------------------------------------ *)
 (* Reduction (Theorem 1 gadget)                                        *)
@@ -447,7 +507,6 @@ let test_bounds_known () =
   Helpers.check_float "lower = total/p" 8. (lower_bound prefix ~p:2);
   (* An even split meets the lower bound, so every solver reaches it. *)
   Helpers.check_float "dp" 8. (fst (Dp.solve a ~p:2));
-  Helpers.check_float "exact" 8. (fst (Exact.solve a ~p:2));
   Helpers.check_float "nicol" 8. (fst (Nicol.solve a ~p:2));
   match Probe.partition prefix ~p:2 ~bound:12. with
   | None -> Alcotest.fail "greedy at lower + max element must succeed"
@@ -462,17 +521,21 @@ let test_bounds_p_exceeds_n () =
   Helpers.check_float "lower = max element" 9. (lower_bound prefix ~p:5);
   List.iter
     (fun (name, solve) -> Helpers.check_float name 9. (fst (solve a ~p:5)))
-    [ ("dp", Dp.solve); ("exact", Exact.solve); ("nicol", Nicol.solve) ]
+    [ ("dp", Dp.solve); ("nicol", Nicol.solve) ]
 
 let prop_optimum_is_candidate =
-  (* The finite-candidate argument behind Exact and Nicol: the optimal
-     bottleneck is one of the interval sums, bit for bit. *)
+  (* The finite-candidate argument behind Nicol: the optimal bottleneck
+     is one of the interval sums, bit for bit. *)
   Helpers.qtest "DP optimum is an interval sum"
     QCheck2.Gen.(pair gen_chain (int_range 1 8))
     (fun (xs, p) ->
       let a = Array.of_list xs in
       let opt, _ = Dp.solve a ~p in
-      Array.exists (fun c -> c = opt) (Exact.candidates (Prefix.make a)))
+      let prefix = Prefix.make a in
+      let n = Prefix.n prefix in
+      List.exists
+        (fun d -> List.exists (fun e -> Prefix.sum prefix d e = opt) (List.init (n - d + 1) (( + ) d)))
+        (List.init n succ))
 
 let () =
   Alcotest.run "chains"
@@ -506,9 +569,9 @@ let () =
           Alcotest.test_case "dp known" `Quick test_dp_known_instance;
           Alcotest.test_case "dp single" `Quick test_dp_single_interval;
           Alcotest.test_case "dp p > n" `Quick test_dp_more_procs_than_elements;
-          Alcotest.test_case "exact known" `Quick test_exact_known_instance;
-          Alcotest.test_case "candidates" `Quick test_candidates_sorted_unique;
-          prop_dp_equals_exact;
+          Alcotest.test_case "subset DP known" `Quick test_subset_dp_known_instance;
+          prop_unit_speeds_equal_dp;
+          prop_nicol_bitwise_dp;
           prop_nicol_equals_dp;
           Alcotest.test_case "nicol known" `Quick test_nicol_known;
           prop_dp_respects_interval_budget;
@@ -527,9 +590,9 @@ let () =
             test_hetero_exact_prefers_matching_speeds;
           Alcotest.test_case "rejects large p" `Quick test_hetero_rejects_large_p;
           prop_hetero_exact_matches_exhaustive;
-          prop_hetero_decision_consistent;
-          prop_hetero_greedy_sound;
-          prop_hetero_binary_search_sound;
+          prop_hetero_exact_matches_reference;
+          prop_hetero_exact_matches_reference_ties;
+          Alcotest.test_case "rejects 17 speeds" `Quick test_hetero_rejects_17_speeds;
         ] );
       ( "reduction",
         [

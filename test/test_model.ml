@@ -154,6 +154,17 @@ let test_platform_custom_io () =
   Alcotest.(check bool) "not comm hom (io differs)" false
     (Platform.is_comm_homogeneous pl)
 
+let test_platform_restrict () =
+  let pl = Platform.comm_homogeneous ~io_bandwidth:5. ~bandwidth:10. [| 1.; 2.; 3. |] in
+  let sub = Platform.restrict pl [| 2; 0 |] in
+  Alcotest.(check (array (float 0.))) "survivor speeds" [| 3.; 1. |] (Platform.speeds sub);
+  Helpers.check_float "link" 10. (Platform.bandwidth sub 0 1);
+  Helpers.check_float "io" 5. (Platform.io_bandwidth sub 1);
+  (* One processor has no link: its I/O bandwidth stands in for it. *)
+  let one = Platform.with_speeds (Platform.restrict pl [| 1 |]) [| 4.; 6. |] in
+  Alcotest.(check (array (float 0.))) "new speeds" [| 4.; 6. |] (Platform.speeds one);
+  Helpers.check_float "link from io" 5. (Platform.bandwidth one 0 1)
+
 (* ------------------------------------------------------------------ *)
 (* Interval                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -267,6 +278,22 @@ let test_mapping_valid_on () =
   let m = Mapping.single ~n:3 ~proc:5 in
   Alcotest.(check bool) "too few procs" false
     (Mapping.valid_on m (Helpers.small_platform ()))
+
+let test_mapping_renumber_and_migration () =
+  let before = Mapping.of_cuts ~n:4 ~cuts:[ 2 ] ~procs:[ 0; 1 ] in
+  (* Solved on the survivors [3; 1; 4] of a 5-processor platform. *)
+  let after =
+    Mapping.renumber [| 3; 1; 4 |] (Mapping.of_cuts ~n:4 ~cuts:[ 1; 2 ] ~procs:[ 2; 0; 1 ])
+  in
+  Alcotest.(check string) "original indices" "{[1]->P4, [2]->P3, [3..4]->P1}"
+    (Mapping.to_string after);
+  (* Stages 1 and 2 move; each is charged its input size δ_{k-1}. *)
+  let app = Application.make ~deltas:[| 1.; 2.; 4.; 8.; 16. |] [| 1.; 1.; 1.; 1. |] in
+  let stages, volume = Mapping.migration app ~before ~after in
+  Alcotest.(check int) "moved stages" 2 stages;
+  Helpers.check_float "moved volume" 3. volume;
+  Alcotest.(check (pair int (float 0.))) "no move" (0, 0.)
+    (Mapping.migration app ~before ~after:before)
 
 (* ------------------------------------------------------------------ *)
 (* Cost (hand-computed examples)                                      *)
@@ -1338,6 +1365,7 @@ let () =
             test_platform_het_asymmetric_rejected;
           Alcotest.test_case "bad speed" `Quick test_platform_rejects_bad_speed;
           Alcotest.test_case "custom io" `Quick test_platform_custom_io;
+          Alcotest.test_case "restrict / with_speeds" `Quick test_platform_restrict;
         ] );
       ( "interval",
         [
@@ -1359,6 +1387,8 @@ let () =
           Alcotest.test_case "replace bad tiling" `Quick test_mapping_replace_bad_tiling;
           Alcotest.test_case "interval_of_proc" `Quick test_mapping_interval_of_proc;
           Alcotest.test_case "valid_on" `Quick test_mapping_valid_on;
+          Alcotest.test_case "renumber / migration" `Quick
+            test_mapping_renumber_and_migration;
         ] );
       ( "metrics",
         [

@@ -13,14 +13,15 @@ let test_subset_dp_guard () =
   Alcotest.(check bool) "p too large" true
     (try
        ignore
-         (Subset_dp.minimise_bottleneck ~n:2 ~p:17 ~cost:(fun ~d:_ ~e:_ ~u:_ -> 1.));
+         (Chains.Subset_dp.minimise_bottleneck ~n:2 ~p:17
+            ~cost:(fun ~d:_ ~e:_ ~u:_ -> 1.));
        false
      with Invalid_argument _ -> true)
 
 let test_subset_dp_trivial () =
   (* One element, one processor. *)
   let value, assignment =
-    Subset_dp.minimise_bottleneck ~n:1 ~p:1 ~cost:(fun ~d ~e ~u ->
+    Chains.Subset_dp.minimise_bottleneck ~n:1 ~p:1 ~cost:(fun ~d ~e ~u ->
         float_of_int (d + e + u))
   in
   Helpers.check_float "cost(1,1,0)" 2. value;
@@ -30,13 +31,13 @@ let test_subset_dp_prefers_cheap_processor () =
   (* Two stages; processor 1 is free, processor 0 is expensive: the
      optimum puts everything on processor 1. *)
   let cost ~d:_ ~e:_ ~u = if u = 1 then 1. else 100. in
-  let value, assignment = Subset_dp.minimise_bottleneck ~n:2 ~p:2 ~cost in
+  let value, assignment = Chains.Subset_dp.minimise_bottleneck ~n:2 ~p:2 ~cost in
   Helpers.check_float "uses the cheap one" 1. value;
   Alcotest.(check (list int)) "assignment" [ 1 ] (List.map snd assignment)
 
 let test_subset_dp_cap_infeasible () =
   Alcotest.(check bool) "no assignment fits" true
-    (Subset_dp.minimise_sum_under_cap ~n:2 ~p:2
+    (Chains.Subset_dp.minimise_sum_under_cap ~n:2 ~p:2
        ~cap_cost:(fun ~d:_ ~e:_ ~u:_ -> 10.)
        ~sum_cost:(fun ~d:_ ~e:_ ~u:_ -> 1.)
        ~cap:5.
@@ -47,7 +48,9 @@ let test_subset_dp_cap_feasible_sum () =
      by the cap. *)
   let cap_cost ~d ~e ~u:_ = if d = 1 && e = 2 then 10. else 1. in
   let sum_cost ~d:_ ~e:_ ~u:_ = 1. in
-  match Subset_dp.minimise_sum_under_cap ~n:2 ~p:2 ~cap_cost ~sum_cost ~cap:5. with
+  match
+    Chains.Subset_dp.minimise_sum_under_cap ~n:2 ~p:2 ~cap_cost ~sum_cost ~cap:5.
+  with
   | None -> Alcotest.fail "expected a solution"
   | Some (value, assignment) ->
     Helpers.check_float "sum of two" 2. value;
