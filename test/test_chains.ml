@@ -347,13 +347,6 @@ let prop_hetero_exact_matches_reference_ties =
     same_as_reference
 
 let test_hetero_rejects_large_p () =
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Hetero.exact_dp [| 1. |] ~speeds:(Array.make 17 1.));
-       false
-     with Invalid_argument _ -> true)
-
-let test_hetero_rejects_17_speeds () =
   Alcotest.check_raises "Subset_dp's wording"
     (Invalid_argument "Subset_dp: p must be <= 16 (got 17)") (fun () ->
       ignore (Hetero.exact_dp [| 1. |] ~speeds:(Array.make 17 1.)))
@@ -592,7 +585,6 @@ let () =
           prop_hetero_exact_matches_exhaustive;
           prop_hetero_exact_matches_reference;
           prop_hetero_exact_matches_reference_ties;
-          Alcotest.test_case "rejects 17 speeds" `Quick test_hetero_rejects_17_speeds;
         ] );
       ( "reduction",
         [
