@@ -148,7 +148,7 @@ let prop_probe_consistent_with_dp =
          || opt = 0.))
 
 (* ------------------------------------------------------------------ *)
-(* Dp, Nicol and the unit-speed subset DP                             *)
+(* Dp, Nicol and the unit-speed subset DP                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_dp_known_instance () =
@@ -527,7 +527,10 @@ let prop_optimum_is_candidate =
       let prefix = Prefix.make a in
       let n = Prefix.n prefix in
       List.exists
-        (fun d -> List.exists (fun e -> Prefix.sum prefix d e = opt) (List.init (n - d + 1) (( + ) d)))
+        (fun d ->
+          List.exists
+            (fun e -> Prefix.sum prefix d e = opt)
+            (List.init (n - d + 1) (( + ) d)))
         (List.init n succ))
 
 let () =

@@ -157,7 +157,8 @@ let test_platform_custom_io () =
 let test_platform_restrict () =
   let pl = Platform.comm_homogeneous ~io_bandwidth:5. ~bandwidth:10. [| 1.; 2.; 3. |] in
   let sub = Platform.restrict pl [| 2; 0 |] in
-  Alcotest.(check (array (float 0.))) "survivor speeds" [| 3.; 1. |] (Platform.speeds sub);
+  Alcotest.(check (array (float 0.)))
+    "survivor speeds" [| 3.; 1. |] (Platform.speeds sub);
   Helpers.check_float "link" 10. (Platform.bandwidth sub 0 1);
   Helpers.check_float "io" 5. (Platform.io_bandwidth sub 1);
   (* One processor has no link: its I/O bandwidth stands in for it. *)
@@ -282,9 +283,8 @@ let test_mapping_valid_on () =
 let test_mapping_renumber_and_migration () =
   let before = Mapping.of_cuts ~n:4 ~cuts:[ 2 ] ~procs:[ 0; 1 ] in
   (* Solved on the survivors [3; 1; 4] of a 5-processor platform. *)
-  let after =
-    Mapping.renumber [| 3; 1; 4 |] (Mapping.of_cuts ~n:4 ~cuts:[ 1; 2 ] ~procs:[ 2; 0; 1 ])
-  in
+  let solved = Mapping.of_cuts ~n:4 ~cuts:[ 1; 2 ] ~procs:[ 2; 0; 1 ] in
+  let after = Mapping.renumber [| 3; 1; 4 |] solved in
   Alcotest.(check string) "original indices" "{[1]->P4, [2]->P3, [3..4]->P1}"
     (Mapping.to_string after);
   (* Stages 1 and 2 move; each is charged its input size δ_{k-1}. *)

@@ -777,10 +777,7 @@ let one_to_one_golden_instance k =
     let rng = Rng.create (13000 + k) in
     let n = Rng.int_in rng 1 6 in
     let p = n + Rng.int_in rng 0 3 in
-    let spec =
-      [| App_generator.e1; App_generator.e2; App_generator.e3; App_generator.e4 |].(k mod 4)
-        ~n
-    in
+    let spec = App_generator.[| e1; e2; e3; e4 |].(k mod 4) ~n in
     let app = App_generator.generate rng spec in
     Instance.make ~seed:k app (Platform_generator.comm_homogeneous rng ~p)
   end
