@@ -18,23 +18,6 @@ let objective a ~speeds sol =
   let per_interval = Array.map (fun u -> speeds.(u)) sol.assignment in
   Partition.weighted_bottleneck prefix ~speeds:per_interval sol.partition
 
-let is_valid ~n ~speeds sol =
-  let p = Array.length speeds in
-  let m = Array.length sol.partition in
-  Partition.is_valid ~n sol.partition
-  && Array.length sol.assignment = m
-  && Array.for_all (fun u -> u >= 0 && u < p) sol.assignment
-  &&
-  let seen = Hashtbl.create 16 in
-  Array.for_all
-    (fun u ->
-      if Hashtbl.mem seen u then false
-      else begin
-        Hashtbl.add seen u ();
-        true
-      end)
-    sol.assignment
-
 let exact_dp a ~speeds =
   check_inputs a speeds;
   let prefix = Prefix.make a in

@@ -21,10 +21,6 @@ val objective : float array -> speeds:float array -> solution -> float
 (** Recompute the bottleneck of a solution from scratch (used by tests to
     cross-check the solvers' reported value). *)
 
-val is_valid : n:int -> speeds:float array -> solution -> bool
-(** Structural check: valid partition, assignment within bounds and
-    injective, one speed per interval. *)
-
 val exact_dp : float array -> speeds:float array -> solution
 (** Optimal solution by {!Subset_dp.minimise_bottleneck} over (prefix
     length, processor subset), interval [d..e] on speed [u] costing

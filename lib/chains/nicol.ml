@@ -1,11 +1,13 @@
-(* Nicol's probe-based parametric scheme (Pinar & Aykanat 2004):
-   processor k starting at element i binary-searches the smallest prefix
-   end e whose sum, used as a bound, lets the greedy probe cover the
-   rest of the chain with the remaining processors. That sum is an
-   achievable candidate bottleneck; the optimum with a shorter first
-   interval is realised further right, so the scan advances with one
-   processor fewer. All feasibility questions go through the shared
-   {!Probe}. *)
+(* Nicol's probe-based parametric scheme (Pinar & Aykanat 2004), with
+   the optimum kept bracketed in (lb, best]: processor k starting at
+   element i searches the smallest prefix end e whose sum, used as a
+   bound, lets the greedy probe cover the rest of the chain with the
+   remaining processors. That sum is an achievable candidate bottleneck;
+   the optimum with a shorter first interval is realised further right,
+   so the scan advances with one processor fewer. Ends whose sum reaches
+   [best] cannot improve it and ends whose sum is at most [lb] are
+   answered without a walk, so only the ends in between are searched.
+   nicol.mli gives the argument that the answer stays exact. *)
 
 let solve a ~p =
   if p < 1 then invalid_arg "Nicol.solve: p must be >= 1";
@@ -13,19 +15,38 @@ let solve a ~p =
   let n = Prefix.n prefix in
   let p = min p n in
   let best = ref (Prefix.total prefix) (* p = 1: one interval takes all *) in
+  (* The largest bound of any walk that failed; none has yet. *)
+  let lb = ref Float.neg_infinity in
   let fixed_max = ref 0. in
   let i = ref 1 in
   (try
      for k = 1 to p - 1 do
+       (* Every later candidate is at least [fixed_max]. *)
+       if !fixed_max >= !best then raise Exit;
        let remaining = p - k in
-       (* Smallest e with [e+1..n] coverable by [remaining] intervals
-          under bound sum(i, e); e = n always qualifies (empty rest). *)
+       (* Can [e+1..n] be covered by [remaining] intervals under bound
+          sum(i, e)? e = n always can (empty rest). *)
        let feasible_tail e =
          e >= n
-         || Probe.feasible ~from:(e + 1) prefix ~p:remaining
-              ~bound:(Prefix.sum prefix !i e)
+         ||
+         let bound = Prefix.sum prefix !i e in
+         Probe.feasible ~from:(e + 1) prefix ~p:remaining ~bound
+         || begin
+              lb := Float.max !lb bound;
+              false
+            end
        in
-       let lo = ref !i and hi = ref n in
+       (* The first end whose sum exceeds [bound], or n if none does. *)
+       let first_above bound =
+         min n (Prefix.longest_fitting prefix ~from:!i ~budget:bound + 1)
+       in
+       (* [best > fixed_max >= 0], so its predecessor is a valid budget. *)
+       let h = first_above (Float.pred !best) in
+       (* If even h fails, every later [fixed_max] reaches sum(i, h),
+          which is at least [best]. *)
+       if not (feasible_tail h) then raise Exit;
+       let lo = ref (if !lb < 0. then !i else min h (first_above !lb)) in
+       let hi = ref h in
        while !lo < !hi do
          let mid = (!lo + !hi) / 2 in
          if feasible_tail mid then hi := mid else lo := mid + 1

@@ -12,12 +12,6 @@ let of_cuts ~n cuts =
   in
   Array.of_list (build 1 cuts)
 
-let cuts t =
-  let m = Array.length t in
-  List.init (m - 1) (fun j -> Interval.last t.(j))
-
-let is_valid ~n t = Interval.partition_of n (Array.to_list t)
-
 let size t = Array.length t
 
 let loads prefix t =
@@ -37,8 +31,3 @@ let weighted_bottleneck prefix ~speeds t =
       worst := Float.max !worst load)
     t;
   !worst
-
-let to_string t =
-  String.concat "" (Array.to_list (Array.map Interval.to_string t))
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

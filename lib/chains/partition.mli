@@ -12,12 +12,6 @@ val of_cuts : n:int -> int list -> t
     [cuts] (strictly increasing, each in [\[1, n-1\]]). [of_cuts ~n []]
     is the single interval [\[1..n\]]. *)
 
-val cuts : t -> int list
-(** Inverse of {!of_cuts}. *)
-
-val is_valid : n:int -> t -> bool
-(** Checks the tiling invariant. *)
-
 val size : t -> int
 (** Number of intervals. *)
 
@@ -31,6 +25,3 @@ val weighted_bottleneck : Prefix.t -> speeds:float array -> t -> float
 (** [max_j (sum I_j) / speeds.(j)] — the heterogeneous objective for a
     partition whose interval [j] is served at speed [speeds.(j)]
     ([speeds] must have one entry per interval). *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

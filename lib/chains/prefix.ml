@@ -41,7 +41,8 @@ let total t = t.prefix.(n t)
 
 let longest_fitting t ~from ~budget =
   if from < 1 || from > n t then invalid_arg "Prefix.longest_fitting: bad from";
-  if budget < 0. then invalid_arg "Prefix.longest_fitting: negative budget";
+  if not (budget >= 0.) then
+    invalid_arg "Prefix.longest_fitting: budget must be >= 0";
   (* Find the largest e with prefix.(e) - prefix.(from-1) <= budget. The
      subtraction form matters: interval sums everywhere else (candidates,
      bottlenecks) are computed as prefix differences, and the additive

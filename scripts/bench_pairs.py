@@ -3,7 +3,7 @@
 
 Usage:
   python3 scripts/bench_pairs.py --parent DIR --change DIR \
-      [--workload W ...] [--pairs N] [--seed S] [--seconds T]
+      [--workload W ...] [--pairs N] [--seed S] [--seconds T] [--layers]
 
 For each workload (default: every workload in BENCHMARK.json), it runs
 `bash bench/perf/run.sh --workload W --seed S --seconds T --trace 0` in
@@ -21,6 +21,14 @@ than the metric's `bound`, and `unresolved` when the parent's own
 quartile spread, (Q3 - Q1) / median, exceeds that bound. Each side's
 failed/attempted samples, whether every run was `correct`, and whether
 the two sides' digests are equal close each workload.
+
+With --layers, each workload's pairs are followed by one traced run per
+side (`--trace 1`, parent first), and every per-layer metric of
+BENCHMARK.json is printed side by side: the parent's value, the change's
+and their ratio (change / parent). A layer metric reads 0 on a workload
+that never calls the layer; rows that read 0 on both sides are left out
+and counted. One traced lap per side shows where a saving lands, not
+whether it is larger than the noise: the pairs above decide that.
 
 The exit status is non-zero only when a run prints no result line.
 """
@@ -43,11 +51,12 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     """One benchmark run: (result dict or None, digest or None)."""
     proc = subprocess.run(
         ["bash", "bench/perf/run.sh", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True)
     result = digest = None
@@ -107,6 +116,24 @@ def summarise(workload, runs, metrics):
           f"(parent {sorted(digests['parent'])}, change {sorted(digests['change'])})")
 
 
+def layers(workload, traced, metrics):
+    """Print one workload's per-layer metrics; traced[side] is a result."""
+    print(f"\n== {workload}: per-layer metrics, one traced run per side")
+    print(f"{'metric':<34} {'parent':>12} {'change':>12} {'ratio':>7}")
+    omitted = 0
+    for m in metrics:
+        name = m["name"]
+        par = traced["parent"]["metrics"][name]["value"]
+        chg = traced["change"]["metrics"][name]["value"]
+        if par == 0 and chg == 0:
+            omitted += 1
+            continue
+        ratio = f"{chg / par:7.3f}" if par else f"{'-':>7}"
+        print(f"{name:<34} {fmt(par):>12} {fmt(chg):>12} {ratio}  "
+              f"{m['unit']}, {m['better']} is better")
+    print(f"({omitted} metrics read 0 on both sides)")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="parent checkout")
@@ -116,6 +143,9 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=2007)
     ap.add_argument("--seconds", type=float, default=12)
+    ap.add_argument("--layers", action="store_true",
+                    help="add one traced run per side and compare the "
+                         "per-layer metrics")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -146,6 +176,20 @@ def main():
         if pairs:
             runs = {side: [p[side] for p in pairs] for side in sides}
             summarise(workload, runs, bench["end_to_end"])
+        if args.layers:
+            traced = {}
+            for side in ("parent", "change"):
+                result, _ = run_once(sides[side], workload, args.seed,
+                                     args.seconds, trace=1)
+                if result is None:
+                    print(f"{workload} traced {side}: no result line")
+                    missing = True
+                else:
+                    print(f"{workload} traced {side}: {json.dumps(result)}")
+                    sys.stdout.flush()
+                    traced[side] = result
+            if len(traced) == 2:
+                layers(workload, traced, bench["per_layer"])
     return 1 if missing else 0
 
 

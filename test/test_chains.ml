@@ -2,6 +2,14 @@ open Chains
 
 let gen_chain = QCheck2.Gen.(list_size (int_range 1 25) (float_range 0. 20.))
 
+(* The tiling check and the cut list of a partition, kept on the test
+   side: nothing in the library needs them. *)
+let is_valid_partition ~n part =
+  Pipeline_model.Interval.partition_of n (Array.to_list part)
+
+let cuts part =
+  List.init (Array.length part - 1) (fun j -> Pipeline_model.Interval.last part.(j))
+
 (* ------------------------------------------------------------------ *)
 (* Prefix                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -38,6 +46,14 @@ let test_longest_fitting_zeros () =
   Alcotest.(check int) "zeros fit in zero budget" 2
     (Prefix.longest_fitting p ~from:1 ~budget:0.)
 
+let test_longest_fitting_nan () =
+  (* NaN compares false with everything, so a [budget < 0.] test let it
+     through and the search answered [from - 1]. *)
+  let p = Prefix.make [| 1.; 2. |] in
+  Alcotest.check_raises "NaN budget"
+    (Invalid_argument "Prefix.longest_fitting: budget must be >= 0") (fun () ->
+      ignore (Prefix.longest_fitting p ~from:1 ~budget:Float.nan))
+
 let prop_longest_fitting_correct =
   Helpers.qtest "longest_fitting is maximal and fits"
     QCheck2.Gen.(pair gen_chain (float_range 0. 50.))
@@ -56,8 +72,8 @@ let prop_longest_fitting_correct =
 let test_partition_of_cuts () =
   let part = Partition.of_cuts ~n:5 [ 2; 3 ] in
   Alcotest.(check int) "size" 3 (Partition.size part);
-  Alcotest.(check bool) "valid" true (Partition.is_valid ~n:5 part);
-  Alcotest.(check (list int)) "cuts roundtrip" [ 2; 3 ] (Partition.cuts part)
+  Alcotest.(check bool) "valid" true (is_valid_partition ~n:5 part);
+  Alcotest.(check (list int)) "cuts roundtrip" [ 2; 3 ] (cuts part)
 
 let test_partition_loads () =
   let p = Prefix.make [| 1.; 2.; 3.; 4. |] in
@@ -86,7 +102,7 @@ let test_probe_partition_witness () =
   match Probe.partition p ~p:2 ~bound:4. with
   | None -> Alcotest.fail "expected partition"
   | Some part ->
-    Alcotest.(check bool) "valid" true (Partition.is_valid ~n:4 part);
+    Alcotest.(check bool) "valid" true (is_valid_partition ~n:4 part);
     Alcotest.(check bool) "meets bound" true (Partition.bottleneck p part <= 4.)
 
 let test_probe_min_intervals () =
@@ -94,6 +110,15 @@ let test_probe_min_intervals () =
   Alcotest.(check (option int)) "needs 2" (Some 2) (Probe.min_intervals p ~bound:4.);
   Alcotest.(check (option int)) "needs 4" (Some 4) (Probe.min_intervals p ~bound:2.);
   Alcotest.(check (option int)) "impossible" None (Probe.min_intervals p ~bound:1.)
+
+let test_probe_nan_bound () =
+  (* A NaN bound is answered like a negative one. Before, the walk
+     restarted at the same element forever. *)
+  let p = Prefix.make [| 2.; 2.; 2.; 2. |] in
+  Alcotest.(check bool) "feasible" false (Probe.feasible p ~p:4 ~bound:Float.nan);
+  Alcotest.(check (option int)) "min_intervals" None
+    (Probe.min_intervals p ~bound:Float.nan);
+  Alcotest.(check bool) "partition" true (Probe.partition p ~p:4 ~bound:Float.nan = None)
 
 let prop_max_from_equals_linear_scan =
   (* The O(1) suffix-max table vs rescanning the tail: Float.max over
@@ -156,7 +181,7 @@ let test_dp_known_instance () =
      [1,2,3][4,5]... loads: 6,4,5 -> 6. *)
   let opt, part = Dp.solve [| 1.; 2.; 3.; 4.; 5. |] ~p:3 in
   Helpers.check_float "optimum" 6. opt;
-  Alcotest.(check bool) "valid" true (Partition.is_valid ~n:5 part);
+  Alcotest.(check bool) "valid" true (is_valid_partition ~n:5 part);
   let prefix = Prefix.make [| 1.; 2.; 3.; 4.; 5. |] in
   Helpers.check_float "achieved" 6. (Partition.bottleneck prefix part)
 
@@ -177,7 +202,7 @@ let test_subset_dp_known_instance () =
      is tried on processor 0 first and keeps it. *)
   let sol = Hetero.exact_dp [| 1.; 2.; 3.; 4.; 5. |] ~speeds:[| 1.; 1.; 1. |] in
   Helpers.check_float "optimum" 6. sol.Hetero.bottleneck;
-  Alcotest.(check (list int)) "cuts" [ 3; 4 ] (Partition.cuts sol.Hetero.partition);
+  Alcotest.(check (list int)) "cuts" [ 3; 4 ] (cuts sol.Hetero.partition);
   Alcotest.(check (array int)) "processors" [| 2; 1; 0 |] sol.Hetero.assignment
 
 let prop_unit_speeds_equal_dp =
@@ -214,13 +239,171 @@ let prop_nicol_equals_dp =
       let ni_opt, ni_part = Nicol.solve a ~p in
       let prefix = Prefix.make a in
       Helpers.feq ~eps:1e-9 dp_opt ni_opt
-      && Partition.is_valid ~n ni_part
+      && is_valid_partition ~n ni_part
       && Partition.size ni_part <= p
       && Partition.bottleneck prefix ni_part <= ni_opt +. 1e-9)
 
 let test_nicol_known () =
   let opt, _ = Nicol.solve [| 1.; 2.; 3.; 4.; 5. |] ~p:3 in
   Helpers.check_float "optimum" 6. opt
+
+(* Nicol as it was before the bracket: every processor binary-searches
+   its end over the whole remaining chain, and every probe builds the
+   cut list it then counts. Kept verbatim, with its probe, as the
+   reference the bracketed search must reproduce bit for bit. *)
+module Reference_nicol = struct
+  module Probe = struct
+    let greedy_cuts ?(from = 1) ?cap prefix ~bound =
+      (* Returns the cut positions of the leftmost-greedy partition of
+         [from..n], or None when some single element exceeds the bound or
+         when more than [cap] intervals would be needed. *)
+      let n = Prefix.n prefix in
+      if from < 1 || from > n then invalid_arg "Probe: from out of range";
+      (match cap with
+      | Some c when c < 1 -> invalid_arg "Probe: cap must be >= 1"
+      | _ -> ());
+      if Prefix.max_from prefix from > bound then None
+      else begin
+        (* Intervals [1..count-1] are finished (their cuts in [acc], newest
+           first); interval [count] starts at [start]. The cap check makes a
+           probe O(cap log n): the walk gives up as soon as the greedy — and
+           therefore minimal — interval count provably exceeds the cap,
+           instead of cutting the whole tail first and counting afterwards. *)
+        let rec walk start count acc =
+          if start > n then Some (List.rev acc)
+          else if (match cap with Some c -> count > c | None -> false) then None
+          else
+            let e = Prefix.longest_fitting prefix ~from:start ~budget:bound in
+            (* max_from <= bound guarantees e >= start. *)
+            if e >= n then Some (List.rev acc) else walk (e + 1) (count + 1) (e :: acc)
+        in
+        walk from 1 []
+      end
+
+    let min_intervals ?from ?cap prefix ~bound =
+      if bound < 0. then None
+      else
+        match greedy_cuts ?from ?cap prefix ~bound with
+        | None -> None
+        | Some cuts -> Some (List.length cuts + 1)
+
+    let feasible ?from prefix ~p ~bound =
+      if p < 1 then invalid_arg "Probe.feasible: p must be >= 1";
+      match min_intervals ?from ~cap:p prefix ~bound with
+      | None -> false
+      | Some m -> m <= p
+
+    let partition prefix ~p ~bound =
+      if p < 1 then invalid_arg "Probe.partition: p must be >= 1";
+      match greedy_cuts ~cap:p prefix ~bound with
+      | None -> None
+      | Some cuts ->
+        if List.length cuts + 1 <= p then
+          Some (Partition.of_cuts ~n:(Prefix.n prefix) cuts)
+        else None
+  end
+
+  (* Nicol's probe-based parametric scheme (Pinar & Aykanat 2004):
+     processor k starting at element i binary-searches the smallest prefix
+     end e whose sum, used as a bound, lets the greedy probe cover the
+     rest of the chain with the remaining processors. That sum is an
+     achievable candidate bottleneck; the optimum with a shorter first
+     interval is realised further right, so the scan advances with one
+     processor fewer. All feasibility questions go through the shared
+     {!Probe}. *)
+
+  let solve a ~p =
+    if p < 1 then invalid_arg "Nicol.solve: p must be >= 1";
+    let prefix = Prefix.make a in
+    let n = Prefix.n prefix in
+    let p = min p n in
+    let best = ref (Prefix.total prefix) (* p = 1: one interval takes all *) in
+    let fixed_max = ref 0. in
+    let i = ref 1 in
+    (try
+       for k = 1 to p - 1 do
+         let remaining = p - k in
+         (* Smallest e with [e+1..n] coverable by [remaining] intervals
+            under bound sum(i, e); e = n always qualifies (empty rest). *)
+         let feasible_tail e =
+           e >= n
+           || Probe.feasible ~from:(e + 1) prefix ~p:remaining
+                ~bound:(Prefix.sum prefix !i e)
+         in
+         let lo = ref !i and hi = ref n in
+         while !lo < !hi do
+           let mid = (!lo + !hi) / 2 in
+           if feasible_tail mid then hi := mid else lo := mid + 1
+         done;
+         let e = !lo in
+         let candidate = Float.max !fixed_max (Prefix.sum prefix !i e) in
+         if candidate < !best then best := candidate;
+         (* Continue as if processor k took the strict prefix [i..e-1]:
+            any better bottleneck keeps the first interval under sum(i,e). *)
+         if e = !i then raise Exit (* element i alone is a lower bound: done *)
+         else begin
+           fixed_max := Float.max !fixed_max (Prefix.sum prefix !i (e - 1));
+           i := e
+         end
+       done;
+       (* Last processor takes everything still unassigned. *)
+       let final = Float.max !fixed_max (Prefix.sum prefix !i n) in
+       if final < !best then best := final
+     with Exit -> ());
+    match Probe.partition prefix ~p ~bound:!best with
+    | Some partition -> (!best, partition)
+    | None -> assert false (* best was probed (or is trivially) feasible *)
+end
+
+let same_as_reference_nicol a ~p =
+  let best, part = Nicol.solve a ~p in
+  let ref_best, ref_part = Reference_nicol.solve a ~p in
+  Int64.bits_of_float best = Int64.bits_of_float ref_best && part = ref_part
+
+(* Chains that stress the bracket: small integers (ties between interval
+   sums everywhere), runs of zeros (equal sums at different ends),
+   magnitudes spread over 2^-30..2^30 (sums that round), and as many as
+   40 processors for at most 30 elements (p > n). *)
+let gen_bracket_chain =
+  let open QCheck2.Gen in
+  let element =
+    oneof
+      [
+        map float_of_int (int_range 0 4);
+        frequency [ (3, return 0.); (1, float_range 0. 10.) ];
+        map2 (fun m e -> ldexp m e) (float_range 0.5 1.) (int_range (-30) 30);
+        float_range 0. 20.;
+      ]
+  in
+  pair (list_size (int_range 1 30) element) (int_range 1 40)
+
+let prop_nicol_equals_reference =
+  Helpers.qtest ~count:2000 "Nicol = reference Nicol, bitwise" gen_bracket_chain
+    (fun (xs, p) -> same_as_reference_nicol (Array.of_list xs) ~p)
+
+let prop_nicol_equals_reference_long =
+  (* Longer chains, so that processors start deep inside the chain and
+     the bracket has failed walks to remember. *)
+  Helpers.qtest ~count:200 "Nicol = reference Nicol on long chains"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 30 600)
+           (oneof [ map float_of_int (int_range 0 9); float_range 0. 100. ]))
+        (int_range 2 60))
+    (fun (xs, p) -> same_as_reference_nicol (Array.of_list xs) ~p)
+
+let test_nicol_reference_e6 () =
+  (* The web-scale chains themselves. scaling-e6.csv prints Nicol's
+     bottleneck with %.6f, so only a bitwise check sees a one-ulp drift. *)
+  List.iter
+    (fun (seed, n, p) ->
+      let inst = Pipeline_experiments.Scaling.instance ~seed ~n ~p in
+      let works = Pipeline_model.Application.works inst.Pipeline_model.Instance.app in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d, %d x %d" seed n p)
+        true
+        (same_as_reference_nicol works ~p))
+    [ (1, 2_000, 40); (2, 2_000, 40); (3, 2_000, 40); (1, 20_000, 400); (2, 20_000, 400) ]
 
 let prop_dp_respects_interval_budget =
   Helpers.qtest "DP uses at most p intervals"
@@ -233,6 +416,16 @@ let prop_dp_respects_interval_budget =
 (* ------------------------------------------------------------------ *)
 (* Hetero                                                              *)
 (* ------------------------------------------------------------------ *)
+
+(* Structural check of a Hetero solution: a valid partition, one
+   processor per interval, each in range and none used twice. *)
+let is_valid_hetero ~n ~speeds (sol : Hetero.solution) =
+  let p = Array.length speeds in
+  let assigned = Array.to_list sol.assignment in
+  is_valid_partition ~n sol.partition
+  && List.length assigned = Array.length sol.partition
+  && List.for_all (fun u -> u >= 0 && u < p) assigned
+  && List.length (List.sort_uniq compare assigned) = List.length assigned
 
 let gen_hetero =
   QCheck2.Gen.(
@@ -253,7 +446,7 @@ let test_hetero_exact_prefers_matching_speeds () =
   let sol = Hetero.exact_dp [| 8.; 1.; 1. |] ~speeds:[| 8.; 2. |] in
   Helpers.check_float "perfect balance" 1. sol.Hetero.bottleneck;
   Alcotest.(check bool) "valid" true
-    (Hetero.is_valid ~n:3 ~speeds:[| 8.; 2. |] sol)
+    (is_valid_hetero ~n:3 ~speeds:[| 8.; 2. |] sol)
 
 let prop_hetero_exact_matches_exhaustive =
   Helpers.qtest ~count:40 "subset DP = exhaustive (via Theorem-2 bridge)"
@@ -265,7 +458,7 @@ let prop_hetero_exact_matches_exhaustive =
       let best = Pipeline_optimal.Exhaustive.min_period inst in
       Helpers.feq ~eps:1e-9 sol.Hetero.bottleneck
         best.Pipeline_core.Solution.period
-      && Hetero.is_valid ~n:(Array.length a) ~speeds:s sol
+      && is_valid_hetero ~n:(Array.length a) ~speeds:s sol
       && Helpers.feq (Hetero.objective a ~speeds:s sol) sol.Hetero.bottleneck)
 
 (* The processor-subset DP as Hetero carried it privately before it
@@ -402,7 +595,7 @@ let test_reduction_forward () =
   let sol = Reduction.solution_of_matching t ~sigma1:[| 1; 0 |] ~sigma2:[| 0; 1 |] in
   let tasks, speeds = Reduction.instance t in
   Alcotest.(check bool) "valid" true
-    (Hetero.is_valid ~n:(Array.length tasks) ~speeds sol);
+    (is_valid_hetero ~n:(Array.length tasks) ~speeds sol);
   Helpers.check_float "bottleneck exactly 1" 1. sol.Hetero.bottleneck
 
 let test_reduction_backward () =
@@ -542,6 +735,7 @@ let () =
           Alcotest.test_case "rejects" `Quick test_prefix_rejects;
           Alcotest.test_case "longest_fitting" `Quick test_longest_fitting;
           Alcotest.test_case "longest_fitting zeros" `Quick test_longest_fitting_zeros;
+          Alcotest.test_case "longest_fitting NaN" `Quick test_longest_fitting_nan;
           prop_longest_fitting_correct;
           prop_max_from_equals_linear_scan;
         ] );
@@ -556,6 +750,7 @@ let () =
           Alcotest.test_case "feasible" `Quick test_probe_feasible;
           Alcotest.test_case "witness" `Quick test_probe_partition_witness;
           Alcotest.test_case "min intervals" `Quick test_probe_min_intervals;
+          Alcotest.test_case "NaN bound" `Quick test_probe_nan_bound;
           prop_probe_consistent_with_dp;
           prop_capped_probe_equals_uncapped;
           prop_feasible_agrees_with_min_intervals;
@@ -570,6 +765,9 @@ let () =
           prop_nicol_bitwise_dp;
           prop_nicol_equals_dp;
           Alcotest.test_case "nicol known" `Quick test_nicol_known;
+          prop_nicol_equals_reference;
+          prop_nicol_equals_reference_long;
+          Alcotest.test_case "nicol = reference on E6 chains" `Quick test_nicol_reference_e6;
           prop_dp_respects_interval_budget;
         ] );
       ( "bounds-approx",

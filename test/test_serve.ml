@@ -1137,6 +1137,17 @@ let no_500 path seeds =
       | _ -> true
       | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
+(* [read_request] over a socketpair whose writer has already shut down:
+   every mutant ends in a request or a framing error, never in an
+   exception, and never in [Timeout], since end of input is already
+   there to read. *)
+let no_raise_read_request seeds =
+  fuzz "Http.read_request never raises or times out" seeds (fun text ->
+      match read_raw text with
+      | Ok _ | Error (Http.Closed | Http.Too_large _ | Http.Malformed _) -> true
+      | Error Http.Timeout -> QCheck2.Test.fail_report "Timeout"
+      | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* Seed inputs: n <= 5 stages, p <= 3 processors. *)
 let fuzz_tests =
   let with_fields body fields =
@@ -1177,6 +1188,20 @@ let fuzz_tests =
         ];
     |]
   in
+  let raw_requests =
+    let post path body =
+      Printf.sprintf
+        "POST %s HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n\
+         Content-Length: %d\r\n\r\n%s"
+        path (String.length body) body
+    in
+    [|
+      post "/solve" (small_solve_body ());
+      "GET /health HTTP/1.1\r\nHost: x\r\n\r\n";
+      (* The head and a short body in one segment, no other header. *)
+      "POST /pareto HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}";
+    |]
+  in
   [
     no_raise "Json.of_string" (Array.concat [ solves; simulates ]) Json.of_string;
     no_raise "Instance_io.of_string" instances Instance_io.of_string;
@@ -1186,6 +1211,7 @@ let fuzz_tests =
     no_500 "/solve" solves;
     no_500 "/pareto" [| small_solve_body (); het_body [] |];
     no_500 "/simulate" simulates;
+    no_raise_read_request raw_requests;
   ]
 
 let () =
