@@ -1,13 +1,6 @@
 (* Nicol's probe-based parametric scheme (Pinar & Aykanat 2004), with
-   the optimum kept bracketed in (lb, best]: processor k starting at
-   element i searches the smallest prefix end e whose sum, used as a
-   bound, lets the greedy probe cover the rest of the chain with the
-   remaining processors. That sum is an achievable candidate bottleneck;
-   the optimum with a shorter first interval is realised further right,
-   so the scan advances with one processor fewer. Ends whose sum reaches
-   [best] cannot improve it and ends whose sum is at most [lb] are
-   answered without a walk, so only the ends in between are searched.
-   nicol.mli gives the argument that the answer stays exact. *)
+   the optimum kept bracketed in (lb, best]: nicol.mli describes the
+   search and why the bracket never hides the optimum. *)
 
 let solve a ~p =
   if p < 1 then invalid_arg "Nicol.solve: p must be >= 1";
@@ -30,11 +23,9 @@ let solve a ~p =
          e >= n
          ||
          let bound = Prefix.sum prefix !i e in
-         Probe.feasible ~from:(e + 1) prefix ~p:remaining ~bound
-         || begin
-              lb := Float.max !lb bound;
-              false
-            end
+         let ok = Probe.feasible ~from:(e + 1) prefix ~p:remaining ~bound in
+         if not ok then lb := Float.max !lb bound;
+         ok
        in
        (* The first end whose sum exceeds [bound], or n if none does. *)
        let first_above bound =

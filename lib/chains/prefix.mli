@@ -28,7 +28,8 @@ val longest_fitting : t -> from:int -> budget:float -> int
 (** [longest_fitting t ~from ~budget] is the largest [e ≥ from - 1] such
     that [sum t from e ≤ budget] (so [from - 1] means even [a_from] alone
     overflows). O(log n) by binary search over the prefix table. Requires
-    [1 ≤ from ≤ n] and [budget ≥ 0]. *)
+    [1 ≤ from ≤ n] and [budget ≥ 0]; raises [Invalid_argument] on a
+    negative or NaN budget, under which no walk could advance. *)
 
 val max_from : t -> int -> float
 (** [max_from t k] is [max (a_k, …, a_n)] (and [≥ 0.]), served O(1) from

@@ -8,7 +8,12 @@
     & Aykanat (2004) — and the probe behind {!Nicol} (DESIGN.md §9).
 
     [from] defaults to 1 (the whole chain); suffix probes ([from > 1])
-    serve {!Nicol}'s recursive scheme. *)
+    serve {!Nicol}'s recursive scheme. {!feasible} and {!min_intervals}
+    count the greedy's intervals in one walk that builds no list; only
+    {!partition} keeps the cuts, for its witness.
+
+    A bound below every element, a negative bound and a NaN bound are
+    all infeasible: [false] or [None]. *)
 
 val feasible : ?from:int -> Prefix.t -> p:int -> bound:float -> bool
 (** O(p log n): the tail maximum is an O(1) suffix-table lookup

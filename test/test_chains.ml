@@ -47,8 +47,8 @@ let test_longest_fitting_zeros () =
     (Prefix.longest_fitting p ~from:1 ~budget:0.)
 
 let test_longest_fitting_nan () =
-  (* NaN compares false with everything, so a [budget < 0.] test let it
-     through and the search answered [from - 1]. *)
+  (* NaN compares false with every sum, so no end would fit and a walk
+     under it could never advance. *)
   let p = Prefix.make [| 1.; 2. |] in
   Alcotest.check_raises "NaN budget"
     (Invalid_argument "Prefix.longest_fitting: budget must be >= 0") (fun () ->
@@ -112,8 +112,7 @@ let test_probe_min_intervals () =
   Alcotest.(check (option int)) "impossible" None (Probe.min_intervals p ~bound:1.)
 
 let test_probe_nan_bound () =
-  (* A NaN bound is answered like a negative one. Before, the walk
-     restarted at the same element forever. *)
+  (* A NaN bound is answered like a negative one, without a walk. *)
   let p = Prefix.make [| 2.; 2.; 2.; 2. |] in
   Alcotest.(check bool) "feasible" false (Probe.feasible p ~p:4 ~bound:Float.nan);
   Alcotest.(check (option int)) "min_intervals" None
@@ -735,9 +734,9 @@ let () =
           Alcotest.test_case "rejects" `Quick test_prefix_rejects;
           Alcotest.test_case "longest_fitting" `Quick test_longest_fitting;
           Alcotest.test_case "longest_fitting zeros" `Quick test_longest_fitting_zeros;
-          Alcotest.test_case "longest_fitting NaN" `Quick test_longest_fitting_nan;
           prop_longest_fitting_correct;
           prop_max_from_equals_linear_scan;
+          Alcotest.test_case "longest_fitting NaN" `Quick test_longest_fitting_nan;
         ] );
       ( "partition",
         [
@@ -750,10 +749,10 @@ let () =
           Alcotest.test_case "feasible" `Quick test_probe_feasible;
           Alcotest.test_case "witness" `Quick test_probe_partition_witness;
           Alcotest.test_case "min intervals" `Quick test_probe_min_intervals;
-          Alcotest.test_case "NaN bound" `Quick test_probe_nan_bound;
           prop_probe_consistent_with_dp;
           prop_capped_probe_equals_uncapped;
           prop_feasible_agrees_with_min_intervals;
+          Alcotest.test_case "NaN bound" `Quick test_probe_nan_bound;
         ] );
       ( "homogeneous",
         [
@@ -765,10 +764,10 @@ let () =
           prop_nicol_bitwise_dp;
           prop_nicol_equals_dp;
           Alcotest.test_case "nicol known" `Quick test_nicol_known;
+          prop_dp_respects_interval_budget;
           prop_nicol_equals_reference;
           prop_nicol_equals_reference_long;
           Alcotest.test_case "nicol = reference on E6 chains" `Quick test_nicol_reference_e6;
-          prop_dp_respects_interval_budget;
         ] );
       ( "bounds-approx",
         [

@@ -1198,7 +1198,7 @@ let fuzz_tests =
     [|
       post "/solve" (small_solve_body ());
       "GET /health HTTP/1.1\r\nHost: x\r\n\r\n";
-      (* The head and a short body in one segment, no other header. *)
+      (* A bare head, whose one header is the length, and a two-byte body. *)
       "POST /pareto HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}";
     |]
   in
