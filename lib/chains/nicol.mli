@@ -13,7 +13,7 @@
 
     {2 The bracket}
 
-    The search keeps [B*] bracketed in [(lb, best]]: [best] is the
+    The search keeps [B*] bracketed in [(lb, best\]]: [best] is the
     smallest candidate so far, and [lb] the largest bound of any walk
     that failed. For processor [k] at [i], with [fixed_max] the largest
     sum of the intervals already fixed:
