@@ -17,8 +17,6 @@ let size t = Array.length t
 let loads prefix t =
   Array.map (fun iv -> Prefix.sum prefix (Interval.first iv) (Interval.last iv)) t
 
-let bottleneck prefix t = Array.fold_left Float.max 0. (loads prefix t)
-
 let weighted_bottleneck prefix ~speeds t =
   if Array.length speeds <> Array.length t then
     invalid_arg "Partition.weighted_bottleneck: one speed per interval required";

@@ -18,9 +18,6 @@ val size : t -> int
 val loads : Prefix.t -> t -> float array
 (** Interval sums. *)
 
-val bottleneck : Prefix.t -> t -> float
-(** Largest interval sum (the homogeneous chains-to-chains objective). *)
-
 val weighted_bottleneck : Prefix.t -> speeds:float array -> t -> float
 (** [max_j (sum I_j) / speeds.(j)] — the heterogeneous objective for a
     partition whose interval [j] is served at speed [speeds.(j)]

@@ -4,7 +4,7 @@ type assignment = (Interval.t * int) list
 
 let max_procs = 16
 
-let check n p =
+let check ~n ~p =
   if n < 1 then invalid_arg "Subset_dp: n must be >= 1";
   if p < 1 then invalid_arg "Subset_dp: p must be >= 1";
   if p > max_procs then
@@ -69,13 +69,13 @@ let run ~n ~p ~cost ~combine ~accept =
   end
 
 let minimise_bottleneck ~n ~p ~cost =
-  check n p;
+  check ~n ~p;
   match run ~n ~p ~cost ~combine:Float.max ~accept:(fun _ -> true) with
   | Some result -> result
   | None -> assert false (* unconstrained: the one-interval mapping exists *)
 
 let minimise_sum_under_cap ~n ~p ~cap_cost ~sum_cost ~cap =
-  check n p;
+  check ~n ~p;
   (* Cost pairs: accept on the cap, accumulate the sum. Evaluating both
      costs per transition keeps the generic core single-purpose. *)
   let cost ~d ~e ~u =

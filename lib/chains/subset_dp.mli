@@ -19,6 +19,11 @@ type assignment = (Pipeline_model.Interval.t * int) list
 val max_procs : int
 (** Largest supported [p] (16): the tables hold [2^p · (n+1)] cells. *)
 
+val check : n:int -> p:int -> unit
+(** The guard both solvers run first, for callers that must fail before
+    they prepare the costs: raises [Invalid_argument] when [n < 1] or
+    [p < 1] or [p > max_procs]. *)
+
 val minimise_bottleneck :
   n:int -> p:int -> cost:(d:int -> e:int -> u:int -> float) -> float * assignment
 (** [minimise_bottleneck ~n ~p ~cost] minimises

@@ -1,6 +1,7 @@
 open Pipeline_model
 module Registry = Pipeline_registry
 module Table = Pipeline_util.Table
+module Tol = Pipeline_util.Tol
 
 let c_probes =
   Obs.Counter.make ~doc:"feasibility probes in Failure.instance_threshold"
@@ -12,6 +13,19 @@ let c_probes =
    invisible at the acceptance scale. *)
 let latency_rel = 1e-10
 
+(* Past this many interval-config triples, n(n+1)/2 · |configs|, a
+   candidate array is too large to build; period rows on uniform deltas
+   read the lattice there instead (DESIGN.md §11). *)
+let array_cap = 1 lsl 22
+
+let beyond_array cost =
+  let app = Cost.application cost in
+  let n = Application.n app in
+  n * (n + 1) / 2 * Array.length (Cost.candidate_configs cost) > array_cap
+  &&
+  let d0 = Application.delta app 0 in
+  Array.for_all (( = ) d0) (Application.deltas app)
+
 (* Period-direction rows flip feasibility at an achievable period — a
    member of the finite candidate set — so their boundary is found
    exactly by binary search over that set (DESIGN.md §9). The het rows
@@ -19,30 +33,19 @@ let latency_rel = 1e-10
    platform kind. Only stacks whose achievable periods leave the
    plain-interval grid keep the adaptive bisection: the ft rows charge
    replication overheads on top of the plain cycle, and the deal grid
-   assumes a comm-homogeneous platform. *)
-let period_candidates (info : Registry.info) (inst : Instance.t) =
-  let comm_hom = Platform.is_comm_homogeneous inst.platform in
-  let set () = Candidates.Set.of_engine (Cost.get inst.app inst.platform) in
-  match info.stack with
-  | Registry.Core | Registry.Extension -> if comm_hom then Some (set ()) else None
-  | Registry.Het -> Some (set ())
-  | Registry.Deal ->
-    if comm_hom then
-      Some
-        (Candidates.Set.of_array
-           (Candidates.deal_periods (Cost.get inst.app inst.platform)))
-    else None
-  | Registry.Ft -> None
+   assumes a comm-homogeneous platform.
 
-(* Rows with a [reach] answer every probe with one comparison against
+   Rows with a [reach] answer every probe with one comparison against
    one walk, computed on the first probe; only ft re-solves at each
-   probe (DESIGN.md §9). *)
+   probe (DESIGN.md §9). [Tol.meets reach] is monotone in the
+   threshold, so the smallest candidate it accepts is the smallest
+   candidate at or above [Tol.least_meeting reach]: past the array cap
+   that is one lattice ceiling, with no probe at all. *)
 let search ~counter ?search_counter (info : Registry.info) inst =
+  let reach = Option.map (fun reach -> lazy (reach inst)) info.reach in
   let meets =
-    match info.reach with
-    | Some reach ->
-      let reach = lazy (reach inst) in
-      fun threshold -> Pipeline_util.Tol.meets (Lazy.force reach) threshold
+    match reach with
+    | Some reach -> fun threshold -> Tol.meets (Lazy.force reach) threshold
     | None -> fun threshold -> info.solve inst ~threshold <> None
   in
   let probes = ref 0 in
@@ -69,23 +72,35 @@ let search ~counter ?search_counter (info : Registry.info) inst =
     in
     b.Threshold.lo
   in
-  let result =
-    match info.kind with
-    | Registry.Latency_fixed -> bisection ()
-    | Registry.Period_fixed -> (
-      match period_candidates info inst with
-      | None -> bisection ()
-      | Some set -> (
-        match
-          Threshold.boundary_set ?probe_counter:search_counter ~set ~succeeds ()
-        with
-        | Some boundary -> boundary
-        | None ->
-          (* Even the top candidate failed (the heuristic rejects
-             thresholds the single-processor mapping meets): fall back
-             to the widening bisection. *)
-          bisection ()))
+  let on_grid candidates =
+    Threshold.search ?probe_counter:search_counter ~candidates
+      ~probe:(fun t -> if succeeds t then Some () else None)
+      ()
+    |> Option.map (fun found -> found.Threshold.threshold)
   in
+  let plain () =
+    let cost = Cost.get inst.app inst.platform in
+    match reach with
+    | Some reach when beyond_array cost ->
+      Cost.lattice_ceiling cost (Tol.least_meeting (Lazy.force reach))
+    | _ -> on_grid (Candidates.periods cost)
+  in
+  let comm_hom = Platform.is_comm_homogeneous inst.platform in
+  (* [None] when the row has no candidate grid, or when even its top
+     candidate fails (the heuristic rejects thresholds the
+     single-processor mapping meets): the widening bisection answers. *)
+  let boundary =
+    match (info.kind, info.stack) with
+    | Registry.Latency_fixed, _ | Registry.Period_fixed, Registry.Ft -> None
+    | Registry.Period_fixed, (Registry.Core | Registry.Extension) ->
+      if comm_hom then plain () else None
+    | Registry.Period_fixed, Registry.Het -> plain ()
+    | Registry.Period_fixed, Registry.Deal ->
+      if comm_hom then
+        on_grid (Candidates.deal_periods (Cost.get inst.app inst.platform))
+      else None
+  in
+  let result = match boundary with Some b -> b | None -> bisection () in
   Obs.Counter.add counter !probes;
   result
 

@@ -62,7 +62,7 @@ val family_instances :
 
 val instance_threshold : Pipeline_registry.info -> Instance.t -> float
 (** {!Failure.search} on one het registry row and one instance: binary
-    search over the fully-het candidate set ({!Candidates.Set}) for
+    search over the fully-het candidate set ({!Candidates.periods}) for
     period-direction rows, adaptive bisection for latency-direction
     rows. Probes are tallied on [experiments.het.threshold_probes]
     (feasibility probes) and [experiments.het.search_probes] (search

@@ -3,21 +3,19 @@ module Rng = Pipeline_util.Rng
 module Table = Pipeline_util.Table
 
 (* The E6 web-scale ladder (DESIGN.md §11): one deterministic instance
-   per (n, p) size, solved by the three stacks whose complexity the
-   tentpole rewrites bound — Nicol's chains solver, the exact lazy
-   candidate search, and the H1 splitting heuristic. Everything here is
-   sequential and counter-hygienic: the only Obs counter the section
-   moves is model.threshold.lattice_probes, so the golden metrics of the
-   paper-sized sections stay byte-identical at any --jobs. Wall-clocks
-   come from the caller-supplied [clock] and never enter the CSV. *)
+   per (n, p) size, solved by Nicol's chains solver (which also gives
+   the exact all-fastest relaxation) and by the H1 splitting heuristic.
+   Everything here is sequential and moves no Obs counter, so the golden
+   metrics of the paper-sized sections stay byte-identical at any
+   --jobs. Wall-clocks come from the caller-supplied [clock] and never
+   enter the CSV. *)
 
 type row = {
   n : int;
   p : int;
   nicol_bottleneck : float;  (* exact chains bottleneck over the works *)
   exact_period : float;  (* exact min period, all-fastest relaxation *)
-  exact_probes : int;  (* feasibility probes of the lattice search *)
-  exact_intervals : int;  (* intervals of the winning partition *)
+  exact_intervals : int;  (* intervals of Nicol's witness *)
   h1_factor : float;  (* threshold = factor × exact_period (0 = fallback) *)
   h1_period : float;
   h1_latency : float;
@@ -26,7 +24,6 @@ type row = {
 
 type timings = {
   build_s : float;
-  nicol_s : float;
   exact_s : float;
   h1_s : float;
 }
@@ -48,41 +45,26 @@ let instance ~seed ~n ~p =
   Instance.make ~id:0 ~seed:tag app platform
 
 (* Exact minimum period of the all-fastest relaxation (every processor
-   at the platform's top speed): the greedy probe binary-searches each
-   interval's furthest feasible end — cycle-times are monotone in the
-   end for uniform deltas — so one probe is O(p log n), wrapped in the
-   exact lattice search of Threshold.search_set. The full candidate set
-   is a superset of the relaxation's achievable periods, and the
-   smallest feasible candidate is attained by the greedy witness, so the
-   search lands exactly on the relaxation optimum. *)
+   at the platform's top speed): the identical-processor chains problem
+   seen through W ↦ (δ/b + W/s) + δ/b. With uniform deltas that map is
+   the same for every interval and non-decreasing in IEEE arithmetic,
+   and Cost's work sums are the prefix differences Nicol reads, so the
+   map commutes with the max over a partition and the min over
+   partitions: the optimum is the largest fastest-speed cycle over
+   Nicol's witness, bit for bit (DESIGN.md §11). *)
 let exact_relaxed_min_period cost ~p =
-  let app = Cost.application cost in
-  let platform = Cost.platform cost in
-  let n = Application.n app in
-  let u = Platform.fastest platform in
-  let set = Candidates.Set.of_engine ~max_materialised:0 cost in
-  let probe t =
-    let rec walk d count =
-      if d > n then Some count
-      else if count = p then None
-      else if Cost.cycle cost ~d ~e:d ~u > t then None
-      else if Cost.cycle cost ~d ~e:n ~u <= t then Some (count + 1)
-      else begin
-        let lo = ref d and hi = ref n in
-        (* Invariant: cycle(d, lo) <= t < cycle(d, hi). *)
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if Cost.cycle cost ~d ~e:mid ~u <= t then lo := mid else hi := mid
-        done;
-        walk (!lo + 1) (count + 1)
-      end
-    in
-    walk 1 0
+  let u = Platform.fastest (Cost.platform cost) in
+  let bottleneck, witness =
+    Chains.Nicol.solve (Application.works (Cost.application cost)) ~p
   in
-  match Threshold.search_set ~set ~probe () with
-  | Some found ->
-    (found.Threshold.threshold, found.Threshold.payload, found.Threshold.probes)
-  | None -> assert false (* the whole chain on one processor is feasible *)
+  let period =
+    Array.fold_left
+      (fun acc iv ->
+        Float.max acc
+          (Cost.cycle cost ~d:(Interval.first iv) ~e:(Interval.last iv) ~u))
+      neg_infinity witness
+  in
+  (period, Array.length witness, bottleneck)
 
 (* H1 under a deterministic threshold ladder: generous multiples of the
    relaxation optimum, then the always-feasible single-processor period
@@ -111,16 +93,12 @@ let measure ?(clock = fun () -> 0.) ~seed (n, p) =
   let t0 = clock () in
   let cost = Cost.get inst.app inst.platform in
   let t1 = clock () in
-  let nicol_bottleneck, _partition =
-    Chains.Nicol.solve (Application.works inst.app) ~p
-  in
-  let t2 = clock () in
-  let exact_period, exact_intervals, exact_probes =
+  let exact_period, exact_intervals, nicol_bottleneck =
     exact_relaxed_min_period cost ~p
   in
-  let t3 = clock () in
+  let t2 = clock () in
   let h1_factor, sol = run_h1 inst ~exact_period in
-  let t4 = clock () in
+  let t3 = clock () in
   {
     row =
       {
@@ -128,7 +106,6 @@ let measure ?(clock = fun () -> 0.) ~seed (n, p) =
         p;
         nicol_bottleneck;
         exact_period;
-        exact_probes;
         exact_intervals;
         h1_factor;
         h1_period = sol.Pipeline_core.Solution.period;
@@ -136,20 +113,15 @@ let measure ?(clock = fun () -> 0.) ~seed (n, p) =
         h1_intervals = Mapping.m sol.Pipeline_core.Solution.mapping;
       };
     timings =
-      {
-        build_s = t1 -. t0;
-        nicol_s = t2 -. t1;
-        exact_s = t3 -. t2;
-        h1_s = t4 -. t3;
-      };
+      { build_s = t1 -. t0; exact_s = t2 -. t1; h1_s = t3 -. t2 };
   }
 
 let run ?clock ?(seed = 2007) sizes = List.map (measure ?clock ~seed) sizes
 
 let header =
   [
-    "n"; "p"; "nicol bottleneck"; "exact period"; "exact probes";
-    "exact intervals"; "h1 factor"; "h1 period"; "h1 latency"; "h1 intervals";
+    "n"; "p"; "nicol bottleneck"; "exact period"; "exact intervals";
+    "h1 factor"; "h1 period"; "h1 latency"; "h1 intervals";
   ]
 
 let cells (r : row) =
@@ -158,7 +130,6 @@ let cells (r : row) =
     string_of_int r.p;
     Printf.sprintf "%.6f" r.nicol_bottleneck;
     Printf.sprintf "%.6f" r.exact_period;
-    string_of_int r.exact_probes;
     string_of_int r.exact_intervals;
     Printf.sprintf "%.1f" r.h1_factor;
     Printf.sprintf "%.6f" r.h1_period;
@@ -268,14 +239,13 @@ let bnb_render measurements =
 (* Human-readable table with the (non-deterministic) wall-clocks — for
    stdout and EXPERIMENTS.md, never for golden artefacts. *)
 let render measurements =
-  let header = header @ [ "build s"; "nicol s"; "exact s"; "h1 s" ] in
+  let header = header @ [ "build s"; "exact s"; "h1 s" ] in
   let rows =
     List.map
       (fun m ->
         cells m.row
         @ [
             Printf.sprintf "%.3f" m.timings.build_s;
-            Printf.sprintf "%.3f" m.timings.nicol_s;
             Printf.sprintf "%.3f" m.timings.exact_s;
             Printf.sprintf "%.3f" m.timings.h1_s;
           ])

@@ -2,34 +2,29 @@
 
     One deterministic instance per [(n, p)] size — E6 application
     ({!App_generator.e6}, uniform deltas) on a tiered
-    {!Platform_generator.web_scale} platform — solved by the three
-    stacks whose asymptotics the web-scale rewrites bound:
+    {!Platform_generator.web_scale} platform — solved twice:
 
     {ul
-    {- {!Chains.Nicol} on the stage weights (exact chains-to-chains
-       bottleneck, O(p² log² n) probes);}
-    {- the exact minimum period of the all-fastest relaxation, by
-       {!Threshold.search_set} over the {e lazy} candidate lattice with
-       an O(p log n) greedy probe — the web-scale form of the paper's
-       binary search over achievable periods;}
+    {- {!Chains.Nicol} on the stage weights gives the exact
+       chains-to-chains bottleneck and, through the monotone cycle map,
+       the exact minimum period of the all-fastest relaxation
+       ({!exact_relaxed_min_period});}
     {- the H1 splitting heuristic ({!Pipeline_core.Sp_mono_p}) under a
        deterministic threshold ladder of multiples of the relaxation
        optimum.}}
 
-    The section is sequential and counter-hygienic: only the
-    [model.threshold.lattice_probes] counter moves, so every paper-sized
-    golden metric stays byte-identical at any [--jobs]. The CSV contains
-    only deterministic values (objectives, probe and interval counts);
-    wall-clocks come from the caller's [clock] and appear only in
-    {!render} / the bench's perf summary. *)
+    The section is sequential and moves no {!Obs} counter, so every
+    paper-sized golden metric stays byte-identical at any [--jobs]. The
+    CSV contains only deterministic values (objectives and interval
+    counts); wall-clocks come from the caller's [clock] and appear only
+    in {!render}. *)
 
 type row = {
   n : int;
   p : int;
   nicol_bottleneck : float;
   exact_period : float;
-  exact_probes : int;
-  exact_intervals : int;
+  exact_intervals : int;  (** intervals of Nicol's witness *)
   h1_factor : float;
       (** threshold multiplier over [exact_period]; [0.] marks the
           single-processor fallback *)
@@ -40,8 +35,7 @@ type row = {
 
 type timings = {
   build_s : float;  (** cost-engine construction *)
-  nicol_s : float;
-  exact_s : float;
+  exact_s : float;  (** {!exact_relaxed_min_period}, Nicol included *)
   h1_s : float;
 }
 
@@ -56,10 +50,16 @@ val instance : seed:int -> n:int -> p:int -> Pipeline_model.Instance.t
     from [(seed, "scaling-e6", n, p)], Workload-style). *)
 
 val exact_relaxed_min_period :
-  Pipeline_model.Cost.t -> p:int -> float * int * int
-(** [(period, intervals, probes)] — exact minimum period over interval
-    mappings onto [p] processors at the platform's fastest speed, via
-    the lazy lattice search. Requires uniform deltas (E6). *)
+  Pipeline_model.Cost.t -> p:int -> float * int * float
+(** [(period, intervals, bottleneck)] — the exact minimum period over
+    interval mappings onto [p] processors at the platform's fastest
+    speed, the interval count of the witness that attains it, and the
+    chains bottleneck of that witness. One {!Chains.Nicol.solve} on the
+    works: with uniform deltas the cycle-time is the same
+    non-decreasing map of the work sum for every interval, so the
+    relaxation's optimum is the largest fastest-speed
+    {!Pipeline_model.Cost.cycle} over Nicol's witness, bit for bit.
+    Requires uniform deltas (E6). *)
 
 val run :
   ?clock:(unit -> float) -> ?seed:int -> (int * int) list -> measurement list

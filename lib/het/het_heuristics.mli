@@ -29,7 +29,7 @@
     Threshold searches over these heuristics are {e exact} on every
     platform kind: {!Pipeline_model.Candidates} builds the fully-het
     candidate family [(speed, boundary-in, boundary-out)] and
-    {!Pipeline_model.Threshold.search_set} binary-searches it, replacing
+    {!Pipeline_model.Threshold.search} binary-searches it, replacing
     the ε-bisection these rows used before (DESIGN.md §13). *)
 
 open Pipeline_model

@@ -13,8 +13,9 @@ let e3 ~n = { n; work = Int_uniform (10, 1000); delta = Int_uniform (1, 20) }
 let e4 ~n = { n; work = Float_uniform (0.01, 10.); delta = Int_uniform (1, 20) }
 
 (* (E6) web scale: wide work spread, fixed message size. The uniform
-   deltas are load-bearing — they are what lets Candidates.Set stay lazy
-   at n = 50 000 (DESIGN.md §11). *)
+   deltas are load-bearing — they make the all-fastest relaxation one
+   Nicol solve and a failure threshold one lattice ceiling at
+   n = 50 000 (DESIGN.md §11). *)
 let e6 ~n = { n; work = Int_uniform (1, 100); delta = Fixed 25. }
 
 (* The JPEG2000-style encoder pipeline of the image-processing follow-up

@@ -299,70 +299,21 @@ let config_cycle t ~d ~e config =
   check_proc t "Cost.config_cycle" config.proc;
   config_cycle_u t d e config
 
-(* Lattice sweeps over the implicit (d, e, config) candidate set of a
+(* The ceiling over the implicit (d, e, config) candidate set of a
    uniform-delta application (DESIGN.md §11). With every δ_k equal, a
    config's boundary terms δ/b_in and δ/b_out do not depend on the
    interval, so its cycle-time is a monotone image of W(d,e): growing in
-   e, shrinking in d. Two pointers then answer each query in O(n) per
-   config. The loops live here because the dev profile compiles every
-   module -opaque: a cross-module call per comparison boxes its floats,
-   while these loops allocate nothing. [lattice_cycle] is
-   config_cycle_u's association exactly, (δ/b_in + W/s) + δ/b_out, with
-   W the same prefix difference, so every answer is the very float the
-   materialised candidate array holds. *)
+   e, shrinking in d. Two pointers then answer in O(n) per config. The
+   loop lives here because the dev profile compiles every module
+   -opaque: a cross-module call per comparison boxes its floats, while
+   this loop allocates nothing. [lattice_cycle] is config_cycle_u's
+   association exactly, (δ/b_in + W/s) + δ/b_out, with W the same prefix
+   difference, so the answer is the very float the materialised
+   candidate array holds. *)
 
 let[@inline] lattice_cycle (prefix : float array) d e hin s hout =
   hin +. ((Array.unsafe_get prefix e -. Array.unsafe_get prefix (d - 1)) /. s)
   +. hout
-
-let lattice_bounds t =
-  let n = t.n and prefix = Application.prefix_sums t.app in
-  let delta = Application.delta t.app 0 in
-  let configs = candidate_configs t in
-  (* A single-stage cycle is the smallest of its row and column, and the
-     whole chain the largest: both extremes are attained elements. *)
-  let lo = ref infinity and hi = ref neg_infinity in
-  for k = 0 to Array.length configs - 1 do
-    let c = configs.(k) in
-    let hin = delta /. c.b_in and s = t.speeds.(c.proc) in
-    let hout = delta /. c.b_out in
-    for d = 1 to n do
-      let x = lattice_cycle prefix d d hin s hout in
-      if x < !lo then lo := x
-    done;
-    let x = lattice_cycle prefix 1 n hin s hout in
-    if x > !hi then hi := x
-  done;
-  (!lo, !hi)
-
-let lattice_floor t v =
-  let n = t.n and prefix = Application.prefix_sums t.app in
-  let delta = Application.delta t.app 0 in
-  let configs = candidate_configs t in
-  let found = ref false and best = ref 0. in
-  for k = 0 to Array.length configs - 1 do
-    let c = configs.(k) in
-    let hin = delta /. c.b_in and s = t.speeds.(c.proc) in
-    let hout = delta /. c.b_out in
-    (* The largest end whose cycle is <= v never decreases with d
-       (growing d only shrinks W), so one forward pointer serves every
-       start; that end holds its row's largest value under v. *)
-    let e = ref 0 in
-    for d = 1 to n do
-      if !e < d - 1 then e := d - 1;
-      while !e < n && lattice_cycle prefix d (!e + 1) hin s hout <= v do
-        incr e
-      done;
-      if !e >= d then begin
-        let x = lattice_cycle prefix d !e hin s hout in
-        if (not !found) || x > !best then begin
-          found := true;
-          best := x
-        end
-      end
-    done
-  done;
-  if !found then Some !best else None
 
 let lattice_ceiling t v =
   let n = t.n and prefix = Application.prefix_sums t.app in
@@ -373,9 +324,9 @@ let lattice_ceiling t v =
     let c = configs.(k) in
     let hin = delta /. c.b_in and s = t.speeds.(c.proc) in
     let hout = delta /. c.b_out in
-    (* The mirror sweep: the first end whose cycle reaches v never
-       decreases with d, and once a start has no such end no later
-       start does (cycles only shrink with d). *)
+    (* The first end whose cycle reaches v never decreases with d, and
+       once a start has no such end no later start does (cycles only
+       shrink with d). *)
     let e = ref 1 and d = ref 1 in
     while !d <= n do
       if !e < !d then e := !d;

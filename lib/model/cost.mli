@@ -142,28 +142,22 @@ val config_cycle : t -> d:int -> e:int -> config -> float
     {!cycle_time}. Comm-homogeneous configs route through the memoised
     {!cycle} table (bit-identical). *)
 
-(** {2 Uniform-delta lattice sweeps}
+(** {2 Uniform-delta lattice ceiling}
 
-    The kernel behind {!Candidates.Set}'s lazy sets (DESIGN.md §11):
-    queries over the implicit set of every {!config_cycle} value, over
-    all intervals and {!candidate_configs}, without materialising it.
-    They require an application whose message sizes [δ_0 … δ_n] are all
-    equal — the caller checks; on other applications the answers are
-    meaningless. Each is O(n · |configs|) two-pointer sweeps that
-    allocate nothing but the result, and each comparison evaluates the
-    exact float {!config_cycle} returns, so every answer is an element
-    of {!Candidates.periods}, bit for bit. *)
-
-val lattice_bounds : t -> float * float
-(** The smallest and the largest candidate. *)
-
-val lattice_floor : t -> float -> float option
-(** The largest candidate [<= v], or [None] when [v] is below them
-    all. *)
+    The one query that still runs where {!Candidates.periods} would not
+    fit in memory (DESIGN.md §11): a failure threshold past the
+    materialisation cap is the smallest candidate at or above the point
+    where its reach starts to meet the threshold. *)
 
 val lattice_ceiling : t -> float -> float option
-(** The smallest candidate [>= v], or [None] when [v] is above them
-    all. *)
+(** [lattice_ceiling t v] — the smallest {!config_cycle} value [>= v]
+    over every interval and {!candidate_configs}, or [None] when [v] is
+    above them all: {!Candidates.ceiling} of {!Candidates.periods},
+    bit for bit, without building the array. It requires an application
+    whose message sizes [δ_0 … δ_n] are all equal (the caller checks;
+    on other applications the answer is meaningless). One
+    O(n · |configs|) two-pointer sweep that allocates nothing but the
+    result. *)
 
 (** {2 The terms of one interval (any platform kind)}
 

@@ -18,11 +18,6 @@ let c_memo_hits =
     ~doc:"probe results served from the Threshold memo instead of re-probing"
     "model.threshold.memo_hits"
 
-let c_lattice_probes =
-  Obs.Counter.make
-    ~doc:"feasibility probes issued by Threshold.search_set on lazy lattice sets"
-    "model.threshold.lattice_probes"
-
 type 'a found = { threshold : float; payload : 'a; probes : int }
 
 (* Callers that must not move the historical counters (new bench
@@ -70,95 +65,6 @@ let search ?probe_counter ~candidates ~probe () =
       assert (i = !lo);
       Some { threshold = candidates.(i); payload; probes = !probes }
   end
-
-(* Exact search over a possibly-lazy candidate set. Materialised sets
-   delegate to [search] (same probes, same counters — bit-identical to
-   the historical path). Lazy sets binary-search the IEEE-754 bit
-   patterns: non-negative finite doubles order identically to their
-   [Int64.bits_of_float] images, so halving the bit bracket and snapping
-   each midpoint down onto the set with [Set.floor] finds the smallest
-   feasible candidate with no ε and no materialisation. Most rounds of
-   that bisection find no candidate at all; a run of them is skipped
-   with one [Set.ceiling] (below), so the search costs one floor sweep
-   per probing round plus a floor and a ceiling per run of empty
-   rounds. *)
-let search_set ?probe_counter ~set ~probe () =
-  if not (Candidates.Set.is_lazy set) then
-    search ?probe_counter ~candidates:(Candidates.Set.force set) ~probe ()
-  else begin
-    match (Candidates.Set.min_elt set, Candidates.Set.max_elt set) with
-    | None, _ | _, None -> None
-    | Some min_elt, Some max_elt ->
-      let probes = ref 0 in
-      let run v =
-        incr probes;
-        probe v
-      in
-      let finish (threshold, payload) =
-        account ?probe_counter ~default:c_lattice_probes ~memo_hit:false
-          !probes;
-        Some { threshold; payload; probes = !probes }
-      in
-      (match run max_elt with
-      | None ->
-        account ?probe_counter ~default:c_lattice_probes ~memo_hit:false
-          !probes;
-        None
-      | Some top -> (
-        if min_elt = max_elt then finish (max_elt, top)
-        else
-          match run min_elt with
-          | Some payload -> finish (min_elt, payload)
-          | None ->
-            let bits = Int64.bits_of_float and value = Int64.float_of_bits in
-            let midpoint lo hi = Int64.add lo (Int64.div (Int64.sub hi lo) 2L) in
-            (* Invariant: every candidate <= value !lo is infeasible
-               (the probe is monotone); value !hi is a feasible
-               candidate whose payload is in !best. *)
-            let lo = ref (bits min_elt) and hi = ref (bits max_elt) in
-            let best = ref (max_elt, top) in
-            while Int64.sub !hi !lo > 1L do
-              let mid = midpoint !lo !hi in
-              match Candidates.Set.floor set (value mid) with
-              | None -> assert false (* min_elt <= value !lo < value mid *)
-              | Some c ->
-                if Int64.compare (bits c) !lo <= 0 then begin
-                  (* No candidate in (value !lo, value mid]. The
-                     smallest candidate above value !lo lies above
-                     value mid, and every later round whose midpoint
-                     stays below it is empty as well: replay those
-                     rounds' [lo := mid] as integer steps. The first
-                     probing round then sees the very bracket a
-                     round-by-round loop would have reached. *)
-                  match Candidates.Set.ceiling set (Float.succ (value !lo)) with
-                  | None -> assert false (* value !hi is one *)
-                  | Some next ->
-                    lo := mid;
-                    while
-                      Int64.sub !hi !lo > 1L
-                      && Int64.compare (midpoint !lo !hi) (bits next) < 0
-                    do
-                      lo := midpoint !lo !hi
-                    done
-                end
-                else (
-                  match run c with
-                  | Some payload ->
-                    best := (c, payload);
-                    hi := bits c
-                  | None -> lo := bits c)
-            done;
-            finish !best))
-  end
-
-let boundary_set ?probe_counter ~set ~succeeds () =
-  match
-    search_set ?probe_counter ~set
-      ~probe:(fun t -> if succeeds t then Some () else None)
-      ()
-  with
-  | None -> None
-  | Some { threshold; _ } -> Some threshold
 
 type bisection = { lo : float; hi : float; probes : int }
 

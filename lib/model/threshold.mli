@@ -16,6 +16,10 @@
        stopping as soon as the bracket converges instead of burning a
        fixed iteration count.}}
 
+    Where the candidate array is too large to build, no search runs: a
+    failure threshold there is one {!Cost.lattice_ceiling}, and the
+    all-fastest relaxation one Nicol solve (DESIGN.md §11).
+
     Probe counts and memo hits are published through the
     [model.threshold.*] counters (see [doc/observability.mld]). Callers
     that must not move those historical counters — new bench sections
@@ -42,39 +46,6 @@ val search :
     probed exactly once: its payload is memoised during the search
     rather than re-probed at the end (counted in
     [model.threshold.memo_hits]). *)
-
-val search_set :
-  ?probe_counter:Obs.Counter.t ->
-  set:Candidates.Set.t ->
-  probe:(float -> 'a option) ->
-  unit ->
-  'a found option
-(** {!search} over a possibly-lazy candidate set. Materialised sets
-    delegate to {!search} verbatim (same probe sequence, same
-    [model.threshold.candidate_probes] counters — bit-identical to the
-    historical path at paper sizes). Lazy lattice sets run an exact
-    binary search over IEEE-754 bit patterns — non-negative finite
-    doubles order identically to their [Int64.bits_of_float] images —
-    snapping each midpoint onto the set with {!Candidates.Set.floor},
-    and returns the exact smallest feasible candidate with no ε. Most
-    rounds of that bisection hold no candidate; a run of such empty
-    rounds is skipped with one {!Candidates.Set.ceiling}, which leaves
-    the probe sequence exactly as a round-by-round loop would issue it.
-    The cost is one O(n·|configs|) floor sweep and one probe per
-    probing round, plus one floor and one ceiling sweep per run of
-    empty rounds. Lazy probes are counted in
-    [model.threshold.lattice_probes]. *)
-
-val boundary_set :
-  ?probe_counter:Obs.Counter.t ->
-  set:Candidates.Set.t ->
-  succeeds:(float -> bool) ->
-  unit ->
-  float option
-(** {!search_set} for plain feasibility tests: the exact threshold at
-    which [succeeds] flips from false to true, assuming it only flips at
-    a candidate (true whenever the probed solver compares its threshold
-    against achievable objective values — DESIGN.md §9). *)
 
 type bisection = {
   lo : float;  (** largest known-infeasible value *)

@@ -1,12 +1,19 @@
 open Pipeline_model
 open Pipeline_core
 
-(* Equations (1)-(2) through the engine: Cost.cycle and Cost.contrib add
-   (δ_{d-1}/b + W/s) + δ_e/b, the association the DP has always used. *)
-let costs (inst : Instance.t) =
+(* Every query checks the platform kind and the DP's processor cap
+   before it touches the engine: past the cap no probe could run, and
+   the candidate array it would enumerate first may not fit in memory. *)
+let engine (inst : Instance.t) =
   if not (Platform.is_comm_homogeneous inst.platform) then
     invalid_arg "Bicriteria: requires a comm-homogeneous platform";
-  let cost = Cost.get inst.app inst.platform in
+  Chains.Subset_dp.check ~n:(Application.n inst.app) ~p:(Platform.p inst.platform);
+  Cost.get inst.app inst.platform
+
+(* Equations (1)-(2) through the engine: Cost.cycle and Cost.contrib add
+   (δ_{d-1}/b + W/s) + δ_e/b, the association the DP has always used. *)
+let costs inst =
+  let cost = engine inst in
   (Cost.cycle cost, Cost.contrib cost)
 
 let solution_of_assignment (inst : Instance.t) assignment =
@@ -31,11 +38,7 @@ let min_latency_under_period (inst : Instance.t) ~period =
 
 (* All values an interval cycle-time can take: the candidate periods,
    served from the engine's cache (same floats as [costs]' cycle). *)
-let candidate_periods (inst : Instance.t) =
-  Candidates.periods (Cost.get inst.app inst.platform)
-
-let candidate_set (inst : Instance.t) =
-  Candidates.Set.of_engine (Cost.get inst.app inst.platform)
+let candidate_periods inst = Candidates.periods (engine inst)
 
 let c_bisect =
   Obs.Counter.make
@@ -50,7 +53,7 @@ let min_period_under_latency (inst : Instance.t) ~latency =
   in
   (* Smallest candidate period whose latency-optimal mapping fits the
      latency budget (feasibility is monotone in the period threshold). *)
-  match Threshold.search_set ~set:(candidate_set inst) ~probe:feasible () with
+  match Threshold.search ~candidates:(candidate_periods inst) ~probe:feasible () with
   | None -> None
   | Some found ->
     Obs.Counter.add c_bisect found.Threshold.probes;

@@ -97,16 +97,13 @@ let min_latency_under_period (inst : Instance.t) ~period =
 let candidate_periods (inst : Instance.t) =
   Candidates.periods (Cost.get inst.app inst.platform)
 
-let candidate_set (inst : Instance.t) =
-  Candidates.Set.of_engine (Cost.get inst.app inst.platform)
-
 let min_period_under_latency (inst : Instance.t) ~latency =
   let feasible period =
     match min_latency_under_period inst ~period with
     | Some sol when Solution.respects_latency sol latency -> Some sol
     | _ -> None
   in
-  match Threshold.search_set ~set:(candidate_set inst) ~probe:feasible () with
+  match Threshold.search ~candidates:(candidate_periods inst) ~probe:feasible () with
   | None -> None
   | Some found -> Some found.Threshold.payload
 

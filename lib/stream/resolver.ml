@@ -242,12 +242,8 @@ let resolve ?heuristic ~strategy cache state ~before ~threshold =
           let feasible =
             (* The engine-cached candidate set bounds every achievable
                period from below: a threshold under the smallest
-               candidate needs no heuristic run to be refuted. The lazy
-               set answers the minimum in O(n·|speeds|) even when the
-               array form would be too large to build. *)
-            match Candidates.Set.min_elt (Candidates.Set.of_engine sub_engine) with
-            | Some c -> Tol.meets c threshold
-            | None -> false
+               candidate needs no heuristic run to be refuted. *)
+            Tol.meets (Candidates.periods sub_engine).(0) threshold
           in
           if not feasible then Obs.Counter.incr c_pruned;
           let solved =

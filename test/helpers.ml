@@ -38,9 +38,9 @@ let random_instance ?(n_max = 12) ?(p_max = 6) seed =
   let platform = Platform.comm_homogeneous ~bandwidth:10. speeds in
   Instance.make ~seed app platform
 
-(* Uniform message sizes — the precondition of the lazy candidate
-   lattice (Candidates.Set), so the lattice props can force the lazy
-   representation on every draw. *)
+(* Uniform message sizes — the precondition of the lattice ceiling
+   (Cost.lattice_ceiling), so the lattice props can compare it with the
+   array on every draw. *)
 let random_uniform_delta_instance ?(n_max = 12) ?(p_max = 6) seed =
   let rng = Pipeline_util.Rng.create seed in
   let n = 1 + Pipeline_util.Rng.int rng n_max in
@@ -89,8 +89,8 @@ let random_het_instance ?(n_max = 12) ?(p_max = 6) seed =
   in
   Instance.make ~seed app platform
 
-(* Het platform, uniform message sizes: forces the lazy lattice arm of
-   Candidates.Set on fully-het candidate families. *)
+(* Het platform, uniform message sizes: the lattice ceiling on fully-het
+   candidate families. *)
 let random_uniform_delta_het_instance ?(n_max = 12) ?(p_max = 6) seed =
   let inst = random_het_instance ~n_max ~p_max seed in
   let app = inst.Instance.app in

@@ -2,13 +2,16 @@ open Chains
 
 let gen_chain = QCheck2.Gen.(list_size (int_range 1 25) (float_range 0. 20.))
 
-(* The tiling check and the cut list of a partition, kept on the test
-   side: nothing in the library needs them. *)
+(* The tiling check, the cut list and the largest interval sum of a
+   partition, kept on the test side: nothing in the library needs
+   them. *)
 let is_valid_partition ~n part =
   Pipeline_model.Interval.partition_of n (Array.to_list part)
 
 let cuts part =
   List.init (Array.length part - 1) (fun j -> Pipeline_model.Interval.last part.(j))
+
+let bottleneck prefix part = Array.fold_left Float.max 0. (Partition.loads prefix part)
 
 (* ------------------------------------------------------------------ *)
 (* Prefix                                                              *)
@@ -79,7 +82,7 @@ let test_partition_loads () =
   let p = Prefix.make [| 1.; 2.; 3.; 4. |] in
   let part = Partition.of_cuts ~n:4 [ 2 ] in
   Alcotest.(check (array (float 1e-9))) "loads" [| 3.; 7. |] (Partition.loads p part);
-  Helpers.check_float "bottleneck" 7. (Partition.bottleneck p part);
+  Helpers.check_float "bottleneck" 7. (bottleneck p part);
   Helpers.check_float "weighted" 3.5
     (Partition.weighted_bottleneck p ~speeds:[| 1.; 2. |] part)
 
@@ -103,7 +106,7 @@ let test_probe_partition_witness () =
   | None -> Alcotest.fail "expected partition"
   | Some part ->
     Alcotest.(check bool) "valid" true (is_valid_partition ~n:4 part);
-    Alcotest.(check bool) "meets bound" true (Partition.bottleneck p part <= 4.)
+    Alcotest.(check bool) "meets bound" true (bottleneck p part <= 4.)
 
 let test_probe_min_intervals () =
   let p = Prefix.make [| 2.; 2.; 2.; 2. |] in
@@ -182,7 +185,7 @@ let test_dp_known_instance () =
   Helpers.check_float "optimum" 6. opt;
   Alcotest.(check bool) "valid" true (is_valid_partition ~n:5 part);
   let prefix = Prefix.make [| 1.; 2.; 3.; 4.; 5. |] in
-  Helpers.check_float "achieved" 6. (Partition.bottleneck prefix part)
+  Helpers.check_float "achieved" 6. (bottleneck prefix part)
 
 let test_dp_single_interval () =
   let opt, part = Dp.solve [| 5.; 5. |] ~p:1 in
@@ -240,7 +243,7 @@ let prop_nicol_equals_dp =
       Helpers.feq ~eps:1e-9 dp_opt ni_opt
       && is_valid_partition ~n ni_part
       && Partition.size ni_part <= p
-      && Partition.bottleneck prefix ni_part <= ni_opt +. 1e-9)
+      && bottleneck prefix ni_part <= ni_opt +. 1e-9)
 
 let test_nicol_known () =
   let opt, _ = Nicol.solve [| 1.; 2.; 3.; 4.; 5. |] ~p:3 in
@@ -680,7 +683,7 @@ let prop_bounds_bracket_optimum =
       match Probe.partition prefix ~p ~bound:(lo +. max_element prefix) with
       | None -> false
       | Some witness ->
-        let hi = Partition.bottleneck prefix witness in
+        let hi = bottleneck prefix witness in
         Partition.size witness <= p
         && lo <= opt +. 1e-9
         && opt <= hi +. 1e-9
@@ -696,7 +699,7 @@ let test_bounds_known () =
   match Probe.partition prefix ~p:2 ~bound:12. with
   | None -> Alcotest.fail "greedy at lower + max element must succeed"
   | Some witness ->
-    let hi = Partition.bottleneck prefix witness in
+    let hi = bottleneck prefix witness in
     Alcotest.(check bool) "upper feasible bound" true (hi >= 8. && hi <= 16.)
 
 let test_bounds_p_exceeds_n () =

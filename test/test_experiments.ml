@@ -666,7 +666,7 @@ let test_scaling_instance_shape () =
   let app = inst.Instance.app in
   Alcotest.(check int) "n" 50 (Application.n app);
   Alcotest.(check int) "p" 4 (Platform.p inst.Instance.platform);
-  (* E6's uniform deltas are the precondition of the lazy lattice. *)
+  (* E6's uniform deltas are the precondition of the relaxation. *)
   Alcotest.(check bool) "uniform deltas" true
     (let d0 = Application.delta app 0 in
      Array.for_all (( = ) d0) (Application.deltas app))
@@ -680,7 +680,7 @@ let test_scaling_run_deterministic () =
     (Str_find.contains csv "nicol bottleneck")
 
 (* Oracle: when every processor runs at the same speed, the all-fastest
-   relaxation IS the homogeneous problem, so the lazy-lattice search
+   relaxation IS the homogeneous problem, so Nicol through the cycle map
    must land exactly on Pipeline_optimal.Homogeneous's optimum. *)
 let prop_exact_relaxed_matches_homogeneous_oracle =
   Helpers.qtest ~count:80 "exact_relaxed_min_period = Homogeneous oracle"
@@ -700,7 +700,7 @@ let prop_exact_relaxed_matches_homogeneous_oracle =
         Platform.comm_homogeneous ~bandwidth:10. (Array.make p speed)
       in
       let inst = Instance.make app platform in
-      let period, intervals, _probes =
+      let period, intervals, _bottleneck =
         Scaling.exact_relaxed_min_period (Cost.make app platform) ~p
       in
       period

@@ -433,8 +433,8 @@ let test_app_generator_e4_fractional () =
 let test_app_generator_e6 () =
   let rng = Pipeline_util.Rng.create 7 in
   let app = App_generator.generate rng (App_generator.e6 ~n:100) in
-  (* Uniform deltas are load-bearing: the lazy candidate lattice
-     (Candidates.Set) requires them. *)
+  (* Uniform deltas are load-bearing: the all-fastest relaxation and
+     the lattice ceiling (Cost.lattice_ceiling) require them. *)
   for k = 0 to 100 do
     Helpers.check_float "fixed deltas" 25. (Application.delta app k)
   done;

@@ -740,6 +740,42 @@ let test_protocol_het_exact_guard () =
   Alcotest.(check int) "oversized pareto is 400" 400 status;
   ignore (error_of reply)
 
+(* Past the subset DP's processor cap, /pareto and an exact /solve on
+   a comm-hom platform are a 400 with the DP's wording, answered before
+   any candidate period is enumerated: at web scale that array would
+   not fit in memory. *)
+let test_protocol_subset_dp_guard () =
+  with_jobs 1 @@ fun () ->
+  let p = Protocol.create () in
+  let procs = 17 in
+  let nums l = Json.List (List.map (fun v -> Json.Number v) l) in
+  let instance =
+    Json.Obj
+      [
+        ("works", nums [ 4.; 8.; 2.; 6. ]);
+        ("deltas", nums [ 10.; 20.; 30.; 20.; 10. ]);
+        ( "platform",
+          Json.Obj
+            [
+              ("speeds", nums (List.init procs (fun u -> float_of_int (1 + (u mod 4)))));
+              ("bandwidth", Json.Number 10.);
+            ] );
+      ]
+  in
+  let body fields = Json.to_string (Json.Obj (("instance", instance) :: fields)) in
+  let builds () = (Cost.cache_stats ()).Cost.candidate_builds in
+  let check name path fields =
+    let before = builds () in
+    let status, _, reply = Protocol.handle p (request ~path (body fields)) in
+    Alcotest.(check int) (name ^ " is 400") 400 status;
+    Alcotest.(check string) (name ^ " wording") "Subset_dp: p must be <= 16 (got 17)"
+      (error_of reply);
+    Alcotest.(check int) (name ^ " built no candidates") 0 (builds () - before)
+  in
+  check "/pareto" "/pareto" [];
+  check "exact latency /solve" "/solve"
+    [ ("latency", Json.Number 1e9); ("exact", Json.Bool true) ]
+
 let test_protocol_byte_identity () =
   let p = Protocol.create () in
   let solve () =
@@ -1275,6 +1311,8 @@ let () =
           Alcotest.test_case "byte-identical responses" `Quick
             test_protocol_byte_identity;
           prop_serve_matches_library;
+          Alcotest.test_case "subset DP guard builds no candidates" `Quick
+            test_protocol_subset_dp_guard;
         ] );
       ( "server",
         [

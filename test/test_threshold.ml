@@ -19,6 +19,17 @@ let gen_tiny = QCheck2.Gen.map (Helpers.random_instance ~n_max:5 ~p_max:4) gen_s
 let candidates_of inst =
   Candidates.periods (Cost.get inst.Instance.app inst.Instance.platform)
 
+(* Exact membership in a candidate array, kept on the test side. *)
+let mem cands v = Array.exists (fun c -> c = v) cands
+
+(* The smallest candidate [succeeds] accepts, by [Threshold.search] over
+   the array. *)
+let boundary_set ~candidates ~succeeds =
+  Threshold.search ~candidates
+    ~probe:(fun t -> if succeeds t then Some () else None)
+    ()
+  |> Option.map (fun found -> found.Threshold.threshold)
+
 (* ------------------------------------------------------------------ *)
 (* Candidates                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -31,9 +42,10 @@ let test_of_values () =
 
 let test_mem_ceiling () =
   let a = [| 1.; 3.; 5. |] in
-  Alcotest.(check bool) "mem hit" true (Candidates.mem a 3.);
-  Alcotest.(check bool) "mem miss" false (Candidates.mem a 2.);
-  Alcotest.(check bool) "mem empty" false (Candidates.mem [||] 2.);
+  (* A member is its own ceiling; a non-member is not. *)
+  Alcotest.(check bool) "mem hit" true (Candidates.ceiling a 3. = Some 3.);
+  Alcotest.(check bool) "mem miss" false (Candidates.ceiling a 2. = Some 2.);
+  Alcotest.(check bool) "mem empty" false (Candidates.ceiling [||] 2. = Some 2.);
   Alcotest.(check (option (float 0.))) "ceiling between" (Some 3.)
     (Candidates.ceiling a 2.);
   Alcotest.(check (option (float 0.))) "ceiling exact" (Some 5.)
@@ -68,7 +80,7 @@ let test_het_candidates () =
       [ (Interval.make ~first:1 ~last:2, 0); (Interval.make ~first:3 ~last:3, 2) ]
   in
   Alcotest.(check bool) "mapping period is a member" true
-    (Candidates.mem cands (Cost.period cost mapping))
+    (mem cands (Cost.period cost mapping))
 
 (* A uniformly random interval mapping: its period must be a member of
    the candidate set, bit-for-bit. *)
@@ -98,11 +110,11 @@ let prop_period_is_candidate =
     (fun inst ->
       let rng = Pipeline_util.Rng.create inst.Instance.seed in
       let sol = Solution.of_mapping inst (random_mapping rng inst) in
-      Candidates.mem (candidates_of inst) sol.Solution.period)
+      mem (candidates_of inst) sol.Solution.period)
 
 let prop_optimal_period_is_candidate =
   Helpers.qtest ~count:60 "exact min period is a candidate" gen_small (fun inst ->
-      Candidates.mem (candidates_of inst)
+      mem (candidates_of inst)
         (Pipeline_optimal.Bicriteria.min_period inst).Solution.period)
 
 let prop_deal_optimum_is_candidate =
@@ -112,7 +124,7 @@ let prop_deal_optimum_is_candidate =
         Candidates.deal_periods (Cost.get inst.Instance.app inst.Instance.platform)
       in
       let sol = Pipeline_deal.Deal_exhaustive.min_period inst in
-      Candidates.mem cands sol.Pipeline_deal.Deal_heuristic.period)
+      mem cands sol.Pipeline_deal.Deal_heuristic.period)
 
 (* ------------------------------------------------------------------ *)
 (* Threshold.search                                                    *)
@@ -158,36 +170,85 @@ let prop_search_matches_scan =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Lazy candidate sets: the (d, e, u) lattice vs the materialised array *)
+(* The uniform-delta lattice: the ceiling vs the materialised array    *)
 (* ------------------------------------------------------------------ *)
 
-(* Uniform deltas force the lazy representation; [~max_materialised:0]
-   makes even these tiny instances take the lattice path, so every prop
-   compares the lattice sweeps against the full sorted array. *)
 let gen_uniform =
   QCheck2.Gen.map
     (Helpers.random_uniform_delta_instance ~n_max:8 ~p_max:4)
     gen_seed
-
-let lazy_and_materialised inst =
-  let cost = Cost.get inst.Instance.app inst.Instance.platform in
-  (Candidates.Set.of_engine ~max_materialised:0 cost, Candidates.periods cost)
-
-let prop_lazy_set_extrema =
-  Helpers.qtest ~count:200 "lazy min/max = array endpoints, bitwise" gen_uniform
-    (fun inst ->
-      let set, cands = lazy_and_materialised inst in
-      let last = Array.length cands - 1 in
-      Candidates.Set.is_lazy set
-      && Candidates.Set.min_elt set = Some cands.(0)
-      && Candidates.Set.max_elt set = Some cands.(last)
-      && Candidates.Set.force set == cands)
 
 (* Realistic sizes too: n <= 300 stages, up to 8 distinct speeds. *)
 let gen_uniform_large =
   QCheck2.Gen.map
     (Helpers.random_uniform_delta_instance ~n_max:300 ~p_max:8)
     gen_seed
+
+let lattice_ceiling_of inst =
+  Cost.lattice_ceiling (Cost.get inst.Instance.app inst.Instance.platform)
+
+(* The all-fastest relaxation as it was first computed: the greedy
+   probe binary-searches each interval's furthest end whose fastest-speed
+   cycle fits under [t], and [Threshold.search] finds the smallest
+   candidate it accepts. *)
+let greedy_cycle_probe cost ~p t =
+  let n = Application.n (Cost.application cost) in
+  let u = Platform.fastest (Cost.platform cost) in
+  let rec walk d count =
+    if d > n then Some count
+    else if count = p then None
+    else if Cost.cycle cost ~d ~e:d ~u > t then None
+    else if Cost.cycle cost ~d ~e:n ~u <= t then Some (count + 1)
+    else begin
+      let lo = ref d and hi = ref n in
+      (* Invariant: cycle(d, lo) <= t < cycle(d, hi). *)
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        if Cost.cycle cost ~d ~e:mid ~u <= t then lo := mid else hi := mid
+      done;
+      walk (!lo + 1) (count + 1)
+    end
+  in
+  walk 1 0
+
+(* Uniform-delta comm-hom draws up to n = 300: integer works with zero
+   runs, works spread over 2^±30, real works; speeds from a range of
+   three, so that ties are common. *)
+let gen_relaxation =
+  QCheck2.Gen.map
+    (fun seed ->
+      let module Rng = Pipeline_util.Rng in
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 300 in
+      let p = 1 + Rng.int rng 8 in
+      let work =
+        match Rng.int rng 3 with
+        | 0 -> fun () -> float_of_int (Rng.int_in rng 0 4)
+        | 1 -> fun () -> Float.ldexp (Rng.float_in rng 1. 2.) (Rng.int_in rng (-30) 30)
+        | _ -> fun () -> Rng.float rng 100.
+      in
+      let works = Array.init n (fun _ -> work ()) in
+      let delta = float_of_int (Rng.int_in rng 0 30) in
+      let speeds = Array.init p (fun _ -> float_of_int (Rng.int_in rng 1 3)) in
+      let app = Application.make ~deltas:(Array.make (n + 1) delta) works in
+      (Instance.make ~seed app (Platform.comm_homogeneous ~bandwidth:10. speeds), p))
+    gen_seed
+
+let prop_relaxation_matches_greedy_search =
+  Helpers.qtest ~count:150 "relaxation = greedy probe's smallest candidate, bitwise"
+    gen_relaxation (fun (inst, p) ->
+      let cost = Cost.make inst.Instance.app inst.Instance.platform in
+      let period, intervals, _ =
+        Pipeline_experiments.Scaling.exact_relaxed_min_period cost ~p
+      in
+      match
+        Threshold.search ~candidates:(Candidates.periods cost)
+          ~probe:(greedy_cycle_probe cost ~p) ()
+      with
+      | None -> false
+      | Some found ->
+        Int64.bits_of_float period = Int64.bits_of_float found.Threshold.threshold
+        && intervals >= 1 && intervals <= p)
 
 (* Every candidate of an array of at most 512 entries; larger arrays at
    an even stride that keeps both ends. Each one ulp either side as
@@ -202,153 +263,88 @@ let queried cands =
   List.concat_map around (cands.(count - 1) :: sampled)
   @ [ -1.; 0.; Float.max_float; infinity; neg_infinity ]
 
-let prop_lazy_floor_ceiling_mem =
+let prop_lattice_ceiling =
   (* Queried at a random off-grid value plus the candidates and their
-     neighbours, the lattice sweeps must return the very floats the
-     array searches return (same membership, same sort order). *)
-  Helpers.qtest ~count:200 "lazy floor/ceiling/mem = array searches"
+     neighbours, the lattice sweep must return the very floats the
+     array search returns. *)
+  Helpers.qtest ~count:200 "lattice ceiling = array ceiling"
     QCheck2.Gen.(
       pair
         (frequency [ (3, gen_uniform); (1, gen_uniform_large) ])
         (float_range 0. 400.))
     (fun (inst, v) ->
-      let set, cands = lazy_and_materialised inst in
+      let cands = candidates_of inst in
       List.for_all
-        (fun q ->
-          Candidates.Set.floor set q = Candidates.floor cands q
-          && Candidates.Set.ceiling set q = Candidates.ceiling cands q
-          && Candidates.Set.mem set q = Candidates.mem cands q)
+        (fun q -> lattice_ceiling_of inst q = Candidates.ceiling cands q)
         (v :: queried cands))
 
-let prop_search_set_matches_search =
-  Helpers.qtest ~count:200 "search_set on the lattice = search on the array"
-    QCheck2.Gen.(pair gen_uniform (float_range 0. 300.))
-    (fun (inst, cutoff) ->
-      let set, cands = lazy_and_materialised inst in
-      let probe t = if t >= cutoff then Some t else None in
-      match
-        (Threshold.search_set ~set ~probe (), Threshold.search ~candidates:cands ~probe ())
-      with
-      | None, None -> true
-      | Some a, Some b ->
-        a.Threshold.threshold = b.Threshold.threshold
-        && a.Threshold.payload = b.Threshold.payload
-      | _ -> false)
+let prop_least_meeting =
+  Helpers.qtest ~count:500 "least_meeting meets at itself, fails below"
+    QCheck2.Gen.(
+      oneof
+        [
+          float_range 0. 1e-8;
+          float_range 0.5 2.;
+          float_range 0. 1e6;
+          map2 Float.ldexp (float_range 1. 2.) (int_range (-1070) 1023);
+          oneofl [ 0.; 1e-9; 1.; 1. +. 1e-9; Float.max_float; infinity ];
+        ])
+    (fun r ->
+      let t = Pipeline_util.Tol.least_meeting r in
+      Pipeline_util.Tol.meets r t && not (Pipeline_util.Tol.meets r (Float.pred t)))
 
-let prop_boundary_set_matches_boundary =
-  Helpers.qtest ~count:200 "boundary_set on the lattice = scan for the boundary"
-    QCheck2.Gen.(pair gen_uniform (float_range 0. 300.))
-    (fun (inst, cutoff) ->
-      let set, cands = lazy_and_materialised inst in
-      let succeeds c = c >= cutoff in
-      let scan = Array.to_seq cands |> Seq.filter succeeds in
-      match (Threshold.boundary_set ~set ~succeeds (), scan ()) with
-      | None, Seq.Nil -> true
-      | Some t, Seq.Cons (smallest, _) -> t = smallest
-      | _ -> false)
+(* Past the array cap, [Failure.search] answers a period row with a
+   reach by one lattice ceiling of the reach's flip point; below it, by
+   [Threshold.search] over the array. Both must give the same boundary,
+   and the lattice must find none exactly when the array's top
+   candidate fails (where both fall back to the bisection). *)
+let lattice_boundary_matches_array inst rows =
+  let cands = candidates_of inst in
+  let top = cands.(Array.length cands - 1) in
+  List.for_all
+    (fun (info : Registry.info) ->
+      let reach = (Option.get info.Registry.reach) inst in
+      match lattice_ceiling_of inst (Pipeline_util.Tol.least_meeting reach) with
+      | Some b -> b = Failure.instance_threshold info inst
+      | None -> not (Pipeline_util.Tol.meets reach top))
+    rows
 
-(* The lazy search as it stood before empty bisection rounds were
-   skipped: one [Set.floor] per round. [search_set] must issue exactly
-   this probe sequence. *)
-let reference_search_set ~set ~probe =
-  let probed = ref [] in
-  let run v =
-    probed := v :: !probed;
-    probe v
-  in
-  let result =
-    match (Candidates.Set.min_elt set, Candidates.Set.max_elt set) with
-    | None, _ | _, None -> None
-    | Some min_elt, Some max_elt -> (
-      match run max_elt with
-      | None -> None
-      | Some top -> (
-        if min_elt = max_elt then Some (max_elt, top)
-        else
-          match run min_elt with
-          | Some payload -> Some (min_elt, payload)
-          | None ->
-            let bits = Int64.bits_of_float and value = Int64.float_of_bits in
-            let lo = ref (bits min_elt) and hi = ref (bits max_elt) in
-            let best = ref (max_elt, top) in
-            while Int64.sub !hi !lo > 1L do
-              let mid = Int64.add !lo (Int64.div (Int64.sub !hi !lo) 2L) in
-              match Candidates.Set.floor set (value mid) with
-              | None -> assert false
-              | Some c ->
-                if Int64.compare (bits c) !lo <= 0 then lo := mid
-                else (
-                  match run c with
-                  | Some payload ->
-                    best := (c, payload);
-                    hi := bits c
-                  | None -> lo := bits c)
-            done;
-            Some !best))
-  in
-  (result, List.rev !probed)
+let lattice_rows stacks =
+  List.filter
+    (fun (i : Registry.info) ->
+      i.Registry.kind = Registry.Period_fixed
+      && i.Registry.reach <> None
+      && List.mem i.Registry.stack stacks)
+    Registry.all
 
-let gen_uniform_search =
-  QCheck2.Gen.(
-    pair
-      (oneof
-         [
-           map (Helpers.random_uniform_delta_instance ~n_max:300 ~p_max:8) gen_seed;
-           map (Helpers.random_uniform_delta_het_instance ~n_max:300 ~p_max:4) gen_seed;
-         ])
-      (float_range (-0.05) 1.1))
+let prop_lattice_boundary_comm_hom =
+  Helpers.qtest ~count:25 "comm-hom: lattice boundary = array boundary"
+    gen_uniform_large (fun inst ->
+      lattice_boundary_matches_array inst
+        (lattice_rows [ Registry.Core; Registry.Extension; Registry.Het ]))
 
-let prop_search_set_probes_unchanged =
-  Helpers.qtest ~count:100 "search_set skips only empty rounds"
-    gen_uniform_search (fun (inst, frac) ->
-      let cost = Cost.get inst.Instance.app inst.Instance.platform in
-      let set = Candidates.Set.of_engine ~max_materialised:0 cost in
-      let lo = Option.get (Candidates.Set.min_elt set) in
-      let hi = Option.get (Candidates.Set.max_elt set) in
-      (* A monotone probe whose payload names the call that produced it. *)
-      let cutoff = lo +. (frac *. (hi -. lo)) in
-      let probe_log ~probed =
-        let calls = ref 0 in
-        fun t ->
-          incr calls;
-          probed := t :: !probed;
-          if t >= cutoff then Some (t, !calls) else None
-      in
-      let reference, reference_probes =
-        reference_search_set ~set ~probe:(probe_log ~probed:(ref []))
-      in
-      let probed = ref [] in
-      let found = Threshold.search_set ~set ~probe:(probe_log ~probed) () in
-      Candidates.Set.is_lazy set
-      && List.rev !probed = reference_probes
-      &&
-      match (found, reference) with
-      | None, None -> true
-      | Some f, Some (threshold, payload) ->
-        f.Threshold.threshold = threshold
-        && f.Threshold.payload = payload
-        && f.Threshold.probes = List.length reference_probes
-      | _ -> false)
+let prop_lattice_boundary_het =
+  Helpers.qtest ~count:40 "het: lattice boundary = array boundary"
+    (QCheck2.Gen.map
+       (Helpers.random_uniform_delta_het_instance ~n_max:40 ~p_max:5)
+       gen_seed)
+    (fun inst -> lattice_boundary_matches_array inst (lattice_rows [ Registry.Het ]))
 
-(* The sweeps allocate nothing but their answer: one floor and one
-   ceiling over a 20 000-stage lattice stay within a few dozen words. A
-   sweep that boxes its floats allocates megabytes. *)
+(* The sweep allocates nothing but its answer: one ceiling over a
+   20 000-stage lattice stays within a few dozen words. A sweep that
+   boxes its floats allocates megabytes. *)
 let test_lazy_sweeps_allocation () =
   let inst = Pipeline_experiments.Scaling.instance ~seed:2007 ~n:20_000 ~p:400 in
   let cost = Cost.make inst.Instance.app inst.Instance.platform in
-  let set = Candidates.Set.of_engine cost in
-  Alcotest.(check bool) "past the cap, the set is lazy" true
-    (Candidates.Set.is_lazy set);
-  let v = 2. *. Option.get (Candidates.Set.min_elt set) in
+  let v = Cost.cycle cost ~d:1 ~e:100 ~u:0 in
+  (* The config family is built on first use and cached on the engine. *)
+  ignore (Cost.candidate_configs cost);
   let before = Gc.minor_words () in
-  let floor = Candidates.Set.floor set v in
-  let ceiling = Candidates.Set.ceiling set v in
+  let ceiling = Cost.lattice_ceiling cost v in
   let words = Gc.minor_words () -. before in
-  if words > 32. then
-    Alcotest.failf "one floor and one ceiling allocated %.0f words" words;
-  match (floor, ceiling) with
-  | Some f, Some c -> Alcotest.(check bool) "floor <= v <= ceiling" true (f <= v && v <= c)
-  | _ -> Alcotest.fail "the lattice brackets a value inside its range"
+  if words > 32. then Alcotest.failf "one ceiling allocated %.0f words" words;
+  Alcotest.(check (option (float 0.))) "a candidate is its own ceiling" (Some v)
+    ceiling
 
 (* ------------------------------------------------------------------ *)
 (* Fully-het candidate sets: soundness of the config family            *)
@@ -367,24 +363,22 @@ let prop_het_period_is_candidate =
     (fun inst ->
       let rng = Pipeline_util.Rng.create inst.Instance.seed in
       let sol = Solution.of_mapping inst (random_mapping rng inst) in
-      Candidates.mem (candidates_of inst) sol.Solution.period)
+      mem (candidates_of inst) sol.Solution.period)
 
 let prop_het_optimal_period_is_candidate =
   Helpers.qtest ~count:40 "het: exhaustive min period is a candidate" gen_het
     (fun inst ->
-      Candidates.mem (candidates_of inst)
+      mem (candidates_of inst)
         (Pipeline_optimal.Exhaustive.min_period inst).Solution.period)
 
 let prop_het_boundary_set_matches_scan =
   Helpers.qtest ~count:200 "het: boundary_set = linear scan"
     QCheck2.Gen.(pair gen_het (float_range 0. 300.))
     (fun (inst, cutoff) ->
-      let cost = Cost.get inst.Instance.app inst.Instance.platform in
-      let set = Candidates.Set.of_engine cost in
       let cands = candidates_of inst in
       let succeeds c = c >= cutoff in
       let scan = Array.to_seq cands |> Seq.filter succeeds in
-      match (Threshold.boundary_set ~set ~succeeds (), scan ()) with
+      match (boundary_set ~candidates:cands ~succeeds, scan ()) with
       | None, Seq.Nil -> true
       | Some t, Seq.Cons (smallest, _) -> t = smallest
       | _ -> false)
@@ -396,34 +390,23 @@ let prop_het_warm_equals_cold =
   Helpers.qtest ~count:60 "het: warm set == cold set, bitwise" gen_het
     (fun inst ->
       let cost = Cost.get inst.Instance.app inst.Instance.platform in
-      let warm = Candidates.Set.force (Candidates.Set.of_engine cost) in
-      let again = Candidates.Set.force (Candidates.Set.of_engine cost) in
+      let warm = Candidates.periods cost in
+      let again = Candidates.periods cost in
       let cold =
-        Candidates.Set.force
-          (Candidates.Set.of_engine
-             (Cost.make inst.Instance.app inst.Instance.platform))
+        Candidates.periods (Cost.make inst.Instance.app inst.Instance.platform)
       in
       warm == again && warm = cold)
 
-let prop_het_lazy_set_matches_array =
-  (* Uniform deltas + [~max_materialised:0] force the lattice arm on the
-     fully-het config family; its sweeps must agree with the array. *)
-  Helpers.qtest ~count:200 "het lattice: floor/ceiling/mem = array"
+let prop_het_lattice_ceiling =
+  (* Uniform deltas on the fully-het config family: the lattice sweep
+     must agree with the array at every candidate and off the grid. *)
+  Helpers.qtest ~count:200 "het lattice: ceiling = array ceiling"
     QCheck2.Gen.(pair gen_het_uniform (float_range 0. 400.))
     (fun (inst, v) ->
-      let cost = Cost.get inst.Instance.app inst.Instance.platform in
-      let set = Candidates.Set.of_engine ~max_materialised:0 cost in
       let cands = candidates_of inst in
-      let last = Array.length cands - 1 in
-      Candidates.Set.is_lazy set
-      && Candidates.Set.min_elt set = Some cands.(0)
-      && Candidates.Set.max_elt set = Some cands.(last)
-      && List.for_all
-           (fun q ->
-             Candidates.Set.floor set q = Candidates.floor cands q
-             && Candidates.Set.ceiling set q = Candidates.ceiling cands q
-             && Candidates.Set.mem set q = Candidates.mem cands q)
-           (v :: Array.to_list cands))
+      List.for_all
+        (fun q -> lattice_ceiling_of inst q = Candidates.ceiling cands q)
+        (v :: queried cands))
 
 let prop_het_row_threshold_sound =
   (* End-to-end: the het registry rows' exact thresholds (as the fault
@@ -437,7 +420,7 @@ let prop_het_row_threshold_sound =
         (fun (info : Registry.info) ->
           let t = Failure.instance_threshold info inst in
           let succeeds c = info.Registry.solve inst ~threshold:c <> None in
-          Candidates.mem cands t && succeeds t
+          mem cands t && succeeds t
           && Array.for_all (fun c -> c >= t || not (succeeds c)) cands)
         (List.filter
            (fun (i : Registry.info) -> i.Registry.kind = Registry.Period_fixed)
@@ -461,7 +444,7 @@ let prop_failure_threshold_sound =
         (fun (info : Registry.info) ->
           let t = Failure.instance_threshold info inst in
           let succeeds c = info.Registry.solve inst ~threshold:c <> None in
-          Candidates.mem cands t && succeeds t
+          mem cands t && succeeds t
           && Array.for_all
                (fun c -> c >= t || not (succeeds c))
                cands)
@@ -556,24 +539,20 @@ let reach_contract_props =
        (fun (i : Registry.info) -> i.Registry.reach <> None)
        Registry.all)
 
-(* On the lazy lattice the searched threshold equals the walked one:
-   the same bisection over bit patterns finds the same boundary whether
-   each probe solves or compares with [reach]. *)
-let prop_reach_lazy_lattice =
-  Helpers.qtest ~count:30 "lattice: solve-probed = reach-probed (H1, H4)"
+(* Past the array cap the boundary is the lattice ceiling of the reach's
+   flip point; it must equal the array search whose every probe solves. *)
+let prop_reach_flip_point_ceiling =
+  Helpers.qtest ~count:30 "lattice: flip-point ceiling = solve-probed search (H1, H4)"
     gen_uniform_large
     (fun inst ->
-      let cost = Cost.get inst.Instance.app inst.Instance.platform in
-      let set = Candidates.Set.of_engine ~max_materialised:0 cost in
-      Candidates.Set.is_lazy set
-      && List.for_all
-           (fun id ->
-             let info = Option.get (Registry.find id) in
-             let solves t = info.Registry.solve inst ~threshold:t <> None in
-             let meets = Pipeline_util.Tol.meets (reach_of info inst) in
-             Threshold.boundary_set ~set ~succeeds:solves ()
-             = Threshold.boundary_set ~set ~succeeds:meets ())
-           [ "h1-sp-mono-p"; "h4-sp-bi-p" ])
+      let cands = candidates_of inst in
+      List.for_all
+        (fun id ->
+          let info = Option.get (Registry.find id) in
+          let solves t = info.Registry.solve inst ~threshold:t <> None in
+          lattice_ceiling_of inst (Pipeline_util.Tol.least_meeting (reach_of info inst))
+          = boundary_set ~candidates:cands ~succeeds:solves)
+        [ "h1-sp-mono-p"; "h4-sp-bi-p" ])
 
 (* ------------------------------------------------------------------ *)
 (* Sp_bi_p: adaptive bisection vs the legacy fixed-count loop          *)
@@ -730,11 +709,11 @@ let () =
         ] );
       ( "lazy-set",
         [
-          prop_lazy_set_extrema;
-          prop_lazy_floor_ceiling_mem;
-          prop_search_set_matches_search;
-          prop_boundary_set_matches_boundary;
-          prop_search_set_probes_unchanged;
+          prop_relaxation_matches_greedy_search;
+          prop_lattice_ceiling;
+          prop_least_meeting;
+          prop_lattice_boundary_comm_hom;
+          prop_lattice_boundary_het;
           Alcotest.test_case "sweeps allocate nothing" `Quick
             test_lazy_sweeps_allocation;
         ] );
@@ -744,7 +723,7 @@ let () =
           prop_het_optimal_period_is_candidate;
           prop_het_boundary_set_matches_scan;
           prop_het_warm_equals_cold;
-          prop_het_lazy_set_matches_array;
+          prop_het_lattice_ceiling;
           prop_het_row_threshold_sound;
         ] );
       ( "failure-boundary",
@@ -755,7 +734,7 @@ let () =
         ] );
       ( "reach",
         Alcotest.test_case "only ft lacks reach" `Quick test_only_ft_lacks_reach
-        :: prop_reach_lazy_lattice :: reach_contract_props );
+        :: prop_reach_flip_point_ceiling :: reach_contract_props );
       ("sp-bi-p", [ prop_sp_bi_p_unchanged ]);
       ( "golden",
         [ Alcotest.test_case "thresholds" `Quick test_thresholds_golden ] );
