@@ -1,7 +1,6 @@
 open Pipeline_model
 module Registry = Pipeline_registry
 module Table = Pipeline_util.Table
-module Tol = Pipeline_util.Tol
 
 let c_probes =
   Obs.Counter.make ~doc:"feasibility probes in Failure.instance_threshold"
@@ -12,19 +11,6 @@ let c_probes =
    so the adaptive bisection may stop as soon as the bracket is
    invisible at the acceptance scale. *)
 let latency_rel = 1e-10
-
-(* Past this many interval-config triples, n(n+1)/2 · |configs|, a
-   candidate array is too large to build; period rows on uniform deltas
-   read the lattice there instead (DESIGN.md §11). *)
-let array_cap = 1 lsl 22
-
-let beyond_array cost =
-  let app = Cost.application cost in
-  let n = Application.n app in
-  n * (n + 1) / 2 * Array.length (Cost.candidate_configs cost) > array_cap
-  &&
-  let d0 = Application.delta app 0 in
-  Array.for_all (( = ) d0) (Application.deltas app)
 
 (* Period-direction rows flip feasibility at an achievable period — a
    member of the finite candidate set — so their boundary is found
@@ -37,15 +23,15 @@ let beyond_array cost =
 
    Rows with a [reach] answer every probe with one comparison against
    one walk, computed on the first probe; only ft re-solves at each
-   probe (DESIGN.md §9). [Tol.meets reach] is monotone in the
-   threshold, so the smallest candidate it accepts is the smallest
-   candidate at or above [Tol.least_meeting reach]: past the array cap
-   that is one lattice ceiling, with no probe at all. *)
+   probe (DESIGN.md §9). Past the array cap on uniform deltas the
+   plain grid is searched on the lattice, with the same answer
+   (DESIGN.md §11). *)
 let search ~counter ?search_counter (info : Registry.info) inst =
-  let reach = Option.map (fun reach -> lazy (reach inst)) info.reach in
   let meets =
-    match reach with
-    | Some reach -> fun threshold -> Tol.meets (Lazy.force reach) threshold
+    match info.reach with
+    | Some reach ->
+      let reach = lazy (reach inst) in
+      fun threshold -> Pipeline_util.Tol.meets (Lazy.force reach) threshold
     | None -> fun threshold -> info.solve inst ~threshold <> None
   in
   let probes = ref 0 in
@@ -72,35 +58,28 @@ let search ~counter ?search_counter (info : Registry.info) inst =
     in
     b.Threshold.lo
   in
-  let on_grid candidates =
-    Threshold.search ?probe_counter:search_counter ~candidates
-      ~probe:(fun t -> if succeeds t then Some () else None)
-      ()
-    |> Option.map (fun found -> found.Threshold.threshold)
-  in
-  let plain () =
-    let cost = Cost.get inst.app inst.platform in
-    match reach with
-    | Some reach when beyond_array cost ->
-      Cost.lattice_ceiling cost (Tol.least_meeting (Lazy.force reach))
-    | _ -> on_grid (Candidates.periods cost)
-  in
+  let probe t = if succeeds t then Some () else None in
+  let cost () = Cost.get inst.app inst.platform in
   let comm_hom = Platform.is_comm_homogeneous inst.platform in
   (* [None] when the row has no candidate grid, or when even its top
      candidate fails (the heuristic rejects thresholds the
      single-processor mapping meets): the widening bisection answers. *)
-  let boundary =
+  let found =
     match (info.kind, info.stack) with
     | Registry.Latency_fixed, _ | Registry.Period_fixed, Registry.Ft -> None
-    | Registry.Period_fixed, (Registry.Core | Registry.Extension) ->
-      if comm_hom then plain () else None
-    | Registry.Period_fixed, Registry.Het -> plain ()
+    | Registry.Period_fixed, (Registry.Core | Registry.Extension) when not comm_hom ->
+      None
+    | Registry.Period_fixed, (Registry.Core | Registry.Extension | Registry.Het) ->
+      Threshold.search_periods ?probe_counter:search_counter (cost ()) ~probe ()
     | Registry.Period_fixed, Registry.Deal ->
       if comm_hom then
-        on_grid (Candidates.deal_periods (Cost.get inst.app inst.platform))
+        Threshold.search ?probe_counter:search_counter
+          ~candidates:(Candidates.deal_periods (cost ())) ~probe ()
       else None
   in
-  let result = match boundary with Some b -> b | None -> bisection () in
+  let result =
+    match found with Some found -> found.Threshold.threshold | None -> bisection ()
+  in
   Obs.Counter.add counter !probes;
   result
 

@@ -11,10 +11,9 @@
     answers each probe of either search by comparing the threshold with
     the [reach] of its {!Pipeline_registry.info}, computed once; ft
     solves at each probe. Past [2²²] interval-config triples on uniform
-    deltas, where the candidate array is too large to build, a row with
-    a [reach] skips the probes: its boundary is
-    {!Pipeline_model.Cost.lattice_ceiling} of
-    {!Pipeline_util.Tol.least_meeting}[ reach] (DESIGN.md §11). The
+    deltas, where the candidate array is too large to build, the same
+    search runs on the lattice
+    ({!Pipeline_model.Threshold.search_periods}, DESIGN.md §11). The
     reported value averages the per-instance boundaries over the batch,
     matching the table's per-(experiment, n) cells. *)
 
@@ -29,9 +28,8 @@ val search :
   float
 (** The one threshold search: the exact smallest succeeding candidate
     for period-fixed rows, the adaptive bisection's bracket (at most 40
-    probes) otherwise. [counter] counts its probes (none on the lattice
-    ceiling); [search_counter], when given, replaces the
-    [model.threshold.*] counters. *)
+    probes) otherwise. [counter] counts its probes; [search_counter],
+    when given, replaces the [model.threshold.*] counters. *)
 
 val instance_threshold : Registry.info -> Instance.t -> float
 (** {!search} counted on [experiments.threshold_probes]. For

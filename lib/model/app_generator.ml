@@ -14,7 +14,7 @@ let e4 ~n = { n; work = Float_uniform (0.01, 10.); delta = Int_uniform (1, 20) }
 
 (* (E6) web scale: wide work spread, fixed message size. The uniform
    deltas are load-bearing — they make the all-fastest relaxation one
-   Nicol solve and a failure threshold one lattice ceiling at
+   Nicol solve and let a period search run on the lattice at
    n = 50 000 (DESIGN.md §11). *)
 let e6 ~n = { n; work = Int_uniform (1, 100); delta = Fixed 25. }
 

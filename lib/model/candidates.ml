@@ -55,3 +55,15 @@ let ceiling candidates value =
     done;
     Some candidates.(!lo)
   end
+
+(* Past 2²² interval-config triples the array no longer fits in memory
+   (DESIGN.md §11); with uniform deltas Cost.lattice_ceiling answers the
+   same queries without it. *)
+let too_large cost =
+  let app = Cost.application cost in
+  let n = Application.n app in
+  n * (n + 1) / 2 * Array.length (Cost.candidate_configs cost) > 1 lsl 22
+  && Array.for_all (( = ) (Application.delta app 0)) (Application.deltas app)
+
+let period_ceiling cost =
+  if too_large cost then Cost.lattice_ceiling cost else ceiling (periods cost)

@@ -21,9 +21,10 @@
     an achievable — hence member — value, so the smallest feasible
     candidate is the true threshold.
 
-    Past about [2²²] values an array no longer fits in memory. The one
-    search that runs there, a failure threshold on uniform deltas, asks
-    {!Cost.lattice_ceiling} for its one answer instead (DESIGN.md §11). *)
+    Past [2²²] interval-config triples on uniform deltas ({!too_large})
+    the period array is never built: {!period_ceiling} and
+    {!Threshold.search_periods} read {!Cost.lattice_ceiling} there
+    instead (DESIGN.md §11). *)
 
 val periods : Cost.t -> float array
 (** Sorted, deduplicated cycle-times over every interval and candidate
@@ -45,3 +46,15 @@ val ceiling : float array -> float -> float option
 (** [ceiling candidates v] — the smallest candidate [>= v], or [None]
     when [v] exceeds them all. Used to snap relaxation lower bounds up
     onto the achievable grid. *)
+
+val too_large : Cost.t -> bool
+(** [true] past [2²²] interval-config triples ([n(n+1)/2 · |configs|])
+    when every message size [δ_0 … δ_n] is equal: {!periods} would not
+    fit in memory, and {!Cost.lattice_ceiling} answers in its place. On
+    other message sizes no lattice applies and the array is built at
+    any size. *)
+
+val period_ceiling : Cost.t -> float -> float option
+(** [period_ceiling cost v] — {!ceiling} of {!periods}, bit for bit;
+    {!Cost.lattice_ceiling} when {!too_large}. [period_ceiling cost]
+    makes that choice once, for every later query. *)

@@ -144,10 +144,9 @@ val config_cycle : t -> d:int -> e:int -> config -> float
 
 (** {2 Uniform-delta lattice ceiling}
 
-    The one query that still runs where {!Candidates.periods} would not
-    fit in memory (DESIGN.md §11): a failure threshold past the
-    materialisation cap is the smallest candidate at or above the point
-    where its reach starts to meet the threshold. *)
+    The one candidate query that still runs where {!Candidates.periods}
+    would not fit in memory (DESIGN.md §11): {!Candidates.period_ceiling}
+    and {!Threshold.search_lattice} read it past the array cap. *)
 
 val lattice_ceiling : t -> float -> float option
 (** [lattice_ceiling t v] — the smallest {!config_cycle} value [>= v]

@@ -6,7 +6,8 @@
    fixed-iteration bisections shows up in metrics.csv. *)
 
 let c_candidate_probes =
-  Obs.Counter.make ~doc:"feasibility probes issued by Threshold.search"
+  Obs.Counter.make
+    ~doc:"feasibility probes issued by Threshold.search and search_lattice"
     "model.threshold.candidate_probes"
 
 let c_bisect_probes =
@@ -65,6 +66,42 @@ let search ?probe_counter ~candidates ~probe () =
       assert (i = !lo);
       Some { threshold = candidates.(i); payload; probes = !probes }
   end
+
+(* Past the array cap the candidates are the lattice behind
+   Cost.lattice_ceiling (DESIGN.md §11). Non-negative floats order like
+   their IEEE-754 bit patterns, so the search halves a bracket of bit
+   patterns and probes the smallest candidate at or above each
+   midpoint: only members are ever probed. Invariant: every candidate
+   at or below [lo] fails, and the answer is [best] or a candidate
+   strictly between [lo] and [hi]; [best] is the ceiling of [hi], so a
+   midpoint with that ceiling needs no probe, and a failing ceiling
+   moves [lo] up to itself. *)
+let search_lattice ?probe_counter cost ~probe () =
+  let probes = ref 0 and best = ref None in
+  let lo = ref (-1L) and hi = ref (Int64.succ (Int64.bits_of_float infinity)) in
+  while Int64.sub !hi !lo > 1L do
+    let mid = Int64.add !lo (Int64.div (Int64.sub !hi !lo) 2L) in
+    match Cost.lattice_ceiling cost (Int64.float_of_bits mid) with
+    | None -> hi := mid
+    | Some c -> (
+      match !best with
+      | Some (b, _) when b = c -> hi := mid
+      | _ -> (
+        incr probes;
+        match probe c with
+        | Some payload ->
+          best := Some (c, payload);
+          hi := mid
+        | None -> lo := Int64.bits_of_float c))
+  done;
+  account ?probe_counter ~default:c_candidate_probes ~memo_hit:false !probes;
+  Option.map
+    (fun (threshold, payload) -> { threshold; payload; probes = !probes })
+    !best
+
+let search_periods ?probe_counter cost ~probe () =
+  if Candidates.too_large cost then search_lattice ?probe_counter cost ~probe ()
+  else search ?probe_counter ~candidates:(Candidates.periods cost) ~probe ()
 
 type bisection = { lo : float; hi : float; probes : int }
 

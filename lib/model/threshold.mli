@@ -16,9 +16,9 @@
        stopping as soon as the bracket converges instead of burning a
        fixed iteration count.}}
 
-    Where the candidate array is too large to build, no search runs: a
-    failure threshold there is one {!Cost.lattice_ceiling}, and the
-    all-fastest relaxation one Nicol solve (DESIGN.md §11).
+    {!search_periods} searches an engine's period candidates with
+    {!search}, or with {!search_lattice} where the array is too large to
+    build (DESIGN.md §11).
 
     Probe counts and memo hits are published through the
     [model.threshold.*] counters (see [doc/observability.mld]). Callers
@@ -46,6 +46,30 @@ val search :
     probed exactly once: its payload is memoised during the search
     rather than re-probed at the end (counted in
     [model.threshold.memo_hits]). *)
+
+val search_lattice :
+  ?probe_counter:Obs.Counter.t ->
+  Cost.t ->
+  probe:(float -> 'a option) ->
+  unit ->
+  'a found option
+(** {!search} over {!Candidates.periods} of a uniform-delta engine
+    without building the array: for a monotone [probe], the same
+    threshold and payload. A bisection of the IEEE-754 order that
+    probes only {!Cost.lattice_ceiling} values: at most 64 rounds, each
+    one O(n · |configs|) ceiling and at most one probe. Counted in
+    [model.threshold.candidate_probes]. Its answer is meaningless on
+    non-uniform message sizes. *)
+
+val search_periods :
+  ?probe_counter:Obs.Counter.t ->
+  Cost.t ->
+  probe:(float -> 'a option) ->
+  unit ->
+  'a found option
+(** The period search of an engine: {!search_lattice} when
+    {!Candidates.too_large}, {!search} over {!Candidates.periods}
+    otherwise. *)
 
 type bisection = {
   lo : float;  (** largest known-infeasible value *)

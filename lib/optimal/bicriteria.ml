@@ -52,8 +52,9 @@ let min_period_under_latency (inst : Instance.t) ~latency =
     | _ -> None
   in
   (* Smallest candidate period whose latency-optimal mapping fits the
-     latency budget (feasibility is monotone in the period threshold). *)
-  match Threshold.search ~candidates:(candidate_periods inst) ~probe:feasible () with
+     latency budget (feasibility is monotone in the period threshold);
+     past the array cap on the lattice, never building the array. *)
+  match Threshold.search_periods (engine inst) ~probe:feasible () with
   | None -> None
   | Some found ->
     Obs.Counter.add c_bisect found.Threshold.probes;

@@ -92,9 +92,9 @@ let min_period ?(node_budget = 1_000_000) ?initial (inst : Instance.t) =
      can be snapped up to the next achievable period (DESIGN.md §9). The
      [tol] backoff covers the bounds' own rounding, mirroring the prune
      test below. *)
-  let cands = Candidates.periods (Cost.get app platform) in
+  let ceiling = Candidates.period_ceiling (Cost.get app platform) in
   let snap lower =
-    match Candidates.ceiling cands (lower -. tol) with
+    match ceiling (lower -. tol) with
     | Some c -> Float.max lower c
     | None -> lower
   in

@@ -103,7 +103,9 @@ let min_period_under_latency (inst : Instance.t) ~latency =
     | Some sol when Solution.respects_latency sol latency -> Some sol
     | _ -> None
   in
-  match Threshold.search ~candidates:(candidate_periods inst) ~probe:feasible () with
+  match
+    Threshold.search_periods (Cost.get inst.app inst.platform) ~probe:feasible ()
+  with
   | None -> None
   | Some found -> Some found.Threshold.payload
 

@@ -242,8 +242,11 @@ let resolve ?heuristic ~strategy cache state ~before ~threshold =
           let feasible =
             (* The engine-cached candidate set bounds every achievable
                period from below: a threshold under the smallest
-               candidate needs no heuristic run to be refuted. *)
-            Tol.meets (Candidates.periods sub_engine).(0) threshold
+               candidate needs no heuristic run to be refuted. Past
+               the array cap the lattice answers without building it. *)
+            match Candidates.period_ceiling sub_engine neg_infinity with
+            | Some c -> Tol.meets c threshold
+            | None -> false
           in
           if not feasible then Obs.Counter.incr c_pruned;
           let solved =

@@ -6,25 +6,3 @@ let meets value threshold =
 
 let converged ?(rel = bisect_rel) ~lo ~hi () =
   hi -. lo <= rel *. Float.max 1. hi
-
-(* [meets value] is monotone in the threshold, false at -1 and true at
-   [value] itself, so its flip is found by bisecting the IEEE-754 order
-   between them. The keys mirror negative floats' bit patterns below
-   zero, so integer order is float order; the bracket can span more
-   than [Int64.max_int] keys, hence the unsigned arithmetic. *)
-let least_meeting value =
-  if not (value >= 0.) then invalid_arg "Tol.least_meeting: value must be >= 0";
-  let key t =
-    let b = Int64.bits_of_float t in
-    if Int64.compare b 0L >= 0 then b else Int64.sub Int64.min_int b
-  in
-  let of_key k =
-    Int64.float_of_bits
-      (if Int64.compare k 0L >= 0 then k else Int64.sub Int64.min_int k)
-  in
-  let lo = ref (key (-1.)) and hi = ref (key value) in
-  while Int64.unsigned_compare (Int64.sub !hi !lo) 1L > 0 do
-    let mid = Int64.add !lo (Int64.shift_right_logical (Int64.sub !hi !lo) 1) in
-    if meets value (of_key mid) then hi := mid else lo := mid
-  done;
-  of_key !hi

@@ -29,11 +29,3 @@ val converged : ?rel:float -> lo:float -> hi:float -> unit -> bool
 (** [converged ~lo ~hi ()] — the bracket [\[lo, hi\]] is narrower than
     [rel *. Float.max 1. hi] (default [bisect_rel]): further probes
     cannot move the answer by more than float noise. *)
-
-val least_meeting : float -> float
-(** [least_meeting value] — the smallest threshold [t] with
-    [meets value t]. [meets value] is monotone in the threshold, so it
-    holds at every threshold [>= t] and at none below: a search for the
-    smallest candidate a reach meets is the smallest candidate
-    [>= least_meeting reach]. At most 64 comparisons. Raises
-    [Invalid_argument] unless [value >= 0] (NaN included). *)

@@ -278,35 +278,59 @@ let prop_lattice_ceiling =
         (fun q -> lattice_ceiling_of inst q = Candidates.ceiling cands q)
         (v :: queried cands))
 
-let prop_least_meeting =
-  Helpers.qtest ~count:500 "least_meeting meets at itself, fails below"
+(* The lattice search must give [Threshold.search]'s threshold and
+   payload for a monotone probe cut anywhere from below the smallest
+   candidate to above the largest, and probe nothing but candidates. *)
+let prop_search_lattice_matches_search =
+  Helpers.qtest ~count:200 "search_lattice = search on the array"
     QCheck2.Gen.(
-      oneof
-        [
-          float_range 0. 1e-8;
-          float_range 0.5 2.;
-          float_range 0. 1e6;
-          map2 Float.ldexp (float_range 1. 2.) (int_range (-1070) 1023);
-          oneofl [ 0.; 1e-9; 1.; 1. +. 1e-9; Float.max_float; infinity ];
-        ])
-    (fun r ->
-      let t = Pipeline_util.Tol.least_meeting r in
-      Pipeline_util.Tol.meets r t && not (Pipeline_util.Tol.meets r (Float.pred t)))
+      pair
+        (frequency
+           [
+             (3, gen_uniform);
+             (1, gen_uniform_large);
+             ( 1,
+               map (Helpers.random_uniform_delta_het_instance ~n_max:40 ~p_max:4) gen_seed
+             );
+           ])
+        (float_range (-0.05) 1.1))
+    (fun (inst, frac) ->
+      let cost = Cost.get inst.Instance.app inst.Instance.platform in
+      let cands = Candidates.periods cost in
+      let lo = cands.(0) and hi = cands.(Array.length cands - 1) in
+      let cutoff = lo +. (frac *. (hi -. lo)) in
+      let off_grid = ref false in
+      let probe t =
+        if Candidates.ceiling cands t <> Some t then off_grid := true;
+        if t >= cutoff then Some t else None
+      in
+      let lattice = Threshold.search_lattice cost ~probe () in
+      (not !off_grid)
+      &&
+      match (lattice, Threshold.search ~candidates:cands ~probe ()) with
+      | None, None -> true
+      | Some a, Some b ->
+        a.Threshold.threshold = b.Threshold.threshold
+        && a.Threshold.payload = b.Threshold.payload
+      | _ -> false)
 
-(* Past the array cap, [Failure.search] answers a period row with a
-   reach by one lattice ceiling of the reach's flip point; below it, by
-   [Threshold.search] over the array. Both must give the same boundary,
-   and the lattice must find none exactly when the array's top
-   candidate fails (where both fall back to the bisection). *)
+(* Past the array cap, [Failure.search] runs a period row's search on
+   the lattice; below it, on the array. For every row with a reach both
+   must give the same boundary, and the lattice must find none exactly
+   when the array's top candidate fails (where both fall back to the
+   bisection). *)
 let lattice_boundary_matches_array inst rows =
-  let cands = candidates_of inst in
+  let cost = Cost.get inst.Instance.app inst.Instance.platform in
+  let cands = Candidates.periods cost in
   let top = cands.(Array.length cands - 1) in
   List.for_all
     (fun (info : Registry.info) ->
-      let reach = (Option.get info.Registry.reach) inst in
-      match lattice_ceiling_of inst (Pipeline_util.Tol.least_meeting reach) with
-      | Some b -> b = Failure.instance_threshold info inst
-      | None -> not (Pipeline_util.Tol.meets reach top))
+      let meets = Pipeline_util.Tol.meets ((Option.get info.Registry.reach) inst) in
+      match
+        Threshold.search_lattice cost ~probe:(fun t -> if meets t then Some () else None) ()
+      with
+      | Some found -> found.Threshold.threshold = Failure.instance_threshold info inst
+      | None -> not (meets top))
     rows
 
 let lattice_rows stacks =
@@ -539,19 +563,28 @@ let reach_contract_props =
        (fun (i : Registry.info) -> i.Registry.reach <> None)
        Registry.all)
 
-(* Past the array cap the boundary is the lattice ceiling of the reach's
-   flip point; it must equal the array search whose every probe solves. *)
-let prop_reach_flip_point_ceiling =
-  Helpers.qtest ~count:30 "lattice: flip-point ceiling = solve-probed search (H1, H4)"
+(* On the lattice the searched threshold equals the walked one: the
+   same search finds the same boundary whether each probe solves or
+   compares with [reach], and it is the array search's boundary. *)
+let prop_reach_lazy_lattice =
+  Helpers.qtest ~count:30 "lattice: solve-probed = reach-probed (H1, H4)"
     gen_uniform_large
     (fun inst ->
-      let cands = candidates_of inst in
+      let cost = Cost.get inst.Instance.app inst.Instance.platform in
+      let boundary succeeds =
+        Threshold.search_lattice cost
+          ~probe:(fun t -> if succeeds t then Some () else None)
+          ()
+        |> Option.map (fun found -> found.Threshold.threshold)
+      in
       List.for_all
         (fun id ->
           let info = Option.get (Registry.find id) in
           let solves t = info.Registry.solve inst ~threshold:t <> None in
-          lattice_ceiling_of inst (Pipeline_util.Tol.least_meeting (reach_of info inst))
-          = boundary_set ~candidates:cands ~succeeds:solves)
+          let meets = Pipeline_util.Tol.meets (reach_of info inst) in
+          boundary solves = boundary meets
+          && boundary solves
+             = boundary_set ~candidates:(Candidates.periods cost) ~succeeds:solves)
         [ "h1-sp-mono-p"; "h4-sp-bi-p" ])
 
 (* ------------------------------------------------------------------ *)
@@ -711,7 +744,7 @@ let () =
         [
           prop_relaxation_matches_greedy_search;
           prop_lattice_ceiling;
-          prop_least_meeting;
+          prop_search_lattice_matches_search;
           prop_lattice_boundary_comm_hom;
           prop_lattice_boundary_het;
           Alcotest.test_case "sweeps allocate nothing" `Quick
@@ -734,7 +767,7 @@ let () =
         ] );
       ( "reach",
         Alcotest.test_case "only ft lacks reach" `Quick test_only_ft_lacks_reach
-        :: prop_reach_flip_point_ceiling :: reach_contract_props );
+        :: prop_reach_lazy_lattice :: reach_contract_props );
       ("sp-bi-p", [ prop_sp_bi_p_unchanged ]);
       ( "golden",
         [ Alcotest.test_case "thresholds" `Quick test_thresholds_golden ] );
