@@ -22,8 +22,9 @@ val min_period_under_latency : Instance.t -> latency:float -> Solution.t option
 (** Smallest period among mappings of latency [≤ latency]. Implemented by
     a binary search over the O(n²p) candidate periods, re-solving
     {!min_latency_under_period} at each probe
-    ({!Pipeline_model.Threshold.search_periods}: past [2²²] of them on
-    uniform message sizes, on the lattice, without building them). *)
+    ({!Pipeline_model.Threshold.search_periods}: past [2²²]
+    interval-speed pairs on uniform message sizes, on the lattice,
+    without building them). *)
 
 val pareto : Instance.t -> Solution.t list
 (** The full period/latency Pareto front, sorted by increasing period

@@ -582,9 +582,9 @@ let prop_reach_lazy_lattice =
           let info = Option.get (Registry.find id) in
           let solves t = info.Registry.solve inst ~threshold:t <> None in
           let meets = Pipeline_util.Tol.meets (reach_of info inst) in
-          boundary solves = boundary meets
-          && boundary solves
-             = boundary_set ~candidates:(Candidates.periods cost) ~succeeds:solves)
+          let solved = boundary solves in
+          solved = boundary meets
+          && solved = boundary_set ~candidates:(Candidates.periods cost) ~succeeds:solves)
         [ "h1-sp-mono-p"; "h4-sp-bi-p" ])
 
 (* ------------------------------------------------------------------ *)
