@@ -57,10 +57,10 @@ let bottleneck t =
 type winner = {
   pieces : part array;
   piece_cycles : float array;
-  new_latency : float;
   max_piece : float;
   dlatency : float;
   ratio : float;
+  index : int;  (* position in the paper's enumeration *)
 }
 
 let step ~arity ~rule t ~cap =
@@ -73,11 +73,12 @@ let step ~arity ~rule t ~cap =
   let d = Array.make 3 0 and e = Array.make 3 0 and u = Array.make 3 0 in
   let cyc = Array.make 3 0. in
   let improved = ref false and best = ref None in
-  (* Score the [k]-piece split: the largest piece, the contribution and
-     the ratio are folded over the pieces in pipeline order, from
-     [neg_infinity] or [0.]; keep it if it improves, meets [cap] and
-     beats the winner under [rule] (first split wins an exact tie). *)
-  let consider k =
+  (* Score the [k]-piece split at enumeration position [index]: the
+     largest piece, the contribution and the ratio are folded over the
+     pieces in pipeline order, from [neg_infinity] or [0.]; keep it if it
+     improves, meets [cap] and beats the winner under [rule] (the smaller
+     index wins an exact tie). *)
+  let consider k index =
     let max_piece = ref neg_infinity in
     for i = 0 to k - 1 do
       cyc.(i) <- Cost.cycle t.cost ~d:d.(i) ~e:e.(i) ~u:u.(i);
@@ -105,11 +106,11 @@ let step ~arity ~rule t ~cap =
           | None, _ -> true
           | Some w, Mono -> (
             match compare max_piece w.max_piece with
-            | 0 -> dlatency < w.dlatency
+            | 0 -> dlatency < w.dlatency || (dlatency = w.dlatency && index < w.index)
             | c -> c < 0)
           | Some w, Bi -> (
             match compare ratio w.ratio with
-            | 0 -> max_piece < w.max_piece
+            | 0 -> max_piece < w.max_piece || (max_piece = w.max_piece && index < w.index)
             | c -> c < 0)
         in
         if wins then
@@ -119,10 +120,10 @@ let step ~arity ~rule t ~cap =
                 pieces =
                   Array.init k (fun i -> { first = d.(i); last = e.(i); proc = u.(i) });
                 piece_cycles = Array.sub cyc 0 k;
-                new_latency;
                 max_piece;
                 dlatency;
                 ratio;
+                index;
               }
       end
     end
@@ -132,16 +133,37 @@ let step ~arity ~rule t ~cap =
     e.(i) <- last;
     u.(i) <- proc
   in
+  (* A piece's cycle-time is at least its computation time. As the cut
+     moves right the first piece's computation never falls and the
+     second's never rises, so under [Mono] each order walks right from
+     the balancing cut and left of it, and stops at the first cut whose
+     piece on that side computes too long to improve the interval or tie
+     the winner's largest piece: no cut further out can. [Bi] ranks by a
+     ratio this does not bound and walks every cut (DESIGN.md §9). *)
   let two () =
     if last > first && unused t >= 1 then begin
       let given = t.order.(t.next_rank) in
-      for c = first to last - 1 do
-        set 0 first c kept;
-        set 1 (c + 1) last given;
-        consider 2;
-        set 0 first c given;
-        set 1 (c + 1) last kept;
-        consider 2
+      for o = 0 to 1 do
+        let ua = if o = 0 then kept else given and ub = if o = 0 then given else kept in
+        let floor = if rule = Mono then Cost.balance t.cost ~first ~last ~u:ua ~v:ub else first in
+        for dir = 0 to 1 do
+          let c = ref (floor - dir) in
+          while
+            !c >= first && !c < last
+            && (rule = Bi
+               ||
+               let x =
+                 if dir = 0 then Cost.compute t.cost ~d:first ~e:!c ~u:ua
+                 else Cost.compute t.cost ~d:(!c + 1) ~e:last ~u:ub
+               in
+               x < old_cycle && match !best with Some w -> x <= w.max_piece | None -> true)
+          do
+            set 0 first !c ua;
+            set 1 (!c + 1) last ub;
+            consider 2 ((2 * (!c - first)) + o);
+            c := if dir = 0 then !c + 1 else !c - 1
+          done
+        done
       done
     end
   in
@@ -157,6 +179,7 @@ let step ~arity ~rule t ~cap =
           (u', u'', kept); (u'', u', kept);
         |]
       in
+      let index = ref 0 in
       for c1 = first to last - 2 do
         for c2 = c1 + 1 to last - 1 do
           for a = 0 to 5 do
@@ -164,7 +187,8 @@ let step ~arity ~rule t ~cap =
             set 0 first c1 pa;
             set 1 (c1 + 1) c2 pb;
             set 2 (c2 + 1) last pc;
-            consider 3
+            consider 3 !index;
+            incr index
           done
         done
       done
@@ -186,7 +210,7 @@ let step ~arity ~rule t ~cap =
         next_rank = t.next_rank + Array.length w.pieces - 1;
         parts = splice t.parts w.pieces;
         cycles = splice t.cycles w.piece_cycles;
-        latency = w.new_latency;
+        latency = t.latency +. w.dlatency;
       })
     !best
 

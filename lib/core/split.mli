@@ -65,7 +65,9 @@ val bottleneck : t -> int
 val step : arity:arity -> rule:rule -> t -> cap:float -> t option
 (** The bottleneck's improving split of [arity] whose latency meets
     [cap] and that [rule] prefers, applied; the first split of the
-    enumeration wins an exact tie. [None] when there is none. *)
+    enumeration wins an exact tie. [None] when there is none. Under [Mono]
+    the 2-way scan visits only the cuts near the one that balances the
+    pieces' computation times, a lower bound of their cycle-times. *)
 
 val stack : arity:arity -> rule:rule -> Instance.t -> t Loop.stack
 (** {!step} from {!initial}, for {!Loop}'s drivers. *)

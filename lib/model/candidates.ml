@@ -59,10 +59,14 @@ let ceiling candidates value =
 (* Past 2²² interval-config triples the array no longer fits in memory
    (DESIGN.md §11); with uniform deltas Cost.lattice_ceiling answers the
    same queries without it. *)
+let oversized cost =
+  let n = Application.n (Cost.application cost) in
+  let count = n * (n + 1) / 2 * Array.length (Cost.candidate_configs cost) in
+  if count > 1 lsl 22 then Some count else None
+
 let too_large cost =
   let app = Cost.application cost in
-  let n = Application.n app in
-  n * (n + 1) / 2 * Array.length (Cost.candidate_configs cost) > 1 lsl 22
+  oversized cost <> None
   && Array.for_all (( = ) (Application.delta app 0)) (Application.deltas app)
 
 let period_ceiling cost =

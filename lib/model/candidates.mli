@@ -47,12 +47,16 @@ val ceiling : float array -> float -> float option
     when [v] exceeds them all. Used to snap relaxation lower bounds up
     onto the achievable grid. *)
 
+val oversized : Cost.t -> int option
+(** [Some count] when the interval-config triples {!periods} enumerates
+    ([n(n+1)/2 · |configs|]) pass [2²²], past which the array would not
+    fit in memory; [None] below. *)
+
 val too_large : Cost.t -> bool
-(** [true] past [2²²] interval-config triples ([n(n+1)/2 · |configs|])
-    when every message size [δ_0 … δ_n] is equal: {!periods} would not
-    fit in memory, and {!Cost.lattice_ceiling} answers in its place. On
-    other message sizes no lattice applies and the array is built at
-    any size. *)
+(** {!oversized} when every message size [δ_0 … δ_n] is equal:
+    {!Cost.lattice_ceiling} answers in the array's place. On other
+    message sizes no lattice applies and the array is built at any
+    size. *)
 
 val period_ceiling : Cost.t -> float -> float option
 (** [period_ceiling cost v] — {!ceiling} of {!periods}, bit for bit;

@@ -346,6 +346,19 @@ let lattice_ceiling t v =
   done;
   if !found then Some !best else None
 
+(* Split's two-way window bisects here, where comparing two computation
+   times boxes no float (DESIGN.md §9). *)
+let balance t ~first ~last ~u ~v =
+  check_interval t "Cost.balance" first last;
+  check_proc t "Cost.balance" u;
+  check_proc t "Cost.balance" v;
+  let lo = ref first and hi = ref last in
+  while !lo < !hi do
+    let c = (!lo + !hi) / 2 in
+    if compute_u t first c u >= compute_u t (c + 1) last v then hi := c else lo := c + 1
+  done;
+  !lo
+
 let din t ~d =
   require_comm_hom t "Cost.din";
   check_interval t "Cost.din" d d;
@@ -503,14 +516,6 @@ let deal_check t deal =
 let deal_cycle_u t deal j u =
   let iv = Deal_mapping.interval deal j in
   cycle_u t (Interval.first iv) (Interval.last iv) u
-
-let deal_cycle t deal ~j ~u =
-  deal_check t deal;
-  if j < 0 || j >= Deal_mapping.m deal then
-    invalid_arg "Cost.deal_cycle: interval out of range";
-  if not (List.mem u (Deal_mapping.replicas deal j)) then
-    invalid_arg "Cost.deal_cycle: processor is not a replica of the interval";
-  deal_cycle_u t deal j u
 
 let fold_intervals_u t deal f init =
   let acc = ref init in

@@ -185,6 +185,12 @@ val output : t -> e:int -> u:int -> next:int -> float
 (** [δ_e] sent from [u] to [next]: over their link, or over [u]'s I/O
     port when [next = io]; [δ_e/b] on a comm-homogeneous platform. *)
 
+val balance : t -> first:int -> last:int -> u:int -> v:int -> int
+(** The first cut [c] of [\[first, last − 1\]] where the {!compute} time
+    of [\[first, c\]] on [u] reaches that of [\[c + 1, last\]] on [v], or
+    [last] when none does: a bisection, as the first time never falls
+    with [c] and the second never rises. *)
+
 (** {2 Plain interval mappings (equations (1) and (2))}
 
     All functions raise [Invalid_argument] when the mapping does not
@@ -213,11 +219,6 @@ val summary : t -> Mapping.t -> summary
 (** Both objectives in one traversal. *)
 
 (** {2 Deal-replication layer (comm-homogeneous only)} *)
-
-val deal_cycle : t -> Deal_mapping.t -> j:int -> u:int -> float
-(** Cycle-time of replica [u] of interval [j]; identical to the plain
-    {!cycle} of the interval on [u]. Raises when [j] is out of range or
-    [u] is not a replica of interval [j]. *)
 
 val deal_period : t -> Deal_mapping.t -> float
 (** Round-robin deal: each interval's worst replica cycle-time divided

@@ -87,5 +87,3 @@ let to_string t =
       (String.concat "," (List.map (Printf.sprintf "P%d") procs))
   in
   "{" ^ String.concat ", " (List.map part (Array.to_list t.assignment)) ^ "}"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

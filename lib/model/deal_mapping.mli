@@ -52,5 +52,3 @@ val replace : t -> j:int -> (Interval.t * int list) list -> t
 val valid_on : t -> Platform.t -> bool
 val to_string : t -> string
 (** E.g. ["{[1..2]->{P0}, [3]->{P1,P4}}"]. *)
-
-val pp : Format.formatter -> t -> unit

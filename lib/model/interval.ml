@@ -33,12 +33,6 @@ let partition_of n = function
     in
     first_iv.first = 1 && check 1 ivs
 
-let equal a b = a.first = b.first && a.last = b.last
-let compare a b =
-  match Stdlib.compare a.first b.first with 0 -> Stdlib.compare a.last b.last | c -> c
-
 let to_string t =
   if t.first = t.last then Printf.sprintf "[%d]" t.first
   else Printf.sprintf "[%d..%d]" t.first t.last
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

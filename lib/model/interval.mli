@@ -39,7 +39,4 @@ val partition_of : int -> t list -> bool
     [\[1..n\]] into consecutive intervals ([d_1 = 1], [d_{j+1} = e_j + 1],
     [e_m = n]). *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

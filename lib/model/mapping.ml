@@ -106,5 +106,3 @@ let equal a b = a.n = b.n && a.assignment = b.assignment
 let to_string t =
   let part (iv, u) = Printf.sprintf "%s->P%d" (Interval.to_string iv) u in
   "{" ^ String.concat ", " (List.map part (intervals t)) ^ "}"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

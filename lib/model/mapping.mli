@@ -79,6 +79,5 @@ val valid_on : t -> Platform.t -> bool
 (** All assigned processor indices exist on the platform. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 (** E.g. ["{[1..3]->P2, [4]->P0}"]. *)

@@ -31,10 +31,3 @@ let mapping_success t mapping =
   Array.fold_left (fun acc u -> acc *. success t u) 1. (Mapping.procs mapping)
 
 let mapping_failure t mapping = 1. -. mapping_success t mapping
-
-let pp ppf t =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       (fun ppf x -> Format.fprintf ppf "%g" x))
-    (Array.to_list t)

@@ -51,6 +51,3 @@ val mapping_failure : t -> Mapping.t -> float
     mapping references processors outside [0..p-1]. *)
 
 val mapping_success : t -> Mapping.t -> float
-
-val pp : Format.formatter -> t -> unit
-(** E.g. ["[0.01; 0.05; 0.01]"]. *)

@@ -60,7 +60,18 @@ let min_period_under_latency (inst : Instance.t) ~latency =
     Obs.Counter.add c_bisect found.Threshold.probes;
     Some found.Threshold.payload
 
+(* The front solves the DP once per candidate period, so past the array
+   cap it would neither fit in memory nor finish: refuse before
+   enumerating, as the subset DP's processor cap does. *)
 let pareto (inst : Instance.t) =
+  Option.iter
+    (fun pairs ->
+      invalid_arg
+        (Printf.sprintf
+           "Bicriteria.pareto: %d interval-speed pairs exceed the 2^22 cap on candidate \
+            periods"
+           pairs))
+    (Candidates.oversized (engine inst));
   let candidates = Array.to_list (candidate_periods inst) in
   Solution.front
     (List.filter_map (fun period -> min_latency_under_period inst ~period) candidates)

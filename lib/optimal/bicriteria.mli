@@ -30,4 +30,5 @@ val pareto : Instance.t -> Solution.t list
 (** The full period/latency Pareto front, sorted by increasing period
     (hence decreasing latency). Obtained by sweeping the candidate
     periods; each front point is an optimal trade-off, and values within
-    the acceptance slack tie ({!Pipeline_core.Solution.front}). *)
+    the acceptance slack tie ({!Pipeline_core.Solution.front}). Raises
+    [Invalid_argument] before enumerating past {!Candidates.oversized}. *)

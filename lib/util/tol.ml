@@ -5,4 +5,4 @@ let meets value threshold =
   value <= threshold +. (accept_rel *. Float.max 1. (Float.abs threshold))
 
 let converged ?(rel = bisect_rel) ~lo ~hi () =
-  hi -. lo <= rel *. Float.max 1. hi
+  lo = hi || hi -. lo <= rel *. Float.max 1. hi

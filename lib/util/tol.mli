@@ -27,5 +27,6 @@ val bisect_rel : float
 
 val converged : ?rel:float -> lo:float -> hi:float -> unit -> bool
 (** [converged ~lo ~hi ()] — the bracket [\[lo, hi\]] is narrower than
-    [rel *. Float.max 1. hi] (default [bisect_rel]): further probes
-    cannot move the answer by more than float noise. *)
+    [rel *. Float.max 1. hi] (default [bisect_rel]), or a single point,
+    infinite ones included: further probes cannot move the answer by
+    more than float noise. *)

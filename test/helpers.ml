@@ -56,6 +56,43 @@ let random_uniform_delta_instance ?(n_max = 12) ?(p_max = 6) seed =
   let platform = Platform.comm_homogeneous ~bandwidth:10. speeds in
   Instance.make ~seed app platform
 
+(* Draws on which a cycle-time's computation term is tight or breaks:
+   runs of zero works and zero deltas make exact ties between cuts,
+   works of 2^±30 swamp the transfers or vanish beside them, works near
+   1e308 overflow the prefix sums (about one draw in four may), and
+   speeds drawn from three values tie. Deltas are all zero, uniform or
+   real. *)
+let random_edge_instance ?(n_max = 12) ?(p_max = 6) seed =
+  let module R = Pipeline_util.Rng in
+  let rng = R.create seed in
+  let n = 1 + R.int rng n_max in
+  let p = 1 + R.int rng p_max in
+  let huge = R.int rng 4 = 0 in
+  let works = Array.make n 0. in
+  let k = ref 0 in
+  while !k < n do
+    let kind = R.int rng 4 and run = 1 + R.int rng 6 in
+    for i = !k to min n (!k + run) - 1 do
+      works.(i) <-
+        (match kind with
+        | 0 -> 0.
+        | 1 -> Float.ldexp 1. (R.int_in rng (-30) 30)
+        | 2 when huge -> R.float_in rng 1e307 1.7e308
+        | _ -> float_of_int (R.int_in rng 1 20))
+    done;
+    k := !k + run
+  done;
+  let deltas =
+    match R.int rng 3 with
+    | 0 -> Array.make (n + 1) 0.
+    | 1 -> Array.make (n + 1) (float_of_int (R.int_in rng 1 30))
+    | _ -> Array.init (n + 1) (fun _ -> R.float rng 30.)
+  in
+  let speeds = Array.init p (fun _ -> R.pick rng [| 1.; 3.; 8. |]) in
+  let app = Application.make ~deltas works in
+  let platform = Platform.comm_homogeneous ~bandwidth:10. speeds in
+  Instance.make ~seed app platform
+
 (* Fully heterogeneous draws: symmetric per-link bandwidth matrix and
    per-processor I/O bandwidths, so the het candidate-family props and
    the transform collapse laws exercise every platform shape. *)

@@ -254,19 +254,32 @@ module Ref_walk = struct
     | first :: rest ->
       Some (List.fold_left (fun acc c -> if better rule c acc then c else acc) first rest)
 
-  let rec walk inst ~arity ~rule ~cap st =
+  (* The candidates of a state do not depend on the cap or the rule, so
+     one table per instance and arity serves every walk the laws run. *)
+  let memo inst ~arity =
+    let table = Hashtbl.create 64 in
+    fun st ->
+      let key = (st.parts, st.next_rank, st.latency) in
+      match Hashtbl.find_opt table key with
+      | Some cs -> cs
+      | None ->
+        let cs = candidates inst st ~arity in
+        Hashtbl.add table key cs;
+        cs
+
+  let rec walk candidates ~rule ~cap st =
     let j = bottleneck st in
     let capped =
       List.filter
         (fun (c : candidate) -> Pipeline_util.Tol.meets c.latency cap)
-        (candidates inst st ~arity)
+        (candidates st)
     in
     match select rule capped with
     | None -> st
     | Some c ->
       let before = List.filteri (fun i _ -> i < j) st.parts
       and after = List.filteri (fun i _ -> i > j) st.parts in
-      walk inst ~arity ~rule ~cap
+      walk candidates ~rule ~cap
         {
           parts = before @ c.pieces @ after;
           next_rank = st.next_rank + List.length c.pieces - 1;
@@ -274,54 +287,98 @@ module Ref_walk = struct
         }
 end
 
+(* Split.step's walks on [inst] equal Ref_walk's for each of [arities]
+   and both rules, bit for bit, at the caps ∞, each first-step
+   candidate's latency and that latency ±1 ulp. [cap_arity] names the
+   scan whose first-step candidates give the caps (default: the walk's
+   own arity). *)
+let matches_reference ?cap_arity inst arities =
+  let start = Ref_walk.initial inst in
+  let bits x = Int64.bits_of_float x in
+  let parts_of (sol : Solution.t) =
+    List.init (Mapping.m sol.mapping) (fun j ->
+        let iv = Mapping.interval sol.mapping j in
+        (Interval.first iv, Interval.last iv, Mapping.proc sol.mapping j))
+  in
+  let same (got : Split.t) (want : Ref_walk.state) =
+    parts_of (Split.to_solution got)
+    = List.map (fun (p : Ref_walk.piece) -> (p.first, p.last, p.proc)) want.parts
+    && bits (Split.period got) = bits (Ref_walk.period want)
+    && bits (Split.latency got) = bits want.latency
+  in
+  List.for_all
+    (fun arity ->
+      let candidates = Ref_walk.memo inst ~arity in
+      let caps =
+        List.sort_uniq compare
+          (infinity
+          :: List.concat_map
+               (fun (c : Ref_walk.candidate) ->
+                 [ Float.pred c.latency; c.latency; Float.succ c.latency ])
+               (Ref_walk.candidates inst start
+                  ~arity:(Option.value cap_arity ~default:arity)))
+      in
+      List.for_all
+        (fun rule ->
+          List.for_all
+            (fun cap ->
+              let got =
+                Loop.minimise_period_under_latency (Split.stack ~arity ~rule inst)
+                  ~latency:cap
+              in
+              let want =
+                if Pipeline_util.Tol.meets start.latency cap then
+                  Some (Ref_walk.walk candidates ~rule ~cap start)
+                else None
+              in
+              match (got, want) with
+              | Some got, Some want -> same got want
+              | None, None -> true
+              | _ -> false)
+            caps)
+        rules)
+    arities
+
 let prop_split_step_matches_reference =
   Helpers.qtest "scanned walk = list-and-select walk, bit for bit" gen_seed
     (fun seed ->
       (* n <= 8 keeps the 3-way caps (3 per candidate, up to 126
          candidates) to a few hundred walks per draw. *)
-      let inst = Helpers.random_instance ~n_max:8 seed in
-      let start = Ref_walk.initial inst in
-      let bits x = Int64.bits_of_float x in
-      let parts_of (sol : Solution.t) =
-        List.init (Mapping.m sol.mapping) (fun j ->
-            let iv = Mapping.interval sol.mapping j in
-            (Interval.first iv, Interval.last iv, Mapping.proc sol.mapping j))
-      in
-      let same (got : Split.t) (want : Ref_walk.state) =
-        parts_of (Split.to_solution got)
-        = List.map (fun (p : Ref_walk.piece) -> (p.first, p.last, p.proc)) want.parts
-        && bits (Split.period got) = bits (Ref_walk.period want)
-        && bits (Split.latency got) = bits want.latency
-      in
-      List.for_all
-        (fun arity ->
-          let caps =
-            infinity
-            :: List.concat_map
-                 (fun (c : Ref_walk.candidate) ->
-                   [ Float.pred c.latency; c.latency; Float.succ c.latency ])
-                 (Ref_walk.candidates inst start ~arity)
-          in
-          List.for_all
-            (fun rule ->
-              List.for_all
-                (fun cap ->
-                  let got =
-                    Loop.minimise_period_under_latency (Split.stack ~arity ~rule inst)
-                      ~latency:cap
-                  in
-                  let want =
-                    if Pipeline_util.Tol.meets start.latency cap then
-                      Some (Ref_walk.walk inst ~arity ~rule ~cap start)
-                    else None
-                  in
-                  match (got, want) with
-                  | Some got, Some want -> same got want
-                  | None, None -> true
-                  | _ -> false)
-                caps)
-            rules)
-        arities)
+      matches_reference (Helpers.random_instance ~n_max:8 seed) arities)
+
+(* The two-way scan visits only a window of cuts around the balancing
+   one (DESIGN.md §9). On draws where the computation bound is tight or
+   breaks, the windowed walk must still equal the full enumeration: the
+   2-way walk at n <= 300, and the 3-way walk with its 2-way fallback at
+   n <= 40, capped at the 2-way first step's latencies. *)
+let prop_split_window_matches_reference =
+  Helpers.qtest "windowed 2-way scan = full enumeration, bit for bit" gen_seed
+    (fun seed ->
+      matches_reference (Helpers.random_edge_instance ~n_max:300 seed) [ Split.Two ]
+      && matches_reference ~cap_arity:Split.Two
+           (Helpers.random_edge_instance ~n_max:40 (seed + 1))
+           [ Split.Three_or_two ])
+
+(* Cuts 1 and 2 of [1; 2; 1] tie exactly: largest piece 3, latency
+   increase 0, in both processor orders. The window starts at the
+   balancing cut 2 and reaches cut 1 second; the enumeration's first
+   split, cut 1 with the first piece kept, must still win. *)
+let test_split_window_tie_takes_first_cut () =
+  let app = Application.make ~deltas:[| 0.; 0.; 0.; 0. |] [| 1.; 2.; 1. |] in
+  let inst = Instance.make app (Platform.comm_homogeneous ~bandwidth:1. [| 1.; 1. |]) in
+  List.iter
+    (fun rule ->
+      match Split.step ~arity:Two ~rule (Split.initial inst) ~cap:infinity with
+      | None -> Alcotest.fail "expected a split"
+      | Some config ->
+        let mapping = (Split.to_solution config).Solution.mapping in
+        Alcotest.(check (list (pair (pair int int) int)))
+          "cut 1, first piece kept"
+          [ ((1, 1), 0); ((2, 3), 1) ]
+          (List.init (Mapping.m mapping) (fun j ->
+               let iv = Mapping.interval mapping j in
+               ((Interval.first iv, Interval.last iv), Mapping.proc mapping j))))
+    rules
 
 (* ------------------------------------------------------------------ *)
 (* Heuristics: thresholds and validity                                 *)
@@ -524,6 +581,17 @@ let test_sp_bi_p_beats_or_ties_unconstrained_latency () =
     (Helpers.seeds 20);
   Alcotest.(check bool) "ran" true (!count >= 0)
 
+(* Works whose prefix sums overflow make the optimal latency infinite.
+   H4's cap bisection then starts from the point bracket [∞, ∞], which
+   counts as converged: the solve ends with its uncapped walk instead of
+   probing the same midpoint forever. *)
+let test_h4_infinite_latency_terminates () =
+  let app = Application.make ~deltas:[| 1.; 1.; 1.; 1. |] [| 1e308; 1e308; 1. |] in
+  let inst = Instance.make app (Platform.comm_homogeneous ~bandwidth:10. [| 1.; 1. |]) in
+  match Sp_bi_p.solve inst ~period:infinity with
+  | None -> Alcotest.fail "expected a solution"
+  | Some sol -> Helpers.check_float "latency" infinity sol.Solution.latency
+
 let test_explo_pure_gets_stuck_on_tiny_interval () =
   (* n = 2: a 3-split is impossible, so pure 3-exploration cannot improve
      anything and fails for any period below the single-processor one. *)
@@ -680,6 +748,9 @@ let () =
           prop_split_candidates_all_improve;
           prop_split_candidate_metrics_exact;
           prop_split_step_matches_reference;
+          prop_split_window_matches_reference;
+          Alcotest.test_case "window tie takes the first cut" `Quick
+            test_split_window_tie_takes_first_cut;
         ] );
       ( "heuristics",
         [
@@ -699,6 +770,8 @@ let () =
           prop_unused_budget_changes_nothing;
           Alcotest.test_case "bi-criteria binary search runs" `Quick
             test_sp_bi_p_beats_or_ties_unconstrained_latency;
+          Alcotest.test_case "H4 ends at an infinite latency" `Quick
+            test_h4_infinite_latency_terminates;
           Alcotest.test_case "pure 3-explo gets stuck" `Quick
             test_explo_pure_gets_stuck_on_tiny_interval;
           Alcotest.test_case "fastest first" `Quick test_h1_uses_fastest_first;

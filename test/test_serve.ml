@@ -776,6 +776,38 @@ let test_protocol_subset_dp_guard () =
   check "exact latency /solve" "/solve"
     [ ("latency", Json.Number 1e9); ("exact", Json.Bool true) ]
 
+(* Below the DP's processor cap but past the candidate array's size cap
+   (3 000 stages on two speeds: 9 003 000 interval-speed pairs), /pareto
+   is a 400 naming the count and the cap, answered before any candidate
+   period is enumerated. *)
+let test_protocol_pareto_size_guard () =
+  with_jobs 1 @@ fun () ->
+  let p = Protocol.create () in
+  let n = 3000 in
+  let nums l = Json.List (List.map (fun v -> Json.Number v) l) in
+  let body =
+    Json.to_string
+      (Json.Obj
+         [
+           ( "instance",
+             Json.Obj
+               [
+                 ("works", nums (List.init n (fun k -> float_of_int (1 + (k mod 7)))));
+                 ("deltas", nums (List.init (n + 1) (fun _ -> 5.)));
+                 ( "platform",
+                   Json.Obj [ ("speeds", nums [ 1.; 2. ]); ("bandwidth", Json.Number 10.) ] );
+               ] );
+         ])
+  in
+  let builds () = (Cost.cache_stats ()).Cost.candidate_builds in
+  let before = builds () in
+  let status, _, reply = Protocol.handle p (request ~path:"/pareto" body) in
+  Alcotest.(check int) "is 400" 400 status;
+  Alcotest.(check string) "wording"
+    "Bicriteria.pareto: 9003000 interval-speed pairs exceed the 2^22 cap on candidate periods"
+    (error_of reply);
+  Alcotest.(check int) "built no candidates" 0 (builds () - before)
+
 let test_protocol_byte_identity () =
   let p = Protocol.create () in
   let solve () =
@@ -1313,6 +1345,8 @@ let () =
           prop_serve_matches_library;
           Alcotest.test_case "subset DP guard builds no candidates" `Quick
             test_protocol_subset_dp_guard;
+          Alcotest.test_case "pareto size guard builds no candidates" `Quick
+            test_protocol_pareto_size_guard;
         ] );
       ( "server",
         [
